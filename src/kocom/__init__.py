@@ -44,9 +44,7 @@ from .o2 import (
     O2Element,
     O2Path,
     commutes,
-    d4_mul,
     loop_degree,
-    o2_mul,
     o2_pow,
 )
 from .surfaces import (
@@ -79,7 +77,6 @@ __all__ = [
     "classify_component",
     "clutching_function",
     "commutes",
-    "d4_mul",
     "enumerate_components",
     "face_map",
     "h2_bcom_so3",
@@ -87,7 +84,6 @@ __all__ = [
     "ko_presentation",
     "loop_degree",
     "nonorientable",
-    "o2_mul",
     "o2_pow",
     "orientable",
     "oriented_invariant",

@@ -26,7 +26,6 @@ from .f2poly import (
     RingMap,
     elementary_symmetric,
     polynomial_algebra,
-    total_steenrod_square,
 )
 
 
@@ -130,9 +129,6 @@ def so2_restriction(alg: F2Algebra, target: F2Algebra | None = None) -> RingMap:
 def a2_class(alg: F2Algebra) -> F2Class:
     """w2 + (inversion pullback of w2); evaluates to r."""
     return alg.gen("w2") + inversion_pullback(alg)(alg.gen("w2"))
-
-
-steenrod_sq = total_steenrod_square
 
 
 # -- splitting-principle identities ---------------------------------------

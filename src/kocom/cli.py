@@ -4,9 +4,9 @@
 
 Suites: cocycles, so3-homology, char-classes, surface-ko, all.  Options:
 --k-range/--n-range as inclusive lo..hi pairs, --surface as
-sphere | genus:<g> | rp:<n>, --degree-cap for the characteristic algebra,
-and --out for the structured report.  Exit code 0 when every check passes,
-1 when any fails, 2 for bad arguments.
+sphere | genus:<g> | rp:<n> with b1 <= 40, --degree-cap for the
+characteristic algebra, and --out for the structured report.  Exit code 0
+when every check passes, 1 when any fails, 2 for bad arguments.
 """
 
 from __future__ import annotations
@@ -31,11 +31,22 @@ def parse_range(text: str) -> tuple:
     return lo, hi
 
 
+#: Largest first Betti number --surface accepts (genus 20, rp:40).  The
+#: per-surface checks grow with b1; at this bound they take a fraction of
+#: a second.
+MAX_SURFACE_B1 = 40
+
+
 def parse_surface(text: str) -> Surface:
     try:
-        return Surface.parse(text)
+        surface = Surface.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if surface.b1 > MAX_SURFACE_B1:
+        raise argparse.ArgumentTypeError(
+            f"surface {text!r} has b1 = {surface.b1}, above the limit {MAX_SURFACE_B1}"
+        )
+    return surface
 
 
 def build_parser() -> argparse.ArgumentParser:

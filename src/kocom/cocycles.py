@@ -46,22 +46,10 @@ class MixedComponentsError(ValueError):
 TRIPLE_POINTS = (Fraction(0), Fraction(1))
 
 #: The labeled arcs of the cover: boundary-circle halves (1,2) and (1,3),
-#: and the equatorial arc (2,3) of the right hemisphere.
+#: and the equatorial arc (2,3) of the right hemisphere.  All geometry is
+#: collapsed into the shared parameter; the retraction of the north-east
+#: region onto the equatorial arc is the identity on it.
 ARCS = ((1, 2), (1, 3), (2, 3))
-
-
-@dataclass(frozen=True)
-class TripleCover:
-    """Symbolic record of the fixed cover: three regions, three arcs, two
-    triple points.  All geometry is collapsed into the shared parameter;
-    in particular the retraction of the north-east region onto the
-    equatorial arc is the identity on the parameter."""
-
-    arcs: tuple = ARCS
-    triple_points: tuple = TRIPLE_POINTS
-
-
-COVER = TripleCover()
 
 
 @dataclass(frozen=True)

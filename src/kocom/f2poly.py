@@ -216,18 +216,6 @@ class F2Class:
             raise ValueError(f"class {self} is not homogeneous")
         return degs.pop()
 
-    def degree_part(self, degree: int) -> "F2Class":
-        return F2Class(
-            self.algebra,
-            frozenset(
-                m for m in self.monomials if self.algebra.monomial_degree(m) == degree
-            ),
-        )
-
-    def coefficient(self, mono_exps: Mapping[str, int]) -> int:
-        mono = self.algebra._monomial_tuple(mono_exps)
-        return 1 if mono in self.monomials else 0
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, F2Class):
             return NotImplemented
@@ -299,13 +287,6 @@ class RingMap:
         for mono in x.monomials:
             acc ^= self._image_of_monomial(mono).monomials
         return F2Class(self.target, frozenset(acc))
-
-    def compose(self, inner: "RingMap") -> "RingMap":
-        """self after inner."""
-        if inner.target is not self.source:
-            raise ValueError("maps do not compose")
-        images = {n: self(inner.images[n]) for n, _ in inner.source.generators}
-        return RingMap(inner.source, self.target, images)
 
 
 def polynomial_algebra(generators: Sequence[tuple], cap: int, name: str = "") -> F2Algebra:

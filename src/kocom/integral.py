@@ -119,10 +119,6 @@ def _divisibility_offender(work: Matrix, top: int):
     return None
 
 
-def rank(mat: Sequence[Sequence[int]]) -> int:
-    return len(smith_normal_form(mat))
-
-
 @dataclass(frozen=True)
 class AbelianGroup:
     """A finitely generated abelian group in invariant-factor form:
@@ -235,6 +231,3 @@ class IntChainComplex:
         torsion = [d for d in incoming if d > 1]
         return AbelianGroup.from_orders(torsion, free)
 
-
-def smith_homology(complex_: IntChainComplex, p: int) -> AbelianGroup:
-    return complex_.homology(p)

@@ -105,10 +105,6 @@ def reflected_rotation(value: Rational) -> O2Element:
     return O2Element(Angle(_frac(value)), reflect=True)
 
 
-def o2_mul(a: O2Element, b: O2Element) -> O2Element:
-    return a * b
-
-
 def o2_pow(a: O2Element, n: int) -> O2Element:
     """n-fold product of a; reflections square to the identity, so odd powers
     of a reflection return the reflection itself (for every odd n, including
@@ -366,6 +362,3 @@ class D4Element(enum.Enum):
     def __str__(self) -> str:
         return {0: "I", 1: "c1", 2: "c2", 3: "c3"}[self.sort_index]
 
-
-def d4_mul(a: D4Element, b: D4Element) -> D4Element:
-    return a * b

@@ -494,14 +494,15 @@ def load_golden(surface) -> str:
 
 
 def surface_suite(only=None) -> VerificationReport:
+    """Surface checks over the listed surfaces, or over `only` alone.  A
+    selected surface gets every check; its presentation is compared only
+    where a golden file exists."""
     report = VerificationReport("surface-ko")
 
-    def wanted(surface) -> bool:
-        return only is None or surface == only
+    def selected(listed) -> tuple:
+        return listed if only is None else (only,)
 
-    for surface in UNITS_SURFACES:
-        if not wanted(surface):
-            continue
+    for surface in selected(UNITS_SURFACES):
         alg = surfaces.surface_algebra(surface)
         group = surfaces.units_group(alg)
         report.add(
@@ -555,7 +556,7 @@ def surface_suite(only=None) -> VerificationReport:
                 )
             )
     for surface in PRESENTATION_SURFACES:
-        if not wanted(surface):
+        if only is not None and surface != only:
             continue
         text = surfaces.ko_presentation(surface).to_text()
         golden = load_golden(surface)
@@ -568,9 +569,7 @@ def surface_suite(only=None) -> VerificationReport:
                 "matches golden" if text == golden else "differs",
             )
         )
-    for surface in PRODUCT_SURFACES:
-        if not wanted(surface):
-            continue
+    for surface in selected(PRODUCT_SURFACES):
         report.extend(surfaces.verify_kocom_products(surface, raise_on_mismatch=False))
         if surface.kind == "sphere":
             continue

@@ -10,13 +10,20 @@ orders, and products of the line-bundle generators are evaluated through
 W and the line tensor rule W(L (x) L') = 1 + w1(L) + w1(L').  The ring
 presentation emitted here is the generators-and-relations description
 read off those computations, in a fixed canonical normalization.
+
+None of this walks the 2^(b1 + 1) units.  The group's shape follows from
+the b1 squares of the degree-one generators, and the presentation needs
+only products and squares of the generator units, because the line units
+together with 1 + y2 generate the whole group.  The full unit list is
+still available, lazily, as the brute-force reference for tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable
 
 from .bcom_o2 import (
     TCBundleData,
@@ -29,11 +36,7 @@ from .bcom_o2 import (
 from .cocycles import standard_cocycle, tc_invariant
 from .f2poly import F2Algebra, F2Class, RingMap
 from .integral import AbelianGroup
-from .report import Check, check
-
-
-class DiscreteLogFailureError(ValueError):
-    """Raised when a product unit escapes the generated subgroup (it must not)."""
+from .report import check
 
 
 class MismatchError(ValueError):
@@ -180,67 +183,41 @@ def unit_inverse(u: F2Class) -> F2Class:
 
 
 class FiniteAbelianGroup:
-    """A finite abelian 2-group of exponent <= 4, given by its element list
-    and the ambient multiplication; the invariant factors are determined by
-    the order statistics (the count of elements of order <= 2 pins down the
-    number of Z/4 and Z/2 factors)."""
+    """The unit group 1 + x1 + x2 of a surface cohomology ring, read off the
+    algebra without listing its elements.
 
-    def __init__(self, elements: Sequence[F2Class]):
-        self.elements = list(elements)
-        if not self.elements:
-            raise ValueError("a group needs elements")
-        self.identity = self.elements[0].algebra.one()
+    It has 2^(b1 + 1) elements and exponent <= 4, so its invariant factors
+    follow from the count of elements of order <= 2, which pins down the
+    number of Z/4 and Z/2 factors.  In the cap-2 ring
+    (1 + x1 + x2)^2 = 1 + x1^2 and squaring is linear on H^1, so that count
+    is 2^(b1 + 1 - r) with r the F2-rank of x -> x^2 from H^1 to H^2.  H^2
+    is one-dimensional, so r is 1 exactly when some degree-one generator
+    squares to a nonzero class.  The element list is built only on demand.
+    """
+
+    def __init__(self, alg: F2Algebra):
+        self.algebra = alg
+        self.degree_one = degree_one_names(alg)
+
+    @cached_property
+    def elements(self) -> list:
+        return units(self.algebra)
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    def order_of(self, u: F2Class) -> int:
-        return unit_order(u)
+        return 2 ** (len(self.degree_one) + 1)
 
     def invariant_factors(self) -> AbelianGroup:
-        n_total = len(self.elements)
-        n_small = sum(1 for u in self.elements if self.order_of(u) <= 2)
-        log_total = n_total.bit_length() - 1
-        log_small = n_small.bit_length() - 1
-        if 2**log_total != n_total or 2**log_small != n_small:
-            raise ValueError("element counts are not powers of two")
+        gens = (self.algebra.gen(name) for name in self.degree_one)
+        squaring_rank = 0 if all((x * x).is_zero for x in gens) else 1
+        log_total = len(self.degree_one) + 1
+        log_small = log_total - squaring_rank
         quads = log_total - log_small
         doubles = 2 * log_small - log_total
-        if quads < 0 or doubles < 0:
-            raise ValueError("inconsistent order statistics")
         return AbelianGroup.from_orders([2] * doubles + [4] * quads)
-
-    def subgroup(self, gens: Iterable[F2Class]) -> set:
-        """Closure of the generators under multiplication (all elements are
-        torsion, so no inverses are needed)."""
-        closure = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            current = frontier.pop()
-            for g in gens:
-                nxt = current * g
-                if nxt not in closure:
-                    closure.add(nxt)
-                    frontier.append(nxt)
-        return closure
-
-    def discrete_log(self, target: F2Class, gens: Sequence[F2Class]):
-        """Exponent vector with product(gens[i]^e[i]) == target, or None.
-        Exhaustive search; the groups here have at most 2^9 elements."""
-        ranges = [range(self.order_of(g)) for g in gens]
-        for exps in itertools.product(*ranges):
-            acc = self.identity
-            for g, e in zip(gens, exps):
-                for _ in range(e):
-                    acc = acc * g
-            if acc == target:
-                return list(exps)
-        return None
 
 
 def units_group(alg: F2Algebra) -> FiniteAbelianGroup:
-    return FiniteAbelianGroup(units(alg))
+    return FiniteAbelianGroup(alg)
 
 
 def total_sw(terms: Iterable[tuple]) -> F2Class:
@@ -334,22 +311,6 @@ def _product_unit(a: KOGenerator, b: KOGenerator) -> F2Class:
     raise ValueError("mixed line/euler products do not arise here")
 
 
-def _eliminate_redundant(group: FiniteAbelianGroup, gens: list) -> list:
-    """Drop any generator whose unit already lies in the subgroup generated
-    by the others (does not fire for the standard surface generators)."""
-    kept = list(gens)
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(kept):
-            others = [h.unit for j, h in enumerate(kept) if j != i]
-            if g.unit in group.subgroup(others):
-                kept.pop(i)
-                changed = True
-                break
-    return kept
-
-
 def ko_presentation(surface: Surface) -> RingPresentation:
     """Presentation of the reduced real K-theory ring, derived from the unit
     group: additive orders are unit orders; a vanishing product unit gives
@@ -358,13 +319,11 @@ def ko_presentation(surface: Surface) -> RingPresentation:
     sharing a unit outside the generator span give pairwise sum relations.
     """
     alg = surface_algebra(surface)
-    group = units_group(alg)
-    gens = _eliminate_redundant(group, ko_generators(surface, alg))
+    gens = ko_generators(surface, alg)
     names = tuple(g.name for g in gens)
     orders = tuple(unit_order(g.unit) for g in gens)
+    squares = [g.unit * g.unit for g in gens]
     one = alg.one()
-    euler_unit = one + alg.gen("y2")
-    reachable = group.subgroup([g.unit for g in gens] + [euler_unit])
 
     relations = []
     leftovers: dict = {}
@@ -374,11 +333,7 @@ def ko_presentation(surface: Surface) -> RingPresentation:
             if u == one:
                 relations.append(((1, (names[i], names[j])),))
                 continue
-            if u not in reachable:
-                raise DiscreteLogFailureError(
-                    f"product unit {u} outside the generated subgroup"
-                )
-            doublings = [k for k in range(len(gens)) if gens[k].unit * gens[k].unit == u]
+            doublings = [k for k, square in enumerate(squares) if square == u]
             if doublings:
                 for k in doublings:
                     coeff = 2 % orders[k]

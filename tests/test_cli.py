@@ -74,6 +74,26 @@ def test_surface_filter(tmp_path):
     assert all("rp:3" in c["id"] for c in payload["checks"])
 
 
+def test_surface_outside_listed_surfaces_gets_checks(tmp_path):
+    out = tmp_path / "genus9.json"
+    assert main(["verify", "surface-ko", "--surface", "genus:9", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["total"] > 0
+    assert payload["summary"]["failed"] == 0
+    ids = {c["id"] for c in payload["checks"]}
+    assert "surface-ko.units.genus:9" in ids
+    assert "surface-ko.products.genus:9.square" in ids
+    assert not any(i.startswith("surface-ko.presentation.") for i in ids)
+
+
+def test_surface_size_bound_exit_code_2(capsys):
+    for selector in ("genus:21", "rp:41"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "surface-ko", "--surface", selector])
+        assert info.value.code == 2
+    assert "limit 40" in capsys.readouterr().err
+
+
 def test_failing_report_exit_code():
     report = VerificationReport("demo")
     report.add(check("demo.one", "a deliberately failing check", 1, 2))

@@ -23,9 +23,7 @@ from kocom.o2 import (
     commutes,
     concat,
     constant_path,
-    d4_mul,
     loop_degree,
-    o2_mul,
     o2_pow,
     reflected_rotation,
     rotation,
@@ -213,10 +211,10 @@ def test_right_mul_constant():
 
 
 def test_d4_multiplication():
-    assert d4_mul(D4Element.C1, D4Element.C2) == D4Element.C3
-    assert d4_mul(D4Element.C1, D4Element.C3) == D4Element.C2
-    assert d4_mul(D4Element.C2, D4Element.C3) == D4Element.C1
-    assert d4_mul(D4Element.C1, D4Element.C1) == D4Element.I
-    assert d4_mul(D4Element.I, D4Element.C2) == D4Element.C2
+    assert D4Element.C1 * D4Element.C2 == D4Element.C3
+    assert D4Element.C1 * D4Element.C3 == D4Element.C2
+    assert D4Element.C2 * D4Element.C3 == D4Element.C1
+    assert D4Element.C1 * D4Element.C1 == D4Element.I
+    assert D4Element.I * D4Element.C2 == D4Element.C2
     for a, b in itertools.product(D4Element, repeat=2):
-        assert d4_mul(a, b) == d4_mul(b, a)
+        assert a * b == b * a
