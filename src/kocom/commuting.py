@@ -18,86 +18,83 @@ the second homology of the commuting classifying space of SO(3).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .integral import AbelianGroup, IntChainComplex
 from .o2 import D4Element
 
 D4Tuple = tuple[D4Element, ...]
 
-_NONTRIVIAL = (D4Element.C1, D4Element.C2, D4Element.C3)
-
-#: The six simultaneous relabelings of the involutions c1, c2, c3.
-RELABELINGS = tuple(
-    {
-        D4Element.I: D4Element.I,
-        D4Element.C1: perm[0],
-        D4Element.C2: perm[1],
-        D4Element.C3: perm[2],
-    }
-    for perm in itertools.permutations(_NONTRIVIAL)
-)
+_ELEMENTS = tuple(D4Element)
 
 #: The constant Z/2 contributed by the fundamental group of SO(3); a
 #: standard input, not recomputed here.
 H1_SO3 = AbelianGroup((2,))
 
 
-@dataclass(frozen=True)
-class ComponentLabel:
+class ComponentLabel(NamedTuple):
     """A connected component of the commuting n-tuples: either the component
     of the trivial tuple, or an exotic component recorded by the
-    lexicographically least relabeling of a defining four-group tuple."""
+    lexicographically least relabeling of a defining four-group tuple.
+    Labels order trivial first, then exotic ones by canonical tuple."""
 
     exotic: bool
     canonical: D4Tuple
-
-    def sort_key(self):
-        return (self.exotic, tuple(e.sort_index for e in self.canonical))
 
     def __str__(self) -> str:
         body = ",".join(str(e) for e in self.canonical)
         return ("exotic" if self.exotic else "identity") + f"({body})"
 
 
-def generates_cyclic(t: Sequence[D4Element]) -> bool:
+def generates_cyclic(t: Sequence[int]) -> bool:
     """True iff the entries generate a cyclic subgroup, i.e. at most one
     distinct non-identity value occurs."""
-    return len({e for e in t if e is not D4Element.I}) <= 1
+    return len({e for e in t if e}) <= 1
 
 
-def relabel(perm: dict, t: Sequence[D4Element]) -> D4Tuple:
-    return tuple(perm[e] for e in t)
+def canonical_tuple(t: Sequence[int]) -> D4Tuple:
+    """Relabel the involutions by first appearance (c1 first, then c2, then
+    c3).  Every permutation of c1, c2, c3 is an automorphism, so this is the
+    lexicographically least of the six relabelings.  Entries must be the
+    ints 0..3; anything else raises ValueError."""
+    t = tuple(map(D4Element, t))
+    first_seen = {D4Element.I: D4Element.I}
+    for e in t:
+        if e not in first_seen:
+            first_seen[e] = _ELEMENTS[len(first_seen)]
+    return tuple(first_seen[e] for e in t)
 
 
-def canonical_tuple(t: Sequence[D4Element]) -> D4Tuple:
-    return min(
-        (relabel(perm, t) for perm in RELABELINGS),
-        key=lambda s: tuple(e.sort_index for e in s),
-    )
-
-
-def classify_component(t: Sequence[D4Element]) -> ComponentLabel:
-    t = tuple(t)
-    if generates_cyclic(t):
-        return ComponentLabel(False, (D4Element.I,) * len(t))
-    return ComponentLabel(True, canonical_tuple(t))
+def classify_component(t: Sequence[int]) -> ComponentLabel:
+    canonical = canonical_tuple(t)
+    if generates_cyclic(canonical):
+        return ComponentLabel(False, (D4Element.I,) * len(canonical))
+    return ComponentLabel(True, canonical)
 
 
 def enumerate_components(n: int) -> list[ComponentLabel]:
     """All component labels of commuting n-tuples, the trivial-tuple
-    component first and the exotic ones in lexicographic order."""
+    component first and the exotic ones in lexicographic order.  The exotic
+    labels are the first-appearance tuples that use c2, generated directly
+    as restricted growth strings: each entry is at most one more than the
+    largest entry before it."""
     if n < 0:
         raise ValueError("tuple length must be non-negative")
-    labels = {classify_component(t) for t in itertools.product(D4Element, repeat=n)}
-    return sorted(labels, key=ComponentLabel.sort_key)
+    level = [((), D4Element.I)]  # (prefix, largest entry so far)
+    for _ in range(n):
+        level = [
+            (prefix + (e,), max(top, e))
+            for prefix, top in level
+            for e in _ELEMENTS[: top + 2]
+        ]
+    trivial = ComponentLabel(False, (D4Element.I,) * n)
+    exotic = [ComponentLabel(True, t) for t, top in level if top >= D4Element.C2]
+    return [trivial] + exotic
 
 
-def face_map(i: int, t: Sequence[D4Element]) -> D4Tuple:
-    """d_i on tuples: drop-first for i = 0, multiply entries i and i+1 for
-    0 < i < n, drop-last for i = n."""
+def face_map(i: int, t: Sequence[int]) -> tuple[int, ...]:
+    """d_i on tuples: drop-first for i = 0, multiply (XOR) entries i and i+1
+    for 0 < i < n, drop-last for i = n."""
     t = tuple(t)
     n = len(t)
     if not 0 <= i <= n:
@@ -106,7 +103,7 @@ def face_map(i: int, t: Sequence[D4Element]) -> D4Tuple:
         return t[1:]
     if i == n:
         return t[:-1]
-    return t[: i - 1] + (t[i - 1] * t[i],) + t[i + 1 :]
+    return t[: i - 1] + (t[i - 1] ^ t[i],) + t[i + 1 :]
 
 
 def boundary_matrix(n: int) -> list[list[int]]:

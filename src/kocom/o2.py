@@ -342,23 +342,18 @@ def loop_degree(loop: O2Path) -> Fraction:
     return sum((seg.angle_change() for seg in loop.segments), Fraction(0)) / 2
 
 
-class D4Element(enum.Enum):
-    """The Klein four-group on labels I, c1, c2, c3 (each ci an involution,
-    and the product of two distinct non-identity elements is the third)."""
+class D4Element(enum.IntEnum):
+    """The Klein four-group as the 2-bit ints 0..3 under XOR: I is the
+    identity, each ci an involution, and the product of two distinct
+    non-identity elements is the third."""
 
-    I = (0, 0)  # noqa: E741 - the identity label
-    C1 = (1, 0)
-    C2 = (0, 1)
-    C3 = (1, 1)
+    I = 0  # noqa: E741 - the identity label
+    C1 = 1
+    C2 = 2
+    C3 = 3
 
-    def __mul__(self, other: "D4Element") -> "D4Element":
-        a, b = self.value, other.value
-        return D4Element((a[0] ^ b[0], a[1] ^ b[1]))
-
-    @property
-    def sort_index(self) -> int:
-        return self.value[0] + 2 * self.value[1]
+    def __mul__(self, other: int) -> "D4Element":
+        return D4Element(self ^ other)
 
     def __str__(self) -> str:
-        return {0: "I", 1: "c1", 2: "c2", 3: "c3"}[self.sort_index]
-
+        return ("I", "c1", "c2", "c3")[self]

@@ -31,29 +31,22 @@ from .report import VerificationReport, check
 
 SUITES = ("cocycles", "so3-homology", "char-classes", "surface-ko", "all")
 
-#: The seven exotic commuting triples in their textbook listing (an
-#: arbitrary choice of representatives; classification is up to relabeling).
-LISTED_EXOTIC_TRIPLES = (
-    (D4Element.C1, D4Element.C2, D4Element.I),
-    (D4Element.C1, D4Element.C2, D4Element.C2),
-    (D4Element.I, D4Element.C2, D4Element.C3),
-    (D4Element.C2, D4Element.C2, D4Element.C3),
-    (D4Element.C1, D4Element.I, D4Element.C3),
-    (D4Element.C1, D4Element.C2, D4Element.C1),
-    (D4Element.C1, D4Element.C2, D4Element.C3),
-)
+I, C1, C2, C3 = D4Element
 
-#: Component of each face of the listed triples: (1,0) is the component of
-#: the trivial pair, (0,1) the exotic pair component.
+#: The seven exotic commuting triples in their textbook listing (an
+#: arbitrary choice of representatives; classification is up to relabeling),
+#: each with the component hit by its faces d0..d3: (1,0) is the component
+#: of the trivial pair, (0,1) the exotic pair component.
 LISTED_FACE_TABLE = {
-    (D4Element.C1, D4Element.C2, D4Element.I): ("(1,0)", "(1,0)", "(0,1)", "(0,1)"),
-    (D4Element.C1, D4Element.C2, D4Element.C1): ("(0,1)", "(0,1)", "(0,1)", "(0,1)"),
-    (D4Element.I, D4Element.C2, D4Element.C3): ("(0,1)", "(0,1)", "(1,0)", "(1,0)"),
-    (D4Element.C1, D4Element.I, D4Element.C3): ("(1,0)", "(0,1)", "(0,1)", "(1,0)"),
-    (D4Element.C1, D4Element.C2, D4Element.C3): ("(0,1)", "(1,0)", "(1,0)", "(0,1)"),
-    (D4Element.C1, D4Element.C2, D4Element.C2): ("(1,0)", "(0,1)", "(1,0)", "(0,1)"),
-    (D4Element.C2, D4Element.C2, D4Element.C3): ("(0,1)", "(1,0)", "(0,1)", "(1,0)"),
+    (C1, C2, I): ("(1,0)", "(1,0)", "(0,1)", "(0,1)"),
+    (C1, C2, C1): ("(0,1)", "(0,1)", "(0,1)", "(0,1)"),
+    (I, C2, C3): ("(0,1)", "(0,1)", "(1,0)", "(1,0)"),
+    (C1, I, C3): ("(1,0)", "(0,1)", "(0,1)", "(1,0)"),
+    (C1, C2, C3): ("(0,1)", "(1,0)", "(1,0)", "(0,1)"),
+    (C1, C2, C2): ("(1,0)", "(0,1)", "(1,0)", "(0,1)"),
+    (C2, C2, C3): ("(0,1)", "(1,0)", "(0,1)", "(1,0)"),
 }
+LISTED_EXOTIC_TRIPLES = tuple(LISTED_FACE_TABLE)
 
 
 def degree_formula(k: int, n: int) -> Fraction:

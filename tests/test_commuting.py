@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kocom.commuting import (
-    RELABELINGS,
+    ComponentLabel,
     boundary_matrix,
     canonical_tuple,
     classify_component,
@@ -17,7 +17,6 @@ from kocom.commuting import (
     face_map,
     generates_cyclic,
     h2_bcom_so3,
-    relabel,
 )
 from kocom.integral import is_zero, mat_mult, smith_normal_form
 from kocom.o2 import D4Element
@@ -39,9 +38,34 @@ FACE_TABLE = {
 
 LISTED_TRIPLES = tuple(FACE_TABLE)
 
+#: The six simultaneous relabelings of the involutions c1, c2, c3, as
+#: brute-force oracle for the first-appearance canonical form.
+RELABELINGS = tuple(
+    {I: I, C1: perm[0], C2: perm[1], C3: perm[2]}
+    for perm in itertools.permutations((C1, C2, C3))
+)
+
+
+def relabel(perm, t):
+    return tuple(perm[e] for e in t)
+
+
+def brute_force_components(n):
+    """Sorted labels of all 4^n tuples: trivial if at most one involution
+    occurs, else exotic with the least of the six relabelings."""
+    labels = set()
+    for t in itertools.product(D4Element, repeat=n):
+        if len({e for e in t if e is not I}) <= 1:
+            labels.add(ComponentLabel(False, (I,) * n))
+        else:
+            labels.add(ComponentLabel(True, min(relabel(p, t) for p in RELABELINGS)))
+    return sorted(labels)
+
+
 d4_tuples = st.lists(st.sampled_from(list(D4Element)), min_size=0, max_size=4).map(
     tuple
 )
+int_tuples = st.lists(st.integers(0, 3), min_size=0, max_size=5).map(tuple)
 
 
 def test_classify_examples():
@@ -111,6 +135,40 @@ def test_relabeling_equivariance(t, perm_index):
     assert classify_component(relabel(perm, t)) == classify_component(t)
     for i in range(len(t) + 1):
         assert face_map(i, relabel(perm, t)) == relabel(perm, face_map(i, t))
+
+
+def test_first_appearance_matches_relabeling_oracle():
+    for n in range(7):
+        for t in itertools.product(range(4), repeat=n):
+            assert canonical_tuple(t) == min(relabel(p, t) for p in RELABELINGS)
+        assert enumerate_components(n) == brute_force_components(n)
+    for n in range(10):
+        assert len(enumerate_components(n)) == 1 + (4**n - 3 * 2**n + 2) // 6
+
+
+@pytest.mark.parametrize("bad", [4, -1, 1.5, "c1", None])
+def test_entries_outside_the_group_are_rejected(bad):
+    with pytest.raises(ValueError):
+        canonical_tuple((C1, bad))
+    with pytest.raises(ValueError):
+        classify_component((C1, C2, bad))
+
+
+@given(int_tuples)
+def test_plain_ints_and_members_agree(t):
+    members = tuple(D4Element(e) for e in t)
+    label = classify_component(t)
+    assert label == classify_component(members)
+    assert all(type(e) is D4Element for e in label.canonical)
+    for i in range(len(t) + 1):
+        assert face_map(i, t) == face_map(i, members)
+
+
+def test_rendering_is_pinned():
+    assert str(C1) == f"{C1}" == "c1"
+    assert [str(e) for e in D4Element] == ["I", "c1", "c2", "c3"]
+    assert str(classify_component((1, 2, 2))) == "exotic(c1,c2,c2)"
+    assert str(classify_component((3, 0))) == "identity(I,I)"
 
 
 def test_boundary_level_2():
