@@ -3,10 +3,11 @@
     kocom verify <suite> [options]
 
 Suites: cocycles, so3-homology, char-classes, surface-ko, all.  Options:
---k-range/--n-range as inclusive lo..hi pairs, --surface as
-sphere | genus:<g> | rp:<n> with b1 <= 40, --degree-cap for the
-characteristic algebra, and --out for the structured report.  Exit code 0
-when every check passes, 1 when any fails, 2 for bad arguments.
+--k-range/--n-range as inclusive lo..hi pairs of at most 41 values,
+--surface as sphere | genus:<g> | rp:<n> with b1 <= 40, --degree-cap
+4..24 for the characteristic algebra, and --out for the structured
+report.  Exit code 0 when every check passes, 1 when any fails, 2 for bad
+arguments.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ def parse_range(text: str) -> tuple:
     lo, hi = int(match.group(1)), int(match.group(2))
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    if hi - lo + 1 > MAX_RANGE_VALUES:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} has {hi - lo + 1} values, above the limit {MAX_RANGE_VALUES}"
+        )
     return lo, hi
 
 
@@ -35,6 +40,14 @@ def parse_range(text: str) -> tuple:
 #: per-surface checks grow with b1; at this bound they take a fraction of
 #: a second.
 MAX_SURFACE_B1 = 40
+
+#: Most values --k-range and --n-range may each span (-20..20).  The cocycle
+#: suite checks every (k, n) pair; at this bound it takes a few seconds.
+MAX_RANGE_VALUES = 41
+
+#: Largest --degree-cap; the characteristic algebra grows with the cap, and
+#: at this bound its suite takes a few seconds.
+MAX_DEGREE_CAP = 24
 
 
 def parse_surface(text: str) -> Surface:
@@ -96,9 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_verify(args: argparse.Namespace) -> int:
-    if args.degree_cap < 4:
-        print("error: --degree-cap must be at least 4", file=sys.stderr)
+    if not 4 <= args.degree_cap <= MAX_DEGREE_CAP:
+        print(f"error: --degree-cap must be between 4 and {MAX_DEGREE_CAP}", file=sys.stderr)
         return 2
+    if args.surface is not None and args.suite not in ("surface-ko", "all"):
+        print(f"warning: suite {args.suite} ignores --surface", file=sys.stderr)
     options = {
         "k_range": args.k_range,
         "n_range": args.n_range,

@@ -82,10 +82,6 @@ class O2Element:
             return self
         return O2Element(-self.angle)
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.reflect and self.angle.value == 0
-
     def __str__(self) -> str:
         core = "I" if self.angle.value == 0 else f"R({self.angle})"
         return core + "*A" if self.reflect else core

@@ -208,12 +208,9 @@ class FiniteAbelianGroup:
 
     def invariant_factors(self) -> AbelianGroup:
         gens = (self.algebra.gen(name) for name in self.degree_one)
-        squaring_rank = 0 if all((x * x).is_zero for x in gens) else 1
-        log_total = len(self.degree_one) + 1
-        log_small = log_total - squaring_rank
-        quads = log_total - log_small
-        doubles = 2 * log_small - log_total
-        return AbelianGroup.from_orders([2] * doubles + [4] * quads)
+        r = 0 if all((x * x).is_zero for x in gens) else 1
+        b1 = len(self.degree_one)
+        return AbelianGroup.from_orders([2] * (b1 + 1 - 2 * r) + [4] * r)
 
 
 def units_group(alg: F2Algebra) -> FiniteAbelianGroup:

@@ -1,13 +1,17 @@
 """The command-line verifier: argument handling, exit codes, report
 determinism, and the structured output format."""
 
+import hashlib
 import json
 
 import pytest
 
-from kocom.cli import build_parser, main, parse_range
+from kocom.cli import MAX_DEGREE_CAP, MAX_RANGE_VALUES, build_parser, main, parse_range
 from kocom.report import VerificationReport, check
 from kocom.suites import run_suite
+
+#: SHA-256 of the `kocom verify all --out R` report with default options.
+ALL_REPORT_SHA256 = "e0b7af5aad68eb5bd7c587e8961f9dd5cbf34473ce677e53d05b923ff4716e17"
 
 
 def test_parse_range():
@@ -64,6 +68,10 @@ def test_reports_are_byte_identical(tmp_path):
     assert main(argv + [str(first)]) == 0
     assert main(argv + [str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+    # The full default report is pinned across versions, not just runs.
+    full = tmp_path / "all.json"
+    assert main(["verify", "all", "--out", str(full)]) == 0
+    assert hashlib.sha256(full.read_bytes()).hexdigest() == ALL_REPORT_SHA256
 
 
 def test_surface_filter(tmp_path):
@@ -92,6 +100,29 @@ def test_surface_size_bound_exit_code_2(capsys):
             main(["verify", "surface-ko", "--surface", selector])
         assert info.value.code == 2
     assert "limit 40" in capsys.readouterr().err
+
+
+def test_range_and_degree_cap_bounds_exit_code_2(capsys):
+    assert MAX_RANGE_VALUES == 41 and MAX_DEGREE_CAP == 24
+    assert parse_range("-20..20") == (-20, 20)
+    for option in ("--k-range=-20..21", "--n-range=-1000000..1000000"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "cocycles", option])
+        assert info.value.code == 2
+    assert "limit 41" in capsys.readouterr().err
+    assert main(["verify", "char-classes", "--degree-cap", "25"]) == 2
+    assert "between 4 and 24" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["cocycles", "so3-homology", "char-classes"])
+def test_ignored_surface_warns_on_stderr(tmp_path, capsys, suite):
+    argv = ["verify", suite, "--k-range=-1..1", "--n-range=-1..1", "--degree-cap", "4"]
+    plain, narrowed = tmp_path / "plain.json", tmp_path / "narrowed.json"
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert main(argv + ["--surface", "rp:3", "--out", str(narrowed)]) == 0
+    assert f"warning: suite {suite} ignores --surface" in capsys.readouterr().err
+    assert plain.read_bytes() == narrowed.read_bytes()
 
 
 def test_failing_report_exit_code():

@@ -196,6 +196,12 @@ def test_boundaries_compose_to_zero():
 def test_homology_values():
     assert str(component_homology(2)) == "Z/2"
     assert str(h2_bcom_so3()) == "Z/2 + Z/2"
+    # Degrees below the top of a truncated complex are exact; these agree
+    # with F2/F3 ranks through the universal coefficient theorem.
+    complex6 = component_complex(6)
+    assert [str(complex6.homology(p)) for p in range(1, 6)] == [
+        "0", "Z/2", "Z/2", "Z/2", "Z/2 + Z/2",
+    ]
 
 
 def test_level_zero_and_one():

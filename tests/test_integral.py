@@ -7,6 +7,7 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from kocom.commuting import boundary_matrix
 from kocom.integral import (
     AbelianGroup,
     IntChainComplex,
@@ -46,10 +47,20 @@ def test_snf_divisibility_chain():
 
 def test_snf_against_sympy_oracle():
     rng = random.Random(1729)
+    dense = []
     for _ in range(120):
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 6)
-        mat = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+        dense.append([[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)])
+    # Sparse, and no entry is a unit: every unit pivot comes from a remainder.
+    sparse = []
+    for _ in range(120):
+        rows = rng.randrange(1, 9)
+        cols = rng.randrange(1, 11)
+        entries = (0, 0, 0, 2, -2, 3, -3, 4, -4, 6)
+        sparse.append([[rng.choice(entries) for _ in range(cols)] for _ in range(rows)])
+    boundaries = [boundary_matrix(n) for n in range(1, 7)]
+    for mat in dense + sparse + boundaries:
         ours = smith_normal_form(mat)
         assert sorted(ours) == ours  # ascending by divisibility implies sorted
         assert ours == sorted(ours)
@@ -62,6 +73,8 @@ def test_abelian_group_canonicalization():
     assert AbelianGroup.from_orders([2, 3]).invariant_factors == (6,)
     assert AbelianGroup.from_orders([2, 2]).invariant_factors == (2, 2)
     assert AbelianGroup.from_orders([4, 2, 2]).invariant_factors == (2, 2, 4)
+    assert AbelianGroup.from_orders([4, 6]).invariant_factors == (2, 12)
+    assert AbelianGroup.from_orders([2, 3, 4]).invariant_factors == (2, 12)
     assert AbelianGroup.from_orders([1, 1]).is_trivial
     assert str(AbelianGroup.from_orders([2, 4], free_rank=1)) == "Z + Z/2 + Z/4"
     assert str(AbelianGroup.trivial()) == "0"
