@@ -7,18 +7,41 @@ forbidden monomial to a normal form, applied greedily; the rule sets used
 in this package are tiny and terminating, and confluence is exercised by
 the exhaustive associativity tests.  Every algebra is truncated above a
 degree cap: products simply drop monomials beyond it.
+
+A ring map keeps, per source generator, the powers of that generator's
+image; a monomial maps to the product of one table entry per generator.
+The total Steenrod square is such a map: by the Cartan formula it is the
+ring endomorphism determined by the squares of the generators, which are
+checked against the relations when they are set.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
+
+#: The empty monomial set that zero() and every reduction to zero share:
+#: each call of frozenset() makes a new 216-byte object.
+_ZERO: frozenset = frozenset()
 
 
 class RelationViolationError(ValueError):
     """Raised when proposed generator images fail the source relations."""
+
+
+def _exponent_vectors(degrees: Sequence[int], total: int) -> Iterator[Monomial]:
+    """Exponent vectors of degree `total` (exponents weighted by `degrees`),
+    in lexicographic order."""
+    if not degrees:
+        if total == 0:
+            yield ()
+        return
+    for e in range(total // degrees[0] + 1):
+        for rest in _exponent_vectors(degrees[1:], total - e * degrees[0]):
+            yield (e, *rest)
 
 
 class F2Algebra:
@@ -48,7 +71,9 @@ class F2Algebra:
             for lhs, rhs in relations
         )
         self._reduce_cache: dict = {}
-        self._squares: dict = {}
+        # Powers of the generators' total squares, as monomial sets; never
+        # classes or maps of this algebra, which would refer back to it.
+        self._square_powers: tuple | None = None
 
     # -- monomial plumbing -------------------------------------------------
 
@@ -75,7 +100,7 @@ class F2Algebra:
         if cached is not None:
             return cached
         if self.monomial_degree(mono) > self.cap:
-            result: frozenset = frozenset()
+            result = _ZERO
         else:
             result = None
             for lhs, rhs in self._rules:
@@ -85,7 +110,7 @@ class F2Algebra:
                     for target in rhs:
                         lifted = tuple(r + t for r, t in zip(rest, target))
                         acc ^= self.reduce_monomial(lifted)
-                    result = frozenset(acc)
+                    result = frozenset(acc) or _ZERO
                     break
             if result is None:
                 result = frozenset({mono})
@@ -98,7 +123,7 @@ class F2Algebra:
     # -- class constructors ------------------------------------------------
 
     def zero(self) -> "F2Class":
-        return F2Class(self, frozenset())
+        return F2Class(self, _ZERO)
 
     def one(self) -> "F2Class":
         return F2Class(self, frozenset({(0,) * len(self.generators)}))
@@ -131,39 +156,47 @@ class F2Algebra:
         return out
 
     def _basis_monomials(self, degree: int) -> list:
-        monos = []
-
-        def fill(pos: int, remaining: int, prefix: list):
-            if pos == len(self.generators):
-                if remaining == 0:
-                    mono = tuple(prefix)
-                    if self.is_normal(mono):
-                        monos.append(mono)
-                return
-            d = self._degrees[pos]
-            for e in range(remaining // d + 1):
-                fill(pos + 1, remaining - e * d, prefix + [e])
-
-        fill(0, degree, [])
-        return monos
+        return [m for m in _exponent_vectors(self._degrees, degree) if self.is_normal(m)]
 
     def dimension(self, degree: int) -> int:
         return len(self._basis_monomials(degree))
 
-    # -- Steenrod data -------------------------------------------------------
+    # -- products and ring maps on monomial sets ---------------------------
+
+    def _product(self, a: frozenset, b: frozenset) -> frozenset:
+        # tuple() of a list, not of a generator: a tuple built from a
+        # generator is allocated at a guessed size and shrunk, so it never
+        # reuses CPython's per-length free lists and those fill up instead.
+        reduce_monomial = self.reduce_monomial
+        acc: set = set()
+        for x in a:
+            for y in b:
+                acc ^= reduce_monomial(tuple([p + q for p, q in zip(x, y)]))
+        return frozenset(acc)
+
+    def _power_table(self, image: frozenset, top: int) -> tuple:
+        """image^0, image^1, ..., image^top."""
+        powers = [self.one().monomials]
+        for _ in range(top):
+            powers.append(self._product(powers[-1], image))
+        return tuple(powers)
+
+    def _evaluate(self, powers: Sequence[tuple], monomials: Iterable[Monomial]) -> frozenset:
+        """Image of a sum of source monomials under the ring map into this
+        algebra that sends the e-th power of source generator i to
+        powers[i][e]."""
+        one = self.one().monomials
+        acc: set = set()
+        for mono in monomials:
+            factors = [table[e] for table, e in zip(powers, mono) if e]
+            acc ^= functools.reduce(self._product, factors) if factors else one
+        return frozenset(acc)
 
     def set_total_squares(self, squares: Mapping[str, "F2Class"]) -> None:
-        """Record the total Steenrod square of each generator; the square
-        extends additively and multiplicatively from these."""
-        for name in squares:
-            if name not in self._index:
-                raise KeyError(f"unknown generator {name}")
-        self._squares = {n: c.monomials for n, c in squares.items()}
-
-    def total_square_of_generator(self, name: str) -> "F2Class":
-        if name not in self._squares:
-            raise KeyError(f"no Steenrod data for generator {name}")
-        return F2Class(self, self._squares[name])
+        """Set the total Steenrod square of each generator.  The square is
+        the ring endomorphism they determine, so they must respect the
+        relations (RelationViolationError otherwise)."""
+        self._square_powers = RingMap(self, self, squares).powers
 
     def __repr__(self) -> str:
         gens = ", ".join(f"{n}:{d}" for n, d in self.generators)
@@ -185,19 +218,12 @@ class F2Class:
 
     def __mul__(self, other: "F2Class") -> "F2Class":
         self._check(other)
-        acc: set = set()
-        for a in self.monomials:
-            for b in other.monomials:
-                acc ^= self.algebra.reduce_monomial(tuple(x + y for x, y in zip(a, b)))
-        return F2Class(self.algebra, frozenset(acc))
+        return F2Class(self.algebra, self.algebra._product(self.monomials, other.monomials))
 
     def __pow__(self, n: int) -> "F2Class":
         if n < 0:
             raise ValueError("negative powers are not defined here")
-        result = self.algebra.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        return F2Class(self.algebra, self.algebra._power_table(self.monomials, n)[n])
 
     def _check(self, other: "F2Class") -> None:
         if self.algebra is not other.algebra:
@@ -236,57 +262,46 @@ class F2Class:
 
 
 def total_steenrod_square(x: F2Class) -> F2Class:
-    """Total Steenrod square, extended additively over monomials and
-    multiplicatively over generator powers (Cartan); truncated at the
-    algebra's degree cap like every other product."""
+    """Total Steenrod square: the ring endomorphism set by
+    F2Algebra.set_total_squares, truncated at the degree cap."""
     alg = x.algebra
-    acc: set = set()
-    for mono in x.monomials:
-        term = alg.one()
-        for (name, _), e in zip(alg.generators, mono):
-            if e:
-                term = term * alg.total_square_of_generator(name) ** e
-        acc ^= term.monomials
-    return F2Class(alg, frozenset(acc))
+    if alg._square_powers is None:
+        raise KeyError(f"no Steenrod data on {alg!r}")
+    return F2Class(alg, alg._evaluate(alg._square_powers, x.monomials))
 
 
 class RingMap:
-    """An algebra map determined by generator images; the source relations
-    are verified to map to zero at construction time."""
+    """An algebra map determined by generator images.  It keeps the powers
+    of each image up to the largest exponent that a normal monomial or a
+    relation of the source carries; the source relations are verified to
+    map to zero at construction time."""
 
     def __init__(self, source: F2Algebra, target: F2Algebra, images: Mapping[str, F2Class]):
         self.source = source
         self.target = target
-        self.images = dict(images)
-        missing = [n for n, _ in source.generators if n not in self.images]
-        if missing:
-            raise ValueError(f"missing images for {missing}")
+        names = [n for n, _ in source.generators]
+        if set(images) != set(names):
+            raise ValueError(f"need images for exactly {names}, got {sorted(images)}")
+        if any(images[n].algebra is not target for n in names):
+            raise ValueError("images must live in the target algebra")
+        rows = [tuple(source.cap // d for d in source._degrees)]
+        rows += [m for lhs, rhs in source._rules for m in (lhs, *rhs)]
+        self.powers = tuple(
+            target._power_table(images[n].monomials, top)
+            for n, top in zip(names, map(max, zip(*rows)))
+        )
         for lhs, rhs in source._rules:
-            left = self._image_of_monomial(lhs)
-            right = self.target.zero()
-            for m in rhs:
-                right = right + self._image_of_monomial(m)
-            if left != right:
+            if target._evaluate(self.powers, (lhs,)) != target._evaluate(self.powers, rhs):
                 raise RelationViolationError(
                     f"relation {source.monomial_str(lhs)} -> "
                     f"{'+'.join(source.monomial_str(m) for m in rhs) or '0'} "
                     f"not preserved"
                 )
 
-    def _image_of_monomial(self, mono: Monomial) -> F2Class:
-        out = self.target.one()
-        for (name, _), e in zip(self.source.generators, mono):
-            if e:
-                out = out * self.images[name] ** e
-        return out
-
     def __call__(self, x: F2Class) -> F2Class:
         if x.algebra is not self.source:
             raise ValueError("class does not live in the source algebra")
-        acc: set = set()
-        for mono in x.monomials:
-            acc ^= self._image_of_monomial(mono).monomials
-        return F2Class(self.target, frozenset(acc))
+        return F2Class(self.target, self.target._evaluate(self.powers, x.monomials))
 
 
 def polynomial_algebra(generators: Sequence[tuple], cap: int, name: str = "") -> F2Algebra:

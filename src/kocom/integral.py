@@ -130,6 +130,8 @@ class AbelianGroup:
     @classmethod
     def from_orders(cls, orders: Sequence[int], free_rank: int = 0) -> "AbelianGroup":
         """Canonicalize an unsorted list of finite cyclic orders (>= 1)."""
+        if any(d < 1 for d in orders):
+            raise ValueError(f"cyclic orders must be >= 1, got {list(orders)}")
         chain = _divisor_chain(d for d in orders if d > 1)
         return cls(tuple(d for d in chain if d > 1), free_rank)
 

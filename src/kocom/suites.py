@@ -59,10 +59,15 @@ def cocycle_suite(k_range=(-5, 5), n_range=(-5, 5)) -> VerificationReport:
     report = VerificationReport("cocycles")
     ks = range(k_range[0], k_range[1] + 1)
     ns = range(n_range[0], n_range[1] + 1)
+    valid = 0
+    tc = {}
     for k in ks:
         base = standard_cocycle(k)
+        tc[k] = tc_invariant(base)
         for n in ns:
-            actual = bundle_class(clutching_function(power_cocycle(base, n)))
+            power = power_cocycle(base, n)
+            valid += validate(power).ok
+            actual = bundle_class(clutching_function(power))
             report.add(
                 check(
                     f"cocycles.degree.k={k}.n={n}",
@@ -83,12 +88,6 @@ def cocycle_suite(k_range=(-5, 5), n_range=(-5, 5)) -> VerificationReport:
                 bundle_class(clutching_function(standard_cocycle(k))),
             )
         )
-    valid = sum(
-        1
-        for k in ks
-        for n in ns
-        if validate(power_cocycle(standard_cocycle(k), n)).ok
-    )
     total = len(ks) * len(ns)
     report.add(
         check(
@@ -123,13 +122,11 @@ def cocycle_suite(k_range=(-5, 5), n_range=(-5, 5)) -> VerificationReport:
             else fixture.summary(),
         )
     )
+    oriented = {m: oriented_invariant(m) for m in range(-4, 5)}
     for m in range(-3, 4):
         invariants = {
             (inv.deg_plus, inv.deg_minus)
-            for inv in (
-                tc_sum(tc_invariant(standard_cocycle(k)), oriented_invariant(m))
-                for k in ks
-            )
+            for inv in (tc_sum(tc[k], oriented[m]) for k in ks)
         }
         report.add(
             check(
@@ -148,7 +145,7 @@ def cocycle_suite(k_range=(-5, 5), n_range=(-5, 5)) -> VerificationReport:
                 "the obstruction bit of the k-th cocycle structure is k mod 2 "
                 "(computable shadow of its stable non-triviality for odd k)",
                 k % 2,
-                tc_invariant(standard_cocycle(k)).a2,
+                tc[k].a2,
             )
         )
     composed = power_cocycle(power_cocycle(standard_cocycle(3), 2), 3)
@@ -162,9 +159,8 @@ def cocycle_suite(k_range=(-5, 5), n_range=(-5, 5)) -> VerificationReport:
         )
     )
     negated = all(
-        oriented_invariant(m) == tc_sum(oriented_invariant(0), oriented_invariant(m))
-        and oriented_invariant(m).deg_minus == -oriented_invariant(m).deg_plus
-        for m in range(-4, 5)
+        inv == tc_sum(oriented[0], inv) and inv.deg_minus == -inv.deg_plus
+        for inv in oriented.values()
     )
     report.add(
         check(
@@ -310,6 +306,7 @@ def char_class_suite(cap: int = 6) -> VerificationReport:
         )
     )
     basis = alg.basis_through(cap)
+    graded = [(x, x.homogeneous_degree()) for x in basis]
     involution_ok = sum(1 for x in basis if phi(phi(x)) == x)
     report.add(
         check(
@@ -320,20 +317,18 @@ def char_class_suite(cap: int = 6) -> VerificationReport:
             f"{involution_ok}/{len(basis)}",
         )
     )
-    pairs = [
-        (x, y)
-        for x in basis
-        for y in basis
-        if x.homogeneous_degree() + y.homogeneous_degree() <= cap
-    ]
-    ring_ok = sum(1 for x, y in pairs if phi(x * y) == phi(x) * phi(y))
+
+    def pairs(top):
+        return ((x, y) for x, dx in graded for y, dy in graded if dx + dy <= top)
+
+    ring = [phi(x * y) == phi(x) * phi(y) for x, y in pairs(cap)]
     report.add(
         check(
             "char.ring-map",
             "the inversion pullback is multiplicative on all basis pairs "
             "through the degree cap",
-            f"{len(pairs)}/{len(pairs)}",
-            f"{ring_ok}/{len(pairs)}",
+            f"{len(ring)}/{len(ring)}",
+            f"{sum(ring)}/{len(ring)}",
         )
     )
     compat_ok = sum(1 for x in basis if kmap(phi(x)) == kmap(x))
@@ -397,28 +392,20 @@ def char_class_suite(cap: int = 6) -> VerificationReport:
             str(total_steenrod_square(alg.gen("s"))),
         )
     )
-    sq_pairs = [
-        (x, y)
-        for x in basis
-        for y in basis
-        if x.homogeneous_degree() + y.homogeneous_degree() <= min(5, cap)
+    cartan = [
+        total_steenrod_square(x * y) == total_steenrod_square(x) * total_steenrod_square(y)
+        for x, y in pairs(min(5, cap))
     ]
-    cartan_ok = sum(
-        1
-        for x, y in sq_pairs
-        if total_steenrod_square(x * y)
-        == total_steenrod_square(x) * total_steenrod_square(y)
-    )
     report.add(
         check(
             "char.sq-cartan",
             "the total square is multiplicative on all basis pairs through "
             "degree 5",
-            f"{len(sq_pairs)}/{len(sq_pairs)}",
-            f"{cartan_ok}/{len(sq_pairs)}",
+            f"{len(cartan)}/{len(cartan)}",
+            f"{sum(cartan)}/{len(cartan)}",
         )
     )
-    nat_basis = alg.basis_through(cap - 1)
+    nat_basis = [x for x, d in graded if d < cap]
     nat_ok = sum(
         1
         for x in nat_basis

@@ -104,41 +104,22 @@ def nonorientable(crosscaps: int) -> Surface:
 
 def surface_algebra(surface: Surface) -> F2Algebra:
     """The mod-2 cohomology ring, with basis {1}, the degree-1 generators,
-    and the top class y2; graded dimensions (1, b1, 1)."""
-    if surface.kind == "sphere":
-        return F2Algebra([("y2", 2)], [({"y2": 2}, [])], cap=2, name="H(sphere)")
+    and the top class y2; graded dimensions (1, b1, 1).  A product of two
+    degree-one generators is y2 where the cup-product pairing is 1 (a_i b_i
+    for genus, a_i^2 for crosscaps) and 0 otherwise; the cap-2 truncation
+    kills everything of higher degree."""
     if surface.kind == "orientable":
-        g = surface.count
-        gens = [(f"a{i}", 1) for i in range(1, g + 1)]
-        gens += [(f"b{i}", 1) for i in range(1, g + 1)]
-        gens.append(("y2", 2))
-        relations = []
-        for i in range(1, g + 1):
-            for j in range(i, g + 1):
-                relations.append(({f"a{i}": 1, f"a{j}": 1} if i != j else {f"a{i}": 2}, []))
-                relations.append(({f"b{i}": 1, f"b{j}": 1} if i != j else {f"b{i}": 2}, []))
-        for i in range(1, g + 1):
-            for j in range(1, g + 1):
-                if i == j:
-                    relations.append(({f"a{i}": 1, f"b{i}": 1}, [{"y2": 1}]))
-                else:
-                    relations.append(({f"a{i}": 1, f"b{j}": 1}, []))
-        for i in range(1, g + 1):
-            relations.append(({f"a{i}": 1, "y2": 1}, []))
-            relations.append(({f"b{i}": 1, "y2": 1}, []))
-        relations.append(({"y2": 2}, []))
-        return F2Algebra(gens, relations, cap=2, name=f"H(genus{g})")
-    n = surface.count
-    gens = [(f"a{i}", 1) for i in range(1, n + 1)]
-    gens.append(("y2", 2))
-    relations = []
-    for i in range(1, n + 1):
-        relations.append(({f"a{i}": 2}, [{"y2": 1}]))
-        for j in range(i + 1, n + 1):
-            relations.append(({f"a{i}": 1, f"a{j}": 1}, []))
-        relations.append(({f"a{i}": 1, "y2": 1}, []))
-    relations.append(({"y2": 2}, []))
-    return F2Algebra(gens, relations, cap=2, name=f"H(rp{n})")
+        names = [f"{c}{i}" for c in "ab" for i in range(1, surface.count + 1)]
+        paired = {(f"a{i}", f"b{i}") for i in range(1, surface.count + 1)}
+    else:
+        names = [f"a{i}" for i in range(1, surface.count + 1)]
+        paired = {(name, name) for name in names}
+    relations = [
+        ({x: 1, y: 1} if x != y else {x: 2}, [{"y2": 1}] if (x, y) in paired else [])
+        for x, y in itertools.combinations_with_replacement(names, 2)
+    ]
+    gens = [(n, 1) for n in names] + [("y2", 2)]
+    return F2Algebra(gens, relations, cap=2, name=f"H({surface.label.replace(':', '')})")
 
 
 # -- the unit group ---------------------------------------------------------

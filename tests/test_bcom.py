@@ -24,7 +24,7 @@ from kocom.bcom_o2 import (
     tensor_rank2,
     trivial_data,
 )
-from kocom.f2poly import RingMap, total_steenrod_square
+from kocom.f2poly import RelationViolationError, RingMap, total_steenrod_square
 
 
 def test_pullback_generator_images():
@@ -108,6 +108,44 @@ def test_square_naturality_under_line_pair_restriction():
     k = line_pair_restriction(alg)
     for x in alg.basis_through(5):
         assert k(total_steenrod_square(x)) == total_steenrod_square(k(x))
+
+
+def product_of_powers(x, images, target):
+    """Reference expansion: each monomial of x maps to the product of its
+    generators' images, each raised to its exponent by repeated
+    multiplication."""
+    acc = target.zero()
+    for mono in x.monomials:
+        term = target.one()
+        for (name, _), e in zip(x.algebra.generators, mono):
+            for _ in range(e):
+                term = term * images[name]
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("cap", range(4, 11))
+def test_ring_maps_and_squares_match_product_of_powers(cap):
+    bcom = bcom_o2_algebra(cap)
+    maps = [inversion_pullback(bcom), line_pair_restriction(bcom), so2_restriction(bcom)]
+    for f in maps:
+        images = {name: f(bcom.gen(name)) for name, _ in bcom.generators}
+        for x in bcom.basis_through(cap):
+            assert f(x) == product_of_powers(x, images, f.target)
+    for alg in (bcom, line_pair_algebra(cap), euler_algebra(cap)):
+        squares = {name: total_steenrod_square(alg.gen(name)) for name, _ in alg.generators}
+        for x in alg.basis_through(cap):
+            assert total_steenrod_square(x) == product_of_powers(x, squares, alg)
+
+
+def test_squares_that_break_a_relation_are_refused():
+    alg = bcom_o2_algebra(6)
+    squares = {name: total_steenrod_square(alg.gen(name)) for name, _ in alg.generators}
+    # Sq(r) = r + w1^2 would send w1 * r = 0 to w1^3 + w1^4
+    squares["r"] = alg.gen("r") + alg.gen("w1") * alg.gen("w1")
+    with pytest.raises(RelationViolationError):
+        alg.set_total_squares(squares)
+    assert total_steenrod_square(alg.gen("r")) == alg.gen("r")
 
 
 def test_splitting_identities_hold():

@@ -78,6 +78,9 @@ def test_abelian_group_canonicalization():
     assert AbelianGroup.from_orders([1, 1]).is_trivial
     assert str(AbelianGroup.from_orders([2, 4], free_rank=1)) == "Z + Z/2 + Z/4"
     assert str(AbelianGroup.trivial()) == "0"
+    for bad in ([0], [0, 2], [2, -3]):
+        with pytest.raises(ValueError):
+            AbelianGroup.from_orders(bad)
 
 
 def test_abelian_group_validation():
