@@ -21,7 +21,6 @@ from .cocycles import (
     ValidationReport,
     bundle_class,
     clutching_function,
-    identity_cocycle,
     oriented_invariant,
     power_cocycle,
     so2_cocycle,
@@ -45,7 +44,6 @@ from .o2 import (
     O2Path,
     commutes,
     loop_degree,
-    o2_pow,
 )
 from .surfaces import (
     Surface,
@@ -80,11 +78,9 @@ __all__ = [
     "enumerate_components",
     "face_map",
     "h2_bcom_so3",
-    "identity_cocycle",
     "ko_presentation",
     "loop_degree",
     "nonorientable",
-    "o2_pow",
     "orientable",
     "oriented_invariant",
     "power_cocycle",

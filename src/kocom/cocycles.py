@@ -118,23 +118,17 @@ def so2_cocycle(m: int) -> CommCocycle:
     )
 
 
-def identity_cocycle() -> CommCocycle:
-    return CommCocycle(
-        alpha12=constant_path(IDENTITY),
-        alpha13=constant_path(IDENTITY),
-        alpha23=constant_path(IDENTITY),
-    )
-
-
 def validate(c: CommCocycle) -> ValidationReport:
     """Check the cocycle condition and pairwise commutativity at the two
     triple points.  Distinct arcs meet only there, so those are the only
     points where two transition values are simultaneously defined.
-    Failures are returned as data, not raised."""
+    Failures are returned as data, not raised.  The triple points are the
+    arc endpoints t = 0 and 1, so the values are each path's start and end."""
     cocycle_failures = []
     commutation_failures = []
-    for p in TRIPLE_POINTS:
-        values = {arc: c.path(arc).value(p) for arc in ARCS}
+    starts = {arc: c.path(arc).start for arc in ARCS}
+    ends = {arc: c.path(arc).end for arc in ARCS}
+    for p, values in zip(TRIPLE_POINTS, (starts, ends)):
         product = values[(1, 2)] * values[(2, 3)]
         if product != values[(1, 3)]:
             cocycle_failures.append(CocycleFailure(p, product, values[(1, 3)]))

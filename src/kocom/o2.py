@@ -51,9 +51,6 @@ class Angle:
     def __neg__(self) -> "Angle":
         return Angle(-self.value)
 
-    def scaled(self, n: int) -> "Angle":
-        return Angle(self.value * n)
-
     def __str__(self) -> str:
         return f"{self.value}*pi"
 
@@ -101,19 +98,17 @@ def reflected_rotation(value: Rational) -> O2Element:
     return O2Element(Angle(_frac(value)), reflect=True)
 
 
-def o2_pow(a: O2Element, n: int) -> O2Element:
-    """n-fold product of a; reflections square to the identity, so odd powers
-    of a reflection return the reflection itself (for every odd n, including
-    negative ones)."""
-    if a.reflect:
-        return a if n % 2 else IDENTITY
-    return O2Element(a.angle.scaled(n))
-
-
 def commutes(a: O2Element, b: O2Element) -> bool:
-    """Exact commutation test: rotations always commute with each other, and a
-    rotation commutes with a reflected element iff it is central (I or R_pi)."""
-    return a * b == b * a
+    """Exact commutation test, read off the multiplication table: rotations
+    always commute with each other, a rotation R_r commutes with a reflected
+    element iff r is an integer (R_r is I or R_pi, the center), and R_a*A
+    commutes with R_b*A iff a - b is an integer."""
+    if a.reflect and b.reflect:
+        return (a.angle.value - b.angle.value).denominator == 1
+    if a.reflect or b.reflect:
+        rot = b if a.reflect else a
+        return rot.angle.value.denominator == 1
+    return True
 
 
 @dataclass(frozen=True)
@@ -177,11 +172,13 @@ class O2Path:
 
     @property
     def start(self) -> O2Element:
-        return self.segments[0].value(self.segments[0].t0)
+        seg = self.segments[0]
+        return O2Element(Angle(seg.slope * seg.t0 + seg.offset), seg.reflect)
 
     @property
     def end(self) -> O2Element:
-        return self.segments[-1].value(self.segments[-1].t1)
+        seg = self.segments[-1]
+        return O2Element(Angle(seg.slope * seg.t1 + seg.offset), seg.reflect)
 
     @property
     def is_loop(self) -> bool:
@@ -213,7 +210,7 @@ class O2Path:
             else:
                 slope, offset = a.slope - b.slope, a.offset - b.offset
             segs.append(PathSegment(t0, t1, slope, offset, a.reflect != b.reflect))
-        return O2Path(segs)
+        return _RawPath(_merge_segments(segs))
 
     def pointwise_pow(self, n: int) -> "O2Path":
         """The path t |-> self(t)**n (affine again, by the power case table)."""
@@ -228,7 +225,7 @@ class O2Path:
                 segs.append(
                     PathSegment(seg.t0, seg.t1, seg.slope * n, seg.offset * n)
                 )
-        return O2Path(segs)
+        return _RawPath(_merge_segments(segs))
 
     def right_mul_constant(self, a: O2Element) -> "O2Path":
         """The path t |-> self(t) * a."""
@@ -239,7 +236,7 @@ class O2Path:
             else:
                 slope, offset = seg.slope, seg.offset - a.angle.value
             segs.append(PathSegment(seg.t0, seg.t1, slope, offset, seg.reflect != a.reflect))
-        return O2Path(segs)
+        return _RawPath(_merge_segments(segs))
 
     def reparameterized(self, scale: Rational, shift: Rational) -> "O2Path":
         """The path u |-> self(scale*u + shift), on the u-interval where
@@ -259,9 +256,6 @@ class O2Path:
             segs.reverse()
         return _RawPath(segs)
 
-    def reversed(self) -> "O2Path":
-        return O2Path(self.reparameterized(-1, 1).segments)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, O2Path):
             return NotImplemented
@@ -279,7 +273,8 @@ class O2Path:
 
 
 class _RawPath(O2Path):
-    """O2Path whose domain is an arbitrary interval; used mid-construction."""
+    """O2Path taken on trust, with no domain or continuity check: pointwise
+    products and powers of continuous paths, and pieces used mid-construction."""
 
     def __init__(self, segments: Sequence[PathSegment]):
         self.segments = tuple(segments)
@@ -315,13 +310,6 @@ def affine_path(slope: Rational, offset: Rational, reflect: bool = False) -> O2P
 
 def constant_path(elem: O2Element) -> O2Path:
     return affine_path(0, elem.angle.value, elem.reflect)
-
-
-def concat(first: O2Path, second: O2Path) -> O2Path:
-    """Concatenation, first on [0, 1/2] then second on [1/2, 1]."""
-    a = first.reparameterized(2, 0)
-    b = second.reparameterized(2, -1)
-    return O2Path(a.segments + b.segments)
 
 
 def loop_degree(loop: O2Path) -> Fraction:

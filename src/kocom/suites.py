@@ -13,6 +13,7 @@ from importlib import resources
 
 from . import bcom_o2, commuting, surfaces
 from .cocycles import (
+    InvalidCocycleError,
     broken_cocycle_condition,
     broken_commutation_cocycle,
     bundle_class,
@@ -65,9 +66,13 @@ def cocycle_suite(k_range=(-5, 5), n_range=(-5, 5)) -> VerificationReport:
         base = standard_cocycle(k)
         tc[k] = tc_invariant(base)
         for n in ns:
-            power = power_cocycle(base, n)
-            valid += validate(power).ok
-            actual = bundle_class(clutching_function(power))
+            # clutching_function validates; an invalid power fails this check.
+            try:
+                actual = bundle_class(clutching_function(power_cocycle(base, n)))
+            except InvalidCocycleError as exc:
+                actual = str(exc)
+            else:
+                valid += 1
             report.add(
                 check(
                     f"cocycles.degree.k={k}.n={n}",
@@ -549,12 +554,15 @@ def surface_suite(only=None) -> VerificationReport:
                 "matches golden" if text == golden else "differs",
             )
         )
+    inv = surfaces.nonstandard_invariant()
     for surface in selected(PRODUCT_SURFACES):
-        report.extend(surfaces.verify_kocom_products(surface, raise_on_mismatch=False))
+        report.extend(
+            surfaces.verify_kocom_products(surface, raise_on_mismatch=False, inv=inv)
+        )
         if surface.kind == "sphere":
             continue
         alg = surfaces.surface_algebra(surface)
-        data = surfaces.nonstandard_data(alg)
+        data = surfaces.nonstandard_data(alg, inv)
         report.add(
             check(
                 f"surface-ko.a2.nonstandard.{surface.label}",

@@ -33,7 +33,7 @@ from .bcom_o2 import (
     tensor_line,
     tensor_rank2,
 )
-from .cocycles import standard_cocycle, tc_invariant
+from .cocycles import TCInvariant, standard_cocycle, tc_invariant
 from .f2poly import F2Algebra, F2Class, RingMap
 from .integral import AbelianGroup
 from .report import check
@@ -329,11 +329,19 @@ def ko_presentation(surface: Surface) -> RingPresentation:
 # -- checks for the commutative K-theory ring structure ---------------------
 
 
-def nonstandard_data(alg: F2Algebra) -> TCBundleData:
+def nonstandard_invariant() -> TCInvariant:
+    """Clutching degrees of the k = 1 cocycle and of its pointwise inverse;
+    the same over every surface, so callers compute it once and pass it on."""
+    return tc_invariant(standard_cocycle(1))
+
+
+def nonstandard_data(alg: F2Algebra, inv: TCInvariant | None = None) -> TCBundleData:
     """Data of the trivial plane bundle carrying the k = 1 cocycle structure,
     pulled back over the surface: the clutching degrees of the cocycle and
-    its pointwise inverse feed w2 and the twisted w2 mod 2."""
-    inv = tc_invariant(standard_cocycle(1))
+    its pointwise inverse (`inv`, computed here unless given) feed w2 and
+    the twisted w2 mod 2."""
+    if inv is None:
+        inv = nonstandard_invariant()
     y2, zero = alg.gen("y2"), alg.zero()
     return TCBundleData(
         zero,
@@ -352,7 +360,9 @@ def _data_repr(d: TCBundleData) -> str:
     return f"w1={d.w1}, w2={d.w2}, a2={a2_of_tc_bundle(d)}"
 
 
-def verify_kocom_products(surface: Surface, raise_on_mismatch: bool = True) -> list:
+def verify_kocom_products(
+    surface: Surface, raise_on_mismatch: bool = True, inv: TCInvariant | None = None
+) -> list:
     """Verify that products with the non-standard stable class vanish.
 
     (a) The square of the non-standard class: computed over the sphere via
@@ -363,7 +373,8 @@ def verify_kocom_products(surface: Surface, raise_on_mismatch: bool = True) -> l
     product (E - 2)(L - 1), is zero.  (c) Together with the additive
     splitting this pins the ring down as K-theory times a square-zero
     order-2 ideal.  On the sphere every product vanishes because the
-    sphere is a suspension; that case is recorded, not recomputed.
+    sphere is a suspension; that case is recorded, not recomputed.  `inv`
+    is `nonstandard_invariant()`, computed here unless given.
     """
     tag = surface.label
     checks = []
@@ -383,10 +394,12 @@ def verify_kocom_products(surface: Surface, raise_on_mismatch: bool = True) -> l
     sphere_alg = surface_algebra(SPHERE)
     pullback = collapse_pullback(sphere_alg, alg)
 
-    over_sphere = nonstandard_data(sphere_alg)
+    if inv is None:
+        inv = nonstandard_invariant()
+    over_sphere = nonstandard_data(sphere_alg, inv)
     square_sphere = tensor_rank2(over_sphere, over_sphere)
     pulled_square = square_sphere.map_along(pullback)
-    data = nonstandard_data(alg)
+    data = nonstandard_data(alg, inv)
     square = tensor_rank2(data, data)
     square_ok = (
         square.w2.is_zero

@@ -13,6 +13,11 @@ from kocom.suites import run_suite
 #: SHA-256 of the `kocom verify all --out R` report with default options.
 ALL_REPORT_SHA256 = "e0b7af5aad68eb5bd7c587e8961f9dd5cbf34473ce677e53d05b923ff4716e17"
 
+#: SHA-256 of the cocycle report over the widest window the CLI accepts.
+WIDE_COCYCLE_REPORT_SHA256 = (
+    "6e2da11311c41d595157e0bfc32d63eb70eeb4e0498019a94a6226ae62be8043"
+)
+
 
 def test_parse_range():
     assert parse_range("-5..5") == (-5, 5)
@@ -72,6 +77,15 @@ def test_reports_are_byte_identical(tmp_path):
     full = tmp_path / "all.json"
     assert main(["verify", "all", "--out", str(full)]) == 0
     assert hashlib.sha256(full.read_bytes()).hexdigest() == ALL_REPORT_SHA256
+
+
+def test_cocycle_report_at_the_range_bound_is_pinned(tmp_path):
+    out = tmp_path / "cocycles.json"
+    argv = ["verify", "cocycles", "--k-range=-20..20", "--n-range=-20..20"]
+    assert main(argv + ["--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["summary"] == {"total": 1755, "passed": 1755, "failed": 0}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_COCYCLE_REPORT_SHA256
 
 
 def test_surface_filter(tmp_path):

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from kocom import suites
 from kocom.cocycles import (
+    CommCocycle,
     InvalidCocycleError,
     MixedComponentsError,
     TCInvariant,
@@ -14,7 +16,6 @@ from kocom.cocycles import (
     broken_commutation_cocycle,
     bundle_class,
     clutching_function,
-    identity_cocycle,
     oriented_invariant,
     power_cocycle,
     so2_cocycle,
@@ -33,6 +34,14 @@ from kocom.o2 import (
     reflected_rotation,
     rotation,
 )
+
+
+def identity_cocycle() -> CommCocycle:
+    return CommCocycle(
+        alpha12=constant_path(IDENTITY),
+        alpha13=constant_path(IDENTITY),
+        alpha23=constant_path(IDENTITY),
+    )
 
 
 def expected_degree(k: int, n: int) -> int:
@@ -188,3 +197,20 @@ def test_tc_sum_distinctness():
         }
         assert len(seen) == 11
         assert seen == {(m, -k - m) for k in range(-5, 6)}
+
+
+def test_invalid_power_fails_its_checks(monkeypatch):
+    real_power = suites.power_cocycle
+    target = standard_cocycle(2)
+
+    def power_with_one_broken(c, n):
+        if c == target and n == 3:
+            return broken_cocycle_condition()
+        return real_power(c, n)
+
+    monkeypatch.setattr(suites, "power_cocycle", power_with_one_broken)
+    report = suites.cocycle_suite((-3, 3), (-3, 3))
+    failed = {c.check_id: c for c in report.checks if not c.passed}
+    assert set(failed) == {"cocycles.degree.k=2.n=3", "cocycles.validity.power-family"}
+    assert failed["cocycles.degree.k=2.n=3"].actual == "1 cocycle / 0 commutation failures"
+    assert failed["cocycles.validity.power-family"].actual == "48 valid"

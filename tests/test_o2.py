@@ -21,10 +21,8 @@ from kocom.o2 import (
     PathSegment,
     affine_path,
     commutes,
-    concat,
     constant_path,
     loop_degree,
-    o2_pow,
     reflected_rotation,
     rotation,
 )
@@ -50,6 +48,29 @@ def matmul(m, n):
 
 def matdist(m, n):
     return max(abs(m[i][j] - n[i][j]) for i in range(2) for j in range(2))
+
+
+# -- test-local path and power oracles ---------------------------------------
+
+
+def o2_pow(a: O2Element, n: int) -> O2Element:
+    """n-fold product of a (of its inverse for negative n), one factor at a time."""
+    factor = a if n >= 0 else a.inverse()
+    result = IDENTITY
+    for _ in range(abs(n)):
+        result = result * factor
+    return result
+
+
+def concat(first: O2Path, second: O2Path) -> O2Path:
+    """Concatenation, first on [0, 1/2] then second on [1/2, 1]."""
+    a = first.reparameterized(2, 0)
+    b = second.reparameterized(2, -1)
+    return O2Path(a.segments + b.segments)
+
+
+def reverse(path: O2Path) -> O2Path:
+    return O2Path(path.reparameterized(-1, 1).segments)
 
 
 rational_angles = st.fractions(
@@ -100,6 +121,14 @@ def test_commutes_examples():
     assert commutes(rotation(Fraction(1, 3)), rotation(Fraction(4, 7)))
     assert commutes(rotation(1), REFLECTION)  # R_pi is central
     assert not commutes(rotation(Fraction(1, 2)), REFLECTION)
+
+
+def test_commutes_closed_form_matches_products_exhaustively():
+    angles = {Fraction(num, den) for den in range(1, 7) for num in range(2 * den)}
+    grid = [O2Element(Angle(a), ref) for a in sorted(angles) for ref in (False, True)]
+    assert len(grid) == 48
+    for a, b in itertools.product(grid, repeat=2):
+        assert commutes(a, b) == (a * b == b * a), (a, b)
 
 
 def test_commutes_against_matrix_oracle():
@@ -170,7 +199,7 @@ def test_loop_degree_rejects_open_and_reflected_paths():
 def test_loop_degree_concat_and_reversal():
     loops = [affine_path(2, 0), affine_path(-4, 0), constant_path(IDENTITY)]
     for p in loops:
-        assert loop_degree(p.reversed()) == -loop_degree(p)
+        assert loop_degree(reverse(p)) == -loop_degree(p)
         for q in loops:
             assert loop_degree(concat(p, q)) == loop_degree(p) + loop_degree(q)
 
@@ -208,6 +237,48 @@ def test_right_mul_constant():
     assert q.in_so2
     for t in (Fraction(0), Fraction(1, 2), Fraction(1)):
         assert q.value(t) == p.value(t) * REFLECTION
+
+
+small_fractions = st.builds(Fraction, st.integers(-48, 48), st.integers(1, 12))
+
+
+@st.composite
+def continuous_paths(draw):
+    """A continuous path on [0, 1] with up to four segments in one component:
+    each segment's offset is chosen to meet the previous one's end value,
+    shifted by a whole number of turns."""
+    cuts = [Fraction(i, 12) for i in sorted(draw(st.sets(st.integers(1, 11), max_size=3)))]
+    reflect = draw(st.booleans())
+    segs = []
+    for t0, t1 in itertools.pairwise([Fraction(0)] + cuts + [Fraction(1)]):
+        slope = draw(small_fractions)
+        if segs:
+            prev = segs[-1]
+            offset = prev.slope * t0 + prev.offset - slope * t0 + 2 * draw(st.integers(-2, 2))
+        else:
+            offset = draw(small_fractions)
+        segs.append(PathSegment(t0, t1, slope, offset, reflect))
+    return O2Path(segs)
+
+
+@given(continuous_paths(), continuous_paths(), st.integers(-6, 6), elements)
+def test_derived_paths_pass_the_public_constructor(p, q, n, a):
+    # t |-> p(t) p(t)^-1 has one merged segment however many p has.
+    assert p.pointwise_mul(p.pointwise_pow(-1)).segments == constant_path(IDENTITY).segments
+    derived = {
+        "mul": p.pointwise_mul(q),
+        "pow": p.pointwise_pow(n),
+        "right_mul": p.right_mul_constant(a),
+    }
+    for name, path in derived.items():
+        checked = O2Path(path.segments)
+        assert checked == path and checked.segments == path.segments, name
+    for t in set(p.breakpoints()) | set(q.breakpoints()) | {Fraction(1, 7)}:
+        assert derived["mul"].value(t) == p.value(t) * q.value(t)
+        assert derived["pow"].value(t) == o2_pow(p.value(t), n)
+        assert derived["right_mul"].value(t) == p.value(t) * a
+    assert derived["mul"].start == p.start * q.start
+    assert derived["mul"].end == p.end * q.end
 
 
 def test_d4_multiplication():

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from kocom.bcom_o2 import a2_of_tc_bundle, direct_sum, line_data, trivial_data
+from kocom.cocycles import TCInvariant
 from kocom.integral import AbelianGroup
 from kocom.suites import load_golden
 from kocom.surfaces import (
@@ -20,6 +21,7 @@ from kocom.surfaces import (
     ko_presentation,
     nonorientable,
     nonstandard_data,
+    nonstandard_invariant,
     orientable,
     surface_algebra,
     total_sw,
@@ -260,6 +262,17 @@ def test_nonstandard_data_and_pullback():
     target = surface_algebra(orientable(2))
     pulled = data.map_along(collapse_pullback(sphere_alg, target))
     assert pulled == nonstandard_data(target)
+
+
+def test_nonstandard_invariant_passed_in_matches_default():
+    inv = nonstandard_invariant()
+    assert (inv.deg_plus, inv.deg_minus, inv.a2) == (0, -1, 1)
+    for surface in (orientable(2), nonorientable(3)):
+        alg = surface_algebra(surface)
+        assert nonstandard_data(alg, inv) == nonstandard_data(alg)
+        assert verify_kocom_products(surface, inv=inv) == verify_kocom_products(surface)
+        # the passed invariant is the one used
+        assert a2_of_tc_bundle(nonstandard_data(alg, TCInvariant(0, 0))) == 0
 
 
 def test_verify_kocom_products_all_required_surfaces():
