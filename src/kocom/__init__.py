@@ -38,7 +38,6 @@ from .commuting import (
 )
 from .integral import AbelianGroup, IntChainComplex, smith_normal_form
 from .o2 import (
-    Angle,
     D4Element,
     O2Element,
     O2Path,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup",
-    "Angle",
     "CommCocycle",
     "D4Element",
     "IntChainComplex",

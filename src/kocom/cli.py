@@ -6,8 +6,8 @@ Suites: cocycles, so3-homology, char-classes, surface-ko, all.  Options:
 --k-range/--n-range as inclusive lo..hi pairs of at most 41 values,
 --surface as sphere | genus:<g> | rp:<n> with b1 <= 40, --degree-cap
 4..24 for the characteristic algebra, and --out for the structured
-report.  Exit code 0 when every check passes, 1 when any fails, 2 for bad
-arguments.
+report.  Exit code 0 when every check passes, 1 when any fails or none
+ran, 2 for bad arguments or an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import re
 import sys
 import time
+from contextlib import nullcontext
 
 from .report import VerificationReport
 from .suites import SUITES, run_suite
@@ -122,15 +123,21 @@ def run_verify(args: argparse.Namespace) -> int:
         "degree_cap": args.degree_cap,
         "surface": args.surface,
     }
-    started = time.perf_counter()
-    report: VerificationReport = run_suite(args.suite, options)
-    report.elapsed_seconds = time.perf_counter() - started
-    for line in report.text_lines():
-        print(line)
-    print(f"elapsed: {report.elapsed_seconds:.3f}s")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
+    try:
+        # Opened before the suite runs, so an unwritable path fails before any check.
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext()
+    except OSError as exc:
+        print(f"error: cannot write the report to {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with out:
+        started = time.perf_counter()
+        report: VerificationReport = run_suite(args.suite, options)
+        report.elapsed_seconds = time.perf_counter() - started
+        for line in report.text_lines():
+            print(line)
+        print(f"elapsed: {report.elapsed_seconds:.3f}s")
+        if args.out:
+            out.write(report.to_json())
     return 0 if report.all_passed else 1
 
 

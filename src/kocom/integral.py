@@ -5,7 +5,8 @@ diagonalizes by row and column elimination around a least nonzero pivot,
 deleting each finished pivot's row and column, and then puts the diagonal
 in divisibility order by gcd/lcm exchanges.  It is exact and dense; the
 largest matrix the package reduces is the 156 x 652 boundary d_6 of
-component_complex(6).
+component_complex(6).  A chain complex keeps the boundary matrices it is
+given and checks d_{p-1} d_p = 0 row by row, with no product matrix.
 """
 
 from __future__ import annotations
@@ -14,32 +15,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-Matrix = list[list[int]]
-
 
 class NotAComplexError(ValueError):
     """Raised when consecutive boundary maps fail to compose to zero."""
-
-
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
-def mat_mult(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix shapes do not compose")
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zero_matrix(rows, cols)
-    for i in range(rows):
-        for k in range(inner):
-            if a[i][k]:
-                for j in range(cols):
-                    out[i][j] += a[i][k] * b[k][j]
-    return out
-
-
-def is_zero(mat: Sequence[Sequence[int]]) -> bool:
-    return all(entry == 0 for row in mat for entry in row)
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
@@ -124,10 +102,6 @@ class AbelianGroup:
             raise ValueError("negative free rank")
 
     @classmethod
-    def trivial(cls) -> "AbelianGroup":
-        return cls()
-
-    @classmethod
     def from_orders(cls, orders: Sequence[int], free_rank: int = 0) -> "AbelianGroup":
         """Canonicalize an unsorted list of finite cyclic orders (>= 1)."""
         if any(d < 1 for d in orders):
@@ -140,19 +114,6 @@ class AbelianGroup:
             list(self.invariant_factors) + list(other.invariant_factors),
             self.free_rank + other.free_rank,
         )
-
-    @property
-    def order(self) -> int:
-        if self.free_rank:
-            return 0
-        result = 1
-        for d in self.invariant_factors:
-            result *= d
-        return result
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors and self.free_rank == 0
 
     def __str__(self) -> str:
         parts = []
@@ -167,46 +128,41 @@ class AbelianGroup:
 class IntChainComplex:
     """A chain complex of finitely generated free abelian groups.
 
-    ranks[p] is the rank in degree p; boundaries[p] is the matrix of
-    d_p: C_p -> C_{p-1} with shape ranks[p-1] x ranks[p], for
-    1 <= p <= top degree.  d_{p-1} d_p = 0 is verified at construction.
+    ranks[p] is the rank of C_p for 0 <= p <= top = len(ranks) - 1, and
+    boundaries[p] is the matrix of d_p: C_p -> C_{p-1}, of shape
+    ranks[p-1] x ranks[p], for 1 <= p <= top.  A boundary may be left out
+    only when its target rank is 0; every d_p outside 1..top is zero.
+    d_{p-1} d_p = 0 is verified at construction: for each row of d_{p-1},
+    the rows of d_p that its nonzero entries pick out, weighted by them,
+    must sum to zero.
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: dict):
         self.ranks = tuple(int(r) for r in ranks)
         self.boundaries = {}
         for p in range(1, len(self.ranks)):
-            mat = boundaries.get(p)
-            if mat is None:
-                mat = zero_matrix(self.ranks[p - 1], self.ranks[p])
+            mat = boundaries.get(p, [])
             if len(mat) != self.ranks[p - 1] or any(len(row) != self.ranks[p] for row in mat):
-                raise ValueError(f"boundary {p} has the wrong shape")
+                raise ValueError(f"boundary {p} is missing or has the wrong shape")
             self.boundaries[p] = [list(row) for row in mat]
         for p in range(2, len(self.ranks)):
-            if self.ranks[p - 2] and self.ranks[p]:
-                if not is_zero(mat_mult(self.boundaries[p - 1], self.boundaries[p])):
+            below = [[(j, b) for j, b in enumerate(row) if b] for row in self.boundaries[p]]
+            for row in self.boundaries[p - 1]:
+                total: dict[int, int] = {}
+                for a, entries in zip(row, below):
+                    if a:
+                        for j, b in entries:
+                            total[j] = total.get(j, 0) + a * b
+                if any(total.values()):
                     raise NotAComplexError(f"d_{p-1} d_{p} != 0")
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.ranks) - 1
-
-    def boundary(self, p: int) -> Matrix:
-        if 1 <= p <= self.top_degree:
-            return self.boundaries[p]
-        # Outside the stored range the boundary is zero (onto rank 0 or from rank 0).
-        source = self.ranks[p] if 0 <= p <= self.top_degree else 0
-        target = self.ranks[p - 1] if 0 <= p - 1 <= self.top_degree else 0
-        return zero_matrix(target, source)
 
     def homology(self, p: int) -> AbelianGroup:
         """H_p = ker d_p / im d_{p+1}, by Smith normal form: the free rank is
         rank C_p - rank d_p - rank d_{p+1}, and the torsion is given by the
         invariant factors of d_{p+1} that exceed 1."""
-        if not 0 <= p <= self.top_degree:
-            return AbelianGroup.trivial()
-        outgoing = smith_normal_form(self.boundary(p))
-        incoming = smith_normal_form(self.boundary(p + 1))
+        if not 0 <= p < len(self.ranks):
+            return AbelianGroup()
+        outgoing = smith_normal_form(self.boundaries.get(p, []))
+        incoming = smith_normal_form(self.boundaries.get(p + 1, []))
         free = self.ranks[p] - len(outgoing) - len(incoming)
         return AbelianGroup(tuple(d for d in incoming if d > 1), free)
-

@@ -34,28 +34,6 @@ def _frac(x: Rational) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Angle:
-    """A rational multiple of pi, normalized into the half-open interval [0, 2)."""
-
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _frac(self.value) % 2)
-
-    def __add__(self, other: "Angle") -> "Angle":
-        return Angle(self.value + other.value)
-
-    def __sub__(self, other: "Angle") -> "Angle":
-        return Angle(self.value - other.value)
-
-    def __neg__(self) -> "Angle":
-        return Angle(-self.value)
-
-    def __str__(self) -> str:
-        return f"{self.value}*pi"
-
-
-@dataclass(frozen=True)
 class O2Element:
     """R_angle if reflect is False, otherwise R_angle * A with A = diag(1, -1).
 
@@ -66,8 +44,12 @@ class O2Element:
         (R_a A)(R_b A) = R_{a-b}
     """
 
-    angle: Angle
+    angle: Fraction
     reflect: bool = False
+
+    def __post_init__(self) -> None:
+        # The angle is taken mod 2, in [0, 2), so that equality is exact.
+        object.__setattr__(self, "angle", _frac(self.angle) % 2)
 
     def __mul__(self, other: "O2Element") -> "O2Element":
         if not self.reflect:
@@ -80,22 +62,22 @@ class O2Element:
         return O2Element(-self.angle)
 
     def __str__(self) -> str:
-        core = "I" if self.angle.value == 0 else f"R({self.angle})"
+        core = "I" if self.angle == 0 else f"R({self.angle}*pi)"
         return core + "*A" if self.reflect else core
 
 
-IDENTITY = O2Element(Angle(Fraction(0)))
-REFLECTION = O2Element(Angle(Fraction(0)), reflect=True)
+IDENTITY = O2Element(Fraction(0))
+REFLECTION = O2Element(Fraction(0), reflect=True)
 
 
 def rotation(value: Rational) -> O2Element:
     """The rotation by value*pi."""
-    return O2Element(Angle(_frac(value)))
+    return O2Element(value)
 
 
 def reflected_rotation(value: Rational) -> O2Element:
     """The element R_{value*pi} * A."""
-    return O2Element(Angle(_frac(value)), reflect=True)
+    return O2Element(value, reflect=True)
 
 
 def commutes(a: O2Element, b: O2Element) -> bool:
@@ -104,10 +86,10 @@ def commutes(a: O2Element, b: O2Element) -> bool:
     element iff r is an integer (R_r is I or R_pi, the center), and R_a*A
     commutes with R_b*A iff a - b is an integer."""
     if a.reflect and b.reflect:
-        return (a.angle.value - b.angle.value).denominator == 1
+        return (a.angle - b.angle).denominator == 1
     if a.reflect or b.reflect:
         rot = b if a.reflect else a
-        return rot.angle.value.denominator == 1
+        return rot.angle.denominator == 1
     return True
 
 
@@ -134,7 +116,7 @@ class PathSegment:
         t = _frac(t)
         if not self.t0 <= t <= self.t1:
             raise ValueError(f"parameter {t} outside [{self.t0}, {self.t1}]")
-        return O2Element(Angle(self.slope * t + self.offset), self.reflect)
+        return O2Element(self.slope * t + self.offset, self.reflect)
 
     def angle_change(self) -> Fraction:
         return self.slope * (self.t1 - self.t0)
@@ -173,12 +155,12 @@ class O2Path:
     @property
     def start(self) -> O2Element:
         seg = self.segments[0]
-        return O2Element(Angle(seg.slope * seg.t0 + seg.offset), seg.reflect)
+        return O2Element(seg.slope * seg.t0 + seg.offset, seg.reflect)
 
     @property
     def end(self) -> O2Element:
         seg = self.segments[-1]
-        return O2Element(Angle(seg.slope * seg.t1 + seg.offset), seg.reflect)
+        return O2Element(seg.slope * seg.t1 + seg.offset, seg.reflect)
 
     @property
     def is_loop(self) -> bool:
@@ -204,7 +186,7 @@ class O2Path:
         for t0, t1 in itertools.pairwise(cuts):
             a = _segment_at(self, t0, t1)
             b = _segment_at(other, t0, t1)
-            # Angle algebra of the multiplication table, kept affine in t.
+            # The angle algebra of the multiplication table, kept affine in t.
             if not a.reflect:
                 slope, offset = a.slope + b.slope, a.offset + b.offset
             else:
@@ -232,9 +214,9 @@ class O2Path:
         segs = []
         for seg in self.segments:
             if not seg.reflect:
-                slope, offset = seg.slope, seg.offset + a.angle.value
+                slope, offset = seg.slope, seg.offset + a.angle
             else:
-                slope, offset = seg.slope, seg.offset - a.angle.value
+                slope, offset = seg.slope, seg.offset - a.angle
             segs.append(PathSegment(seg.t0, seg.t1, slope, offset, seg.reflect != a.reflect))
         return _RawPath(_merge_segments(segs))
 
@@ -309,7 +291,7 @@ def affine_path(slope: Rational, offset: Rational, reflect: bool = False) -> O2P
 
 
 def constant_path(elem: O2Element) -> O2Path:
-    return affine_path(0, elem.angle.value, elem.reflect)
+    return affine_path(0, elem.angle, elem.reflect)
 
 
 def loop_degree(loop: O2Path) -> Fraction:

@@ -59,7 +59,8 @@ class VerificationReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """True when at least one check ran and every check passed."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     @property
     def summary(self) -> dict:

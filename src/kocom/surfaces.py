@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .bcom_o2 import (
     TCBundleData,
@@ -196,18 +195,6 @@ class FiniteAbelianGroup:
 
 def units_group(alg: F2Algebra) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(alg)
-
-
-def total_sw(terms: Iterable[tuple]) -> F2Class:
-    """Total Stiefel-Whitney class of a formal sum: terms are (W, sign)
-    pairs with sign +1 or -1, multiplied as W resp. W^{-1}."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("need at least one term")
-    out = terms[0][0].algebra.one()
-    for w, sign in terms:
-        out = out * (w if sign > 0 else unit_inverse(w))
-    return out
 
 
 # -- KO presentations -------------------------------------------------------

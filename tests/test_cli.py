@@ -148,6 +148,28 @@ def test_failing_report_exit_code():
     assert any("FAIL" in line for line in lines)
 
 
+def test_empty_report_does_not_pass():
+    report = VerificationReport("empty")
+    assert not report.all_passed
+    assert report.summary == {"total": 0, "passed": 0, "failed": 0}
+    report.add(check("demo.one", "a passing check", 1, 1))
+    assert report.all_passed
+
+
+def test_unwritable_out_exits_2_before_the_suite(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr("kocom.cli.run_suite", fail)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["verify", "so3-homology", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(out) in lines[0]
+    assert not out.parent.exists()
+
+
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError):
         run_suite("bogus")

@@ -18,7 +18,7 @@ from kocom.commuting import (
     generates_cyclic,
     h2_bcom_so3,
 )
-from kocom.integral import is_zero, mat_mult, smith_normal_form
+from kocom.integral import smith_normal_form
 from kocom.o2 import D4Element
 
 I, C1, C2, C3 = D4Element.I, D4Element.C1, D4Element.C2, D4Element.C3
@@ -190,7 +190,10 @@ def test_boundary_level_3():
 def test_boundaries_compose_to_zero():
     complex_ = component_complex(4)
     for p in range(2, 5):
-        assert is_zero(mat_mult(complex_.boundary(p - 1), complex_.boundary(p)))
+        outer, inner = complex_.boundaries[p - 1], complex_.boundaries[p]
+        # Dense product, entry by entry, independent of the construction check.
+        for row in outer:
+            assert all(sum(a * b for a, b in zip(row, col)) == 0 for col in zip(*inner))
 
 
 def test_homology_values():

@@ -12,9 +12,22 @@ from kocom.integral import (
     AbelianGroup,
     IntChainComplex,
     NotAComplexError,
-    mat_mult,
     smith_normal_form,
 )
+
+
+def mat_mult(a, b):
+    """Dense integer matrix product, the oracle for the d.d = 0 check."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("matrix shapes do not compose")
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for k in range(inner):
+            if a[i][k]:
+                for j in range(cols):
+                    out[i][j] += a[i][k] * b[k][j]
+    return out
 
 
 def oracle_diagonal(mat):
@@ -75,9 +88,9 @@ def test_abelian_group_canonicalization():
     assert AbelianGroup.from_orders([4, 2, 2]).invariant_factors == (2, 2, 4)
     assert AbelianGroup.from_orders([4, 6]).invariant_factors == (2, 12)
     assert AbelianGroup.from_orders([2, 3, 4]).invariant_factors == (2, 12)
-    assert AbelianGroup.from_orders([1, 1]).is_trivial
+    assert AbelianGroup.from_orders([1, 1]) == AbelianGroup()
     assert str(AbelianGroup.from_orders([2, 4], free_rank=1)) == "Z + Z/2 + Z/4"
-    assert str(AbelianGroup.trivial()) == "0"
+    assert str(AbelianGroup()) == "0"
     for bad in ([0], [0, 2], [2, -3]):
         with pytest.raises(ValueError):
             AbelianGroup.from_orders(bad)
@@ -103,17 +116,64 @@ def test_chain_complex_rejects_nonzero_composite():
         IntChainComplex([1, 1, 1], {1: [[1]], 2: [[1]]})
 
 
+def test_composite_check_against_dense_product():
+    rng = random.Random(4104)
+    entries = (0, 0, 0, 0, 1, -1, 2, -2)
+
+    def sparse(rows, cols):
+        return [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+
+    pairs = []
+    for _ in range(300):
+        r0, r1, r2 = rng.randrange(1, 5), rng.randrange(1, 6), rng.randrange(1, 6)
+        pairs.append((sparse(r0, r1), sparse(r1, r2)))
+    for _ in range(60):
+        # [M | M] times [C; -C] is zero whatever M and C are.
+        r0, half, r2 = rng.randrange(1, 5), rng.randrange(1, 4), rng.randrange(1, 6)
+        m, c = sparse(r0, half), sparse(half, r2)
+        pairs.append(([row + row for row in m], c + [[-x for x in row] for row in c]))
+    pairs.extend((boundary_matrix(n - 1), boundary_matrix(n)) for n in range(2, 6))
+    outcomes = set()
+    for outer, inner in pairs:
+        ranks = [len(outer), len(inner), len(inner[0])]
+        composite_is_zero = not any(any(row) for row in mat_mult(outer, inner))
+        outcomes.add(composite_is_zero)
+        if composite_is_zero:
+            IntChainComplex(ranks, {1: outer, 2: inner})
+        else:
+            with pytest.raises(NotAComplexError):
+                IntChainComplex(ranks, {1: outer, 2: inner})
+    assert outcomes == {True, False}
+
+
+def test_chain_complex_requires_boundaries_into_nonzero_rank():
+    with pytest.raises(ValueError):
+        IntChainComplex([1, 1], {})
+    with pytest.raises(ValueError):
+        IntChainComplex([2, 1, 1], {2: [[1]]})
+    with pytest.raises(ValueError):
+        IntChainComplex([1, 2], {1: [[1]]})  # wrong shape
+    # A boundary into rank 0 may be left out.
+    assert str(IntChainComplex([0, 2], {}).homology(1)) == "Z^2"
+
+
+def test_homology_outside_the_stored_degrees_is_zero():
+    circle = IntChainComplex([2, 2], {1: [[1, -1], [-1, 1]]})
+    assert str(circle.homology(-1)) == "0"
+    assert str(circle.homology(2)) == "0"
+
+
 def test_chain_complex_homology_examples():
     # a single Z in degree 0 with no boundaries
     single = IntChainComplex([1], {})
     assert str(single.homology(0)) == "Z"
     # zero complex
     zero = IntChainComplex([0, 0], {1: []})
-    assert zero.homology(0).is_trivial
+    assert zero.homology(0) == AbelianGroup()
     # Z --2--> Z has H_0 = Z/2, H_1 = 0
     doubling = IntChainComplex([1, 1], {1: [[2]]})
     assert str(doubling.homology(0)) == "Z/2"
-    assert doubling.homology(1).is_trivial
+    assert doubling.homology(1) == AbelianGroup()
 
 
 def test_chain_complex_circle():
@@ -122,9 +182,3 @@ def test_chain_complex_circle():
     circle = IntChainComplex([2, 2], {1: d1})
     assert str(circle.homology(0)) == "Z"
     assert str(circle.homology(1)) == "Z"
-
-
-def test_mat_mult_shapes():
-    assert mat_mult([[1, 2]], [[3], [4]]) == [[11]]
-    with pytest.raises(ValueError):
-        mat_mult([[1, 2]], [[1, 2]])

@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from kocom.o2 import (
     IDENTITY,
     REFLECTION,
-    Angle,
     D4Element,
     NotALoopError,
     NotInSO2Error,
@@ -31,7 +30,7 @@ from kocom.o2 import (
 
 
 def as_matrix(e: O2Element):
-    a = float(e.angle.value) * math.pi
+    a = float(e.angle) * math.pi
     c, s = math.cos(a), math.sin(a)
     m = ((c, -s), (s, c))
     if e.reflect:
@@ -76,13 +75,16 @@ def reverse(path: O2Path) -> O2Path:
 rational_angles = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=24
 )
-elements = st.builds(O2Element, st.builds(Angle, rational_angles), st.booleans())
+elements = st.builds(O2Element, rational_angles, st.booleans())
 
 
 def test_angle_normalization():
-    assert Angle(Fraction(5, 2)).value == Fraction(1, 2)
-    assert Angle(Fraction(-1, 3)).value == Fraction(5, 3)
-    assert Angle(Fraction(2)).value == 0
+    assert O2Element(Fraction(5, 2)).angle == Fraction(1, 2)
+    assert O2Element(Fraction(-1, 3), reflect=True).angle == Fraction(5, 3)
+    assert O2Element(2).angle == 0 and isinstance(O2Element(2).angle, Fraction)
+    assert O2Element(Fraction(-4)) == IDENTITY
+    assert str(rotation(Fraction(5, 2))) == "R(1/2*pi)"
+    assert str(reflected_rotation(2)) == "I*A"
 
 
 def test_multiplication_table_cases():
@@ -125,7 +127,7 @@ def test_commutes_examples():
 
 def test_commutes_closed_form_matches_products_exhaustively():
     angles = {Fraction(num, den) for den in range(1, 7) for num in range(2 * den)}
-    grid = [O2Element(Angle(a), ref) for a in sorted(angles) for ref in (False, True)]
+    grid = [O2Element(a, ref) for a in sorted(angles) for ref in (False, True)]
     assert len(grid) == 48
     for a, b in itertools.product(grid, repeat=2):
         assert commutes(a, b) == (a * b == b * a), (a, b)
@@ -135,11 +137,11 @@ def test_commutes_against_matrix_oracle():
     rng = random.Random(20240811)
     for _ in range(1000):
         a = O2Element(
-            Angle(Fraction(rng.randrange(-200, 200), rng.randrange(1, 50))),
+            Fraction(rng.randrange(-200, 200), rng.randrange(1, 50)),
             rng.random() < 0.5,
         )
         b = O2Element(
-            Angle(Fraction(rng.randrange(-200, 200), rng.randrange(1, 50))),
+            Fraction(rng.randrange(-200, 200), rng.randrange(1, 50)),
             rng.random() < 0.5,
         )
         ma, mb = as_matrix(a), as_matrix(b)
@@ -149,7 +151,7 @@ def test_commutes_against_matrix_oracle():
 
 def test_associativity_exhaustive_grid():
     grid = [
-        O2Element(Angle(Fraction(num, 4)), ref)
+        O2Element(Fraction(num, 4), ref)
         for num in range(8)
         for ref in (False, True)
     ]

@@ -24,7 +24,6 @@ from kocom.surfaces import (
     nonstandard_invariant,
     orientable,
     surface_algebra,
-    total_sw,
     unit_inverse,
     unit_order,
     units,
@@ -52,6 +51,18 @@ def closure(gens, one):
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
+
+
+def total_sw(terms):
+    """Total Stiefel-Whitney class of a formal sum: terms are (W, sign)
+    pairs with sign +1 or -1, multiplied as W resp. W^{-1}."""
+    terms = list(terms)
+    if not terms:
+        raise ValueError("need at least one term")
+    out = terms[0][0].algebra.one()
+    for w, sign in terms:
+        out = out * (w if sign > 0 else unit_inverse(w))
+    return out
 
 
 def brute_force_factors(alg):
