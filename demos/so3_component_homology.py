@@ -34,11 +34,15 @@ for triple in ((C1, C2, C2), (C2, C2, C3), (C1, C2, C3)):
     print(f"  {name}: " + " ".join(f"d{i}->{img}" for i, img in enumerate(images)))
 
 print()
-print("boundary matrices (columns = components, canonical order)")
-print(f"  level 2 -> 1: {boundary_matrix(2)}")
-print(f"  level 3 -> 2: {boundary_matrix(3)}")
+print("boundary rows {column: coefficient} (columns = components, canonical order)")
+for n in (2, 3):
+    for row, label in zip(boundary_matrix(n), enumerate_components(n - 1)):
+        print(f"  level {n} -> {n - 1}, row {label}: {row}")
 
 print()
-complex_ = component_complex()
+complex_ = component_complex(6)
+print("homology of the component complex through level 6")
+for p in range(6):
+    print(f"  H_{p} = {complex_.homology(p)}")
 print(f"degree-2 homology of the component complex: {component_homology(2)}")
 print(f"plus the Z/2 from the fundamental group:    {h2_bcom_so3()}")

@@ -56,11 +56,12 @@ def canonical_tuple(t: Sequence[int]) -> D4Tuple:
     """Relabel the involutions by first appearance (c1 first, then c2, then
     c3).  Every permutation of c1, c2, c3 is an automorphism, so this is the
     lexicographically least of the six relabelings.  Entries must be the
-    ints 0..3; anything else raises ValueError."""
-    t = tuple(map(D4Element, t))
+    ints 0..3; anything else raises ValueError (TypeError if unhashable)."""
     first_seen = {D4Element.I: D4Element.I}
     for e in t:
         if e not in first_seen:
+            if e not in _ELEMENTS:
+                raise ValueError(f"{e!r} is not a valid D4Element")
             first_seen[e] = _ELEMENTS[len(first_seen)]
     return tuple(first_seen[e] for e in t)
 
@@ -106,22 +107,20 @@ def face_map(i: int, t: Sequence[int]) -> tuple[int, ...]:
     return t[: i - 1] + (t[i - 1] ^ t[i],) + t[i + 1 :]
 
 
-def boundary_matrix(n: int) -> list[list[int]]:
-    """Matrix of the alternating sum of the induced face maps, from the free
-    abelian group on the level-n components to the level-(n-1) ones.
-    Columns follow enumerate_components(n), rows enumerate_components(n-1);
-    each column is computed on the component's canonical tuple."""
+def boundary_matrix(n: int) -> list[dict[int, int]]:
+    """Sparse rows {column: nonzero coefficient} of the alternating sum of the
+    induced face maps, from the free abelian group on the level-n components
+    (columns, enumerate_components(n)) to the level-(n-1) ones (rows); each
+    column is computed on the component's canonical tuple."""
     if n < 1:
         raise ValueError("boundary needs level >= 1")
-    sources = enumerate_components(n)
-    targets = enumerate_components(n - 1)
-    index = {label: row for row, label in enumerate(targets)}
-    matrix = [[0] * len(sources) for _ in targets]
-    for col, label in enumerate(sources):
+    index = {label: row for row, label in enumerate(enumerate_components(n - 1))}
+    rows: list[dict[int, int]] = [{} for _ in index]
+    for col, label in enumerate(enumerate_components(n)):
         for i in range(n + 1):
-            target = classify_component(face_map(i, label.canonical))
-            matrix[index[target]][col] += (-1) ** i
-    return matrix
+            row = rows[index[classify_component(face_map(i, label.canonical))]]
+            row[col] = row.get(col, 0) + (-1) ** i
+    return [{j: a for j, a in row.items() if a} for row in rows]
 
 
 def component_complex(top: int = 3) -> IntChainComplex:
@@ -132,8 +131,9 @@ def component_complex(top: int = 3) -> IntChainComplex:
     return IntChainComplex(ranks, boundaries)
 
 
-def component_homology(p: int, top: int = 3) -> AbelianGroup:
-    return component_complex(top).homology(p)
+def component_homology(p: int) -> AbelianGroup:
+    """H_p, from component_complex(p + 1), the least top holding d_{p+1}."""
+    return component_complex(p + 1).homology(p)
 
 
 def h2_bcom_so3() -> AbelianGroup:

@@ -1,41 +1,40 @@
 """Integer matrices, Smith normal form, and homology of small chain complexes.
 
-Matrices are plain lists of lists of Python ints.  The Smith reduction
-diagonalizes by row and column elimination around a least nonzero pivot,
-deleting each finished pivot's row and column, and then puts the diagonal
-in divisibility order by gcd/lcm exchanges.  It is exact and dense; the
-largest matrix the package reduces is the 156 x 652 boundary d_6 of
-component_complex(6).  A chain complex keeps the boundary matrices it is
-given and checks d_{p-1} d_p = 0 row by row, with no product matrix.
+A matrix is a list of sparse rows, one {column: nonzero int} dict per row.
+The Smith reduction diagonalizes by exact row and column elimination around
+a least nonzero pivot (a unit ends the search), drops each finished pivot's
+row, and puts the diagonal in divisibility order by gcd/lcm exchanges.  A
+chain complex checks d_{p-1} d_p = 0 on its rows, with no product matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class NotAComplexError(ValueError):
     """Raised when consecutive boundary maps fail to compose to zero."""
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form: positive entries d1 | d2 | ... | dr
-    followed by nothing (zero diagonal entries are dropped).
+def smith_normal_form(rows: Sequence[Mapping[int, int]]) -> list[int]:
+    """Diagonal of the Smith normal form of sparse {column: entry} rows, zero
+    entries ignored: positive d1 | d2 | ... | dr (zero diagonal entries are
+    dropped).
 
     Unimodular row/column operations only: adding an integer multiple of one
-    row/column to another, and deleting a pivot's row and column once the
-    rest of both vanish.
+    row/column to another, and dropping a pivot's row once the rest of its
+    row and column vanish.
     """
     # Rows that become zero are dropped at once, so every row has a least
-    # nonzero entry.
-    work = [list(row) for row in mat if any(row)]
+    # nonzero entry; a column that is zero is simply absent.
+    work = [nonzero for row in rows if (nonzero := {j: a for j, a in row.items() if a})]
     diag: list[int] = []
     while work:
         pivot = None
         for i, row in enumerate(work):
-            size, j = min((abs(x), j) for j, x in enumerate(row) if x)
+            size, j = min((abs(x), j) for j, x in row.items())
             if pivot is None or size < pivot[0]:
                 pivot = size, i, j
                 if size == 1:
@@ -45,26 +44,27 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
         d = prow[pj]
         kept = []
         for row in work:
-            if row[pj] and row is not prow:
+            if pj in row and row is not prow:
                 q = row[pj] // d
-                row = [a - q * b for a, b in zip(row, prow)]
-                if not any(row):
+                for j, b in prow.items():
+                    entry = row.pop(j, 0) - q * b
+                    if entry:
+                        row[j] = entry
+                if not row:
                     continue
             kept.append(row)
         work = kept
-        if any(row[pj] for row in work if row is not prow):
+        if any(pj in row for row in work if row is not prow):
             continue  # each remainder is below |d|; the least is the next pivot
-        rest = [x % d for x in prow]
-        if any(rest):
+        rest = {j: x % d for j, x in prow.items() if x % d}
+        if rest:
             # Column pj is zero off the pivot, so column operations reduce
             # the pivot row mod d without touching any other row.
             rest[pj] = d
-            prow[:] = rest
+            work = [rest if row is prow else row for row in work]
             continue
         diag.append(abs(d))
         work = [row for row in work if row is not prow]
-        for row in work:
-            del row[pj]
     return _divisor_chain(diag)
 
 
@@ -129,30 +129,29 @@ class IntChainComplex:
     """A chain complex of finitely generated free abelian groups.
 
     ranks[p] is the rank of C_p for 0 <= p <= top = len(ranks) - 1, and
-    boundaries[p] is the matrix of d_p: C_p -> C_{p-1}, of shape
-    ranks[p-1] x ranks[p], for 1 <= p <= top.  A boundary may be left out
-    only when its target rank is 0; every d_p outside 1..top is zero.
-    d_{p-1} d_p = 0 is verified at construction: for each row of d_{p-1},
-    the rows of d_p that its nonzero entries pick out, weighted by them,
-    must sum to zero.
+    boundaries[p] holds d_p: C_p -> C_{p-1} for 1 <= p <= top as ranks[p-1]
+    sparse rows with columns in 0..ranks[p]-1; zero entries are dropped.  A
+    boundary may be left out only when its target rank is 0; every d_p
+    outside 1..top is zero.  d_{p-1} d_p = 0 is verified at construction:
+    for each row of d_{p-1}, the rows of d_p that its entries pick out,
+    weighted by them, must sum to zero.
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: dict):
         self.ranks = tuple(int(r) for r in ranks)
         self.boundaries = {}
         for p in range(1, len(self.ranks)):
-            mat = boundaries.get(p, [])
-            if len(mat) != self.ranks[p - 1] or any(len(row) != self.ranks[p] for row in mat):
+            rows, columns = boundaries.get(p, []), range(self.ranks[p])
+            if len(rows) != self.ranks[p - 1] or any(j not in columns for row in rows for j in row):
                 raise ValueError(f"boundary {p} is missing or has the wrong shape")
-            self.boundaries[p] = [list(row) for row in mat]
+            self.boundaries[p] = [{j: a for j, a in row.items() if a} for row in rows]
         for p in range(2, len(self.ranks)):
-            below = [[(j, b) for j, b in enumerate(row) if b] for row in self.boundaries[p]]
+            inner = self.boundaries[p]
             for row in self.boundaries[p - 1]:
                 total: dict[int, int] = {}
-                for a, entries in zip(row, below):
-                    if a:
-                        for j, b in entries:
-                            total[j] = total.get(j, 0) + a * b
+                for k, a in row.items():
+                    for j, b in inner[k].items():
+                        total[j] = total.get(j, 0) + a * b
                 if any(total.values()):
                     raise NotAComplexError(f"d_{p-1} d_{p} != 0")
 

@@ -18,7 +18,7 @@ from kocom.commuting import (
     generates_cyclic,
     h2_bcom_so3,
 )
-from kocom.integral import smith_normal_form
+from kocom.integral import AbelianGroup, smith_normal_form
 from kocom.o2 import D4Element
 
 I, C1, C2, C3 = D4Element.I, D4Element.C1, D4Element.C2, D4Element.C3
@@ -171,17 +171,46 @@ def test_rendering_is_pinned():
     assert str(classify_component((3, 0))) == "identity(I,I)"
 
 
+def to_rows(mat):
+    """A dense matrix as the sparse rows kocom uses: {column: nonzero}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def to_dense(sparse, cols):
+    return [[row.get(j, 0) for j in range(cols)] for row in sparse]
+
+
+def rank_mod(sparse, q):
+    """Rank over F_q by row reduction of dicts, each pivot row scaled to a
+    leading 1; independent of the integral Smith normal form."""
+    pivots = {}
+    for row in sparse:
+        row = {j: x % q for j, x in row.items() if x % q}
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                inverse = pow(row[lead], -1, q)
+                pivots[lead] = {j: x * inverse % q for j, x in row.items()}
+                break
+            factor = row[lead]
+            for j, x in pivots[lead].items():
+                entry = (row.pop(j, 0) - factor * x) % q
+                if entry:
+                    row[j] = entry
+    return len(pivots)
+
+
 def test_boundary_level_2():
-    assert boundary_matrix(2) == [[1, 1]]
+    assert boundary_matrix(2) == to_rows([[1, 1]])
 
 
 def test_boundary_level_3():
     mat = boundary_matrix(3)
-    assert len(mat) == 2 and len(mat[0]) == 8
+    assert len(mat) == 2 and {j for row in mat for j in row} <= set(range(8))
     nonzero_cols = [
-        tuple(row[j] for row in mat)
+        tuple(row.get(j, 0) for row in mat)
         for j in range(8)
-        if any(row[j] for row in mat)
+        if any(row.get(j) for row in mat)
     ]
     assert sorted(nonzero_cols) == [(-2, 2), (2, -2)]
     assert smith_normal_form(mat) == [2]
@@ -190,7 +219,8 @@ def test_boundary_level_3():
 def test_boundaries_compose_to_zero():
     complex_ = component_complex(4)
     for p in range(2, 5):
-        outer, inner = complex_.boundaries[p - 1], complex_.boundaries[p]
+        outer = to_dense(complex_.boundaries[p - 1], complex_.ranks[p - 1])
+        inner = to_dense(complex_.boundaries[p], complex_.ranks[p])
         # Dense product, entry by entry, independent of the construction check.
         for row in outer:
             assert all(sum(a * b for a, b in zip(row, col)) == 0 for col in zip(*inner))
@@ -207,6 +237,34 @@ def test_homology_values():
     ]
 
 
+#: H_0..H_6 of the component complex.
+Z2 = AbelianGroup((2,))
+COMPONENT_HOMOLOGY = (
+    AbelianGroup(free_rank=1), AbelianGroup(), Z2, Z2, Z2, Z2.direct_sum(Z2), Z2.direct_sum(Z2),
+)
+
+
+def test_component_homology_through_degree_six():
+    assert [component_homology(p) for p in range(7)] == list(COMPONENT_HOMOLOGY)
+    assert [str(g) for g in COMPONENT_HOMOLOGY] == [
+        "Z", "0", "Z/2", "Z/2", "Z/2", "Z/2 + Z/2", "Z/2 + Z/2",
+    ]
+
+
+def test_universal_coefficients_mod_2_and_3():
+    # dim H_p(C; F_q) = free rank of H_p + the q-divisible invariant factors
+    # of H_p and of H_{p-1}; the F_q side comes from rank_mod alone.
+    complex7 = component_complex(7)
+    for q in (2, 3):
+        rank = {p: rank_mod(complex7.boundaries[p], q) for p in range(1, 8)}
+        rank[0] = 0
+        for p, group in enumerate(COMPONENT_HOMOLOGY):
+            betti = complex7.ranks[p] - rank[p] - rank[p + 1]
+            below = COMPONENT_HOMOLOGY[p - 1].invariant_factors if p else ()
+            torsion = group.invariant_factors + below
+            assert betti == group.free_rank + sum(1 for d in torsion if d % q == 0), (q, p)
+
+
 def test_level_zero_and_one():
-    assert boundary_matrix(1) == [[0]]
+    assert boundary_matrix(1) == to_rows([[0]])
     assert str(component_homology(0)) == "Z"

@@ -7,13 +7,26 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from kocom.commuting import boundary_matrix
+from kocom.commuting import boundary_matrix, enumerate_components
 from kocom.integral import (
     AbelianGroup,
     IntChainComplex,
     NotAComplexError,
     smith_normal_form,
 )
+
+
+def to_rows(mat):
+    """A dense matrix as the sparse rows kocom uses: {column: nonzero}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def to_dense(sparse, cols):
+    return [[row.get(j, 0) for j in range(cols)] for row in sparse]
+
+
+def dense_boundary(n):
+    return to_dense(boundary_matrix(n), len(enumerate_components(n)))
 
 
 def mat_mult(a, b):
@@ -43,19 +56,19 @@ def oracle_diagonal(mat):
 
 
 def test_snf_frozen_examples():
-    assert smith_normal_form([[1, 1]]) == [1]
-    assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
-    assert smith_normal_form([[0, 0], [0, 0]]) == []
+    assert smith_normal_form(to_rows([[1, 1]])) == [1]
+    assert smith_normal_form(to_rows([[2, 4], [6, 8]])) == [2, 4]
+    assert smith_normal_form(to_rows([[0, 0], [0, 0]])) == []
     # the level-3 boundary shape that matters downstream
     mat = [
         [0, 0, 0, 0, 0, 0, 2, -2],
         [0, 0, 0, 0, 0, 0, -2, 2],
     ]
-    assert smith_normal_form(mat) == [2]
+    assert smith_normal_form(to_rows(mat)) == [2]
 
 
 def test_snf_divisibility_chain():
-    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_normal_form(to_rows([[2, 0], [0, 3]])) == [1, 6]
 
 
 def test_snf_against_sympy_oracle():
@@ -72,9 +85,11 @@ def test_snf_against_sympy_oracle():
         cols = rng.randrange(1, 11)
         entries = (0, 0, 0, 2, -2, 3, -3, 4, -4, 6)
         sparse.append([[rng.choice(entries) for _ in range(cols)] for _ in range(rows)])
-    boundaries = [boundary_matrix(n) for n in range(1, 7)]
+    boundaries = [dense_boundary(n) for n in range(1, 7)]
     for mat in dense + sparse + boundaries:
-        ours = smith_normal_form(mat)
+        ours = smith_normal_form(to_rows(mat))
+        # Explicit zero entries are dropped on entry.
+        assert smith_normal_form([dict(enumerate(row)) for row in mat]) == ours
         assert sorted(ours) == ours  # ascending by divisibility implies sorted
         assert ours == sorted(ours)
         assert ours == oracle_diagonal(mat), mat
@@ -113,7 +128,7 @@ def test_direct_sum():
 
 def test_chain_complex_rejects_nonzero_composite():
     with pytest.raises(NotAComplexError):
-        IntChainComplex([1, 1, 1], {1: [[1]], 2: [[1]]})
+        IntChainComplex([1, 1, 1], {1: to_rows([[1]]), 2: to_rows([[1]])})
 
 
 def test_composite_check_against_dense_product():
@@ -132,17 +147,17 @@ def test_composite_check_against_dense_product():
         r0, half, r2 = rng.randrange(1, 5), rng.randrange(1, 4), rng.randrange(1, 6)
         m, c = sparse(r0, half), sparse(half, r2)
         pairs.append(([row + row for row in m], c + [[-x for x in row] for row in c]))
-    pairs.extend((boundary_matrix(n - 1), boundary_matrix(n)) for n in range(2, 6))
+    pairs.extend((dense_boundary(n - 1), dense_boundary(n)) for n in range(2, 6))
     outcomes = set()
     for outer, inner in pairs:
         ranks = [len(outer), len(inner), len(inner[0])]
         composite_is_zero = not any(any(row) for row in mat_mult(outer, inner))
         outcomes.add(composite_is_zero)
         if composite_is_zero:
-            IntChainComplex(ranks, {1: outer, 2: inner})
+            IntChainComplex(ranks, {1: to_rows(outer), 2: to_rows(inner)})
         else:
             with pytest.raises(NotAComplexError):
-                IntChainComplex(ranks, {1: outer, 2: inner})
+                IntChainComplex(ranks, {1: to_rows(outer), 2: to_rows(inner)})
     assert outcomes == {True, False}
 
 
@@ -150,15 +165,15 @@ def test_chain_complex_requires_boundaries_into_nonzero_rank():
     with pytest.raises(ValueError):
         IntChainComplex([1, 1], {})
     with pytest.raises(ValueError):
-        IntChainComplex([2, 1, 1], {2: [[1]]})
+        IntChainComplex([2, 1, 1], {2: to_rows([[1]])})
     with pytest.raises(ValueError):
-        IntChainComplex([1, 2], {1: [[1]]})  # wrong shape
+        IntChainComplex([1, 2], {1: to_rows([[1, 0, 1]])})  # a column past rank C_1
     # A boundary into rank 0 may be left out.
     assert str(IntChainComplex([0, 2], {}).homology(1)) == "Z^2"
 
 
 def test_homology_outside_the_stored_degrees_is_zero():
-    circle = IntChainComplex([2, 2], {1: [[1, -1], [-1, 1]]})
+    circle = IntChainComplex([2, 2], {1: to_rows([[1, -1], [-1, 1]])})
     assert str(circle.homology(-1)) == "0"
     assert str(circle.homology(2)) == "0"
 
@@ -171,7 +186,7 @@ def test_chain_complex_homology_examples():
     zero = IntChainComplex([0, 0], {1: []})
     assert zero.homology(0) == AbelianGroup()
     # Z --2--> Z has H_0 = Z/2, H_1 = 0
-    doubling = IntChainComplex([1, 1], {1: [[2]]})
+    doubling = IntChainComplex([1, 1], {1: to_rows([[2]])})
     assert str(doubling.homology(0)) == "Z/2"
     assert doubling.homology(1) == AbelianGroup()
 
@@ -179,6 +194,23 @@ def test_chain_complex_homology_examples():
 def test_chain_complex_circle():
     # two vertices, two edges glued into a circle
     d1 = [[1, -1], [-1, 1]]
-    circle = IntChainComplex([2, 2], {1: d1})
+    circle = IntChainComplex([2, 2], {1: to_rows(d1)})
     assert str(circle.homology(0)) == "Z"
     assert str(circle.homology(1)) == "Z"
+
+
+def test_sparse_rows_edge_cases():
+    # Explicit zeros are dropped; {0: 0} is a zero row, not a pivot.
+    assert smith_normal_form([{0: 0}]) == []
+    assert smith_normal_form([{}, {0: 0, 3: 2}, {}]) == [2]
+    complex_ = IntChainComplex([1, 2], {1: [{0: 0, 1: 3}]})
+    assert complex_.boundaries[1] == [{1: 3}]
+    assert str(complex_.homology(0)) == "Z/3"
+    # Empty rows are allowed.
+    assert str(IntChainComplex([2, 1], {1: [{}, {0: 2}]}).homology(0)) == "Z + Z/2"
+    # Column keys index 0..rank - 1, and there is one row per target basis element.
+    for bad in ({-1: 1}, {2: 1}, {0: 1, 5: 0}):
+        with pytest.raises(ValueError):
+            IntChainComplex([1, 2], {1: [bad]})
+    with pytest.raises(ValueError):
+        IntChainComplex([2, 1], {1: [{0: 1}]})
