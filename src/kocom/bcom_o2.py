@@ -94,10 +94,10 @@ def inversion_pullback(alg: F2Algebra) -> RingMap:
     )
 
 
-def line_pair_restriction(alg: F2Algebra, target: F2Algebra | None = None) -> RingMap:
+def line_pair_restriction(alg: F2Algebra) -> RingMap:
     """Restriction to a pair of line bundles: w1 -> u + v, w2 -> uv, and
     both r and s restrict to zero."""
-    target = target or line_pair_algebra(alg.cap)
+    target = line_pair_algebra(alg.cap)
     return RingMap(
         alg,
         target,
@@ -110,10 +110,10 @@ def line_pair_restriction(alg: F2Algebra, target: F2Algebra | None = None) -> Ri
     )
 
 
-def so2_restriction(alg: F2Algebra, target: F2Algebra | None = None) -> RingMap:
+def so2_restriction(alg: F2Algebra) -> RingMap:
     """Restriction to oriented plane bundles: w1 -> 0, w2 -> e, and r -> 0
     (integrally r restricts to twice the Euler class, hence to 0 mod 2)."""
-    target = target or euler_algebra(alg.cap)
+    target = euler_algebra(alg.cap)
     return RingMap(
         alg,
         target,

@@ -125,10 +125,12 @@ def boundary_matrix(n: int) -> list[dict[int, int]]:
 
 def component_complex(top: int = 3) -> IntChainComplex:
     """The chain complex of level-0..top component groups with the
-    alternating-sum boundaries."""
-    ranks = [len(enumerate_components(n)) for n in range(top + 1)]
+    alternating-sum boundaries.  d_n has one row per level-(n-1) component,
+    so only level top is enumerated for its rank alone."""
+    top_rank = len(enumerate_components(top))  # before the boundaries: a lower peak
     boundaries = {n: boundary_matrix(n) for n in range(1, top + 1)}
-    return IntChainComplex(ranks, boundaries)
+    ranks = [len(boundaries[n]) for n in range(1, top + 1)]
+    return IntChainComplex(ranks + [top_rank], boundaries)
 
 
 def component_homology(p: int) -> AbelianGroup:

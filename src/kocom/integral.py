@@ -131,15 +131,18 @@ class IntChainComplex:
     ranks[p] is the rank of C_p for 0 <= p <= top = len(ranks) - 1, and
     boundaries[p] holds d_p: C_p -> C_{p-1} for 1 <= p <= top as ranks[p-1]
     sparse rows with columns in 0..ranks[p]-1; zero entries are dropped.  A
-    boundary may be left out only when its target rank is 0; every d_p
-    outside 1..top is zero.  d_{p-1} d_p = 0 is verified at construction:
-    for each row of d_{p-1}, the rows of d_p that its entries pick out,
-    weighted by them, must sum to zero.
+    boundary may be left out only when its target rank is 0, and a key
+    outside 1..top raises ValueError; every d_p outside 1..top is zero.
+    d_{p-1} d_p = 0 is verified at construction: for each row of d_{p-1},
+    the rows of d_p that its entries pick out, weighted by them, must sum
+    to zero.
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: dict):
         self.ranks = tuple(int(r) for r in ranks)
         self.boundaries = {}
+        if any(p not in range(1, len(self.ranks)) for p in boundaries):
+            raise ValueError(f"boundary keys must lie in 1..{len(self.ranks) - 1}")
         for p in range(1, len(self.ranks)):
             rows, columns = boundaries.get(p, []), range(self.ranks[p])
             if len(rows) != self.ranks[p - 1] or any(j not in columns for row in rows for j in row):

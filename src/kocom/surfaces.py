@@ -155,11 +155,7 @@ def unit_order(u: F2Class) -> int:
 
 
 def unit_inverse(u: F2Class) -> F2Class:
-    order = unit_order(u)
-    out = u.algebra.one()
-    for _ in range(order - 1):
-        out = out * u
-    return out
+    return u ** (unit_order(u) - 1)
 
 
 class FiniteAbelianGroup:
@@ -207,8 +203,7 @@ class KOGenerator:
 
     name: str
     unit: F2Class
-    kind: str  # "line" | "euler"
-    w1: F2Class  # w1 of the underlying line bundle (zero for the euler kind)
+    w1: F2Class  # w1 of the underlying bundle (zero for the sphere's class)
 
 
 @dataclass(frozen=True)
@@ -246,34 +241,11 @@ class RingPresentation:
 
 def ko_generators(surface: Surface, alg: F2Algebra) -> list:
     if surface.kind == "sphere":
-        return [KOGenerator("e1", alg.one() + alg.gen("y2"), "euler", alg.zero())]
-    gens = []
-    for name, degree in alg.generators:
-        if degree == 1:
-            gens.append(
-                KOGenerator(f"l_{name}", alg.one() + alg.gen(name), "line", alg.gen(name))
-            )
-    return gens
-
-
-def _product_unit(a: KOGenerator, b: KOGenerator) -> F2Class:
-    """Unit of the product of two virtual generators via W.
-
-    Two line classes: W((L-1)(L'-1)) = W(L (x) L') W(L)^{-1} W(L')^{-1}
-    with W(L (x) L') = 1 + w1(L) + w1(L').  Two rank-two classes: the
-    tensor's w2 is determined by the two w1's (both zero here), and the
-    rank bookkeeping contributes W(E)^{-2} W(F)^{-2}.
-    """
-    alg = a.unit.algebra
-    if a.kind == "line" and b.kind == "line":
-        tensor = alg.one() + a.w1 + b.w1
-        return tensor * unit_inverse(a.unit) * unit_inverse(b.unit)
-    if a.kind == "euler" and b.kind == "euler":
-        w2 = a.w1 * a.w1 + a.w1 * b.w1 + b.w1 * b.w1
-        tensor = alg.one() + w2
-        inv_a, inv_b = unit_inverse(a.unit), unit_inverse(b.unit)
-        return tensor * inv_a * inv_a * inv_b * inv_b
-    raise ValueError("mixed line/euler products do not arise here")
+        return [KOGenerator("e1", alg.one() + alg.gen("y2"), alg.zero())]
+    return [
+        KOGenerator(f"l_{name}", alg.one() + alg.gen(name), alg.gen(name))
+        for name in degree_one_names(alg)
+    ]
 
 
 def ko_presentation(surface: Surface) -> RingPresentation:
@@ -282,31 +254,41 @@ def ko_presentation(surface: Surface) -> RingPresentation:
     a monomial relation; a product unit equal to the square of a generator
     unit gives x_i x_j + 2 x_k (one relation per matching k); products
     sharing a unit outside the generator span give pairwise sum relations.
+
+    The product units come from W.  Two line classes:
+    W((L-1)(L'-1)) = W(L (x) L') W(L)^{-1} W(L')^{-1} with
+    W(L (x) L') = 1 + w1(L) + w1(L').  Two rank-two classes (the sphere's
+    only generator): the tensor's w2 is determined by the two w1's (both
+    zero here), and the rank bookkeeping contributes W(E)^{-2} W(F)^{-2}.
     """
     alg = surface_algebra(surface)
     gens = ko_generators(surface, alg)
     names = tuple(g.name for g in gens)
     orders = tuple(unit_order(g.unit) for g in gens)
-    squares = [g.unit * g.unit for g in gens]
+    inverses = [g.unit ** (order - 1) for g, order in zip(gens, orders)]
     one = alg.one()
+    doublings: dict = {}
+    for k, g in enumerate(gens):
+        doublings.setdefault(g.unit * g.unit, []).append(k)
+    if surface.kind == "sphere":
+        factors = [inv * inv for inv in inverses]
+        tensor = lambda a, b: one + a * a + a * b + b * b
+    else:
+        factors = inverses
+        tensor = lambda a, b: one + a + b
 
     relations = []
     leftovers: dict = {}
     for i in range(len(gens)):
         for j in range(i, len(gens)):
-            u = _product_unit(gens[i], gens[j])
+            u = tensor(gens[i].w1, gens[j].w1) * factors[i] * factors[j]
+            pair = (names[i], names[j])
             if u == one:
-                relations.append(((1, (names[i], names[j])),))
-                continue
-            doublings = [k for k, square in enumerate(squares) if square == u]
-            if doublings:
-                for k in doublings:
-                    coeff = 2 % orders[k]
-                    relations.append(
-                        ((1, (names[i], names[j])), (coeff, (names[k],)))
-                    )
+                relations.append(((1, pair),))
+            elif u in doublings:
+                relations.extend(((1, pair), (2 % orders[k], (names[k],))) for k in doublings[u])
             else:
-                leftovers.setdefault(u, []).append((names[i], names[j]))
+                leftovers.setdefault(u, []).append(pair)
     for pairs in leftovers.values():
         for p, q in itertools.combinations(pairs, 2):
             relations.append(((1, p), (1, q)))

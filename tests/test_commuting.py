@@ -6,6 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from kocom import commuting
 from kocom.commuting import (
     ComponentLabel,
     boundary_matrix,
@@ -214,6 +215,22 @@ def test_boundary_level_3():
     ]
     assert sorted(nonzero_cols) == [(-2, 2), (2, -2)]
     assert smith_normal_form(mat) == [2]
+
+
+def test_component_complex_reads_ranks_off_boundaries(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return enumerate_components(n)
+
+    monkeypatch.setattr(commuting, "enumerate_components", counted)
+    complex_ = component_complex(6)
+    # each boundary_matrix(n) enumerates levels n - 1 and n; only the top
+    # level is enumerated again, for its rank
+    assert len(calls) == 2 * 6 + 1
+    assert complex_.ranks == tuple(len(enumerate_components(n)) for n in range(7))
+    assert component_complex(0).ranks == (1,)
 
 
 def test_boundaries_compose_to_zero():

@@ -214,3 +214,13 @@ def test_sparse_rows_edge_cases():
             IntChainComplex([1, 2], {1: [bad]})
     with pytest.raises(ValueError):
         IntChainComplex([2, 1], {1: [{0: 1}]})
+    # Boundary keys lie in 1..top; nothing outside is silently dropped.
+    for ranks, boundaries in (
+        ([1], {1: [{0: 5}]}),
+        ([1, 1], {1: [{0: 1}], 2: []}),
+        ([1, 1], {1: [{0: 1}], 0: []}),
+        ([0, 1], {-1: []}),
+        ([], {1: []}),
+    ):
+        with pytest.raises(ValueError):
+            IntChainComplex(ranks, boundaries)

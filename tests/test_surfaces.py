@@ -241,6 +241,39 @@ def test_presentations_match_golden():
         assert ko_presentation(surface).to_text() == load_golden(surface), surface
 
 
+def expected_presentation(surface):
+    """The presentation text written straight from the cup-product pairing:
+    genus generators have order 2 and every product vanishes except the
+    l_ai*l_bi, which all agree; crosscap generators have order 4, every
+    square is twice each generator, and distinct ones multiply to zero."""
+    if surface.kind == "sphere":
+        return "generators: e1\n2*e1\ne1^2\n"
+    n = surface.count
+    pairs = itertools.combinations_with_replacement
+    if surface.kind == "orientable":
+        names = [f"l_{c}{i}" for c in "ab" for i in range(1, n + 1)]
+        paired = [f"l_a{i}*l_b{i}" for i in range(1, n + 1)]
+        monomials = [f"{x}^2" if x == y else f"{x}*{y}" for x, y in pairs(names, 2)]
+        lines = [f"2*{x}" for x in names]
+        lines += [m for m in monomials if m not in paired]
+        lines += [f"{p} + {q}" for p, q in itertools.combinations(paired, 2)]
+    else:
+        names = [f"l_a{i}" for i in range(1, n + 1)]
+        lines = [f"4*{x}" for x in names]
+        for x, y in pairs(names, 2):
+            lines += [f"{x}^2 + 2*{z}" for z in names] if x == y else [f"{x}*{y}"]
+    return "\n".join(["generators: " + " ".join(names), *lines]) + "\n"
+
+
+def test_presentations_match_closed_form():
+    for surface in (
+        SPHERE,
+        *(orientable(g) for g in range(1, 7)),
+        *(nonorientable(n) for n in range(1, 13)),
+    ):
+        assert ko_presentation(surface).to_text() == expected_presentation(surface), surface
+
+
 def test_presentation_relation_counts():
     pres = ko_presentation(nonorientable(2))
     assert pres.generators == ("l_a1", "l_a2")
