@@ -20,13 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2poly import (
-    F2Algebra,
-    F2Class,
-    RingMap,
-    elementary_symmetric,
-    polynomial_algebra,
-)
+from .f2poly import F2Algebra, F2Class, RingMap, elementary_symmetric
 
 
 class IdentityFailsError(AssertionError):
@@ -62,7 +56,7 @@ def bcom_o2_algebra(cap: int = 6) -> F2Algebra:
 
 def line_pair_algebra(cap: int = 6) -> F2Algebra:
     """F2[u, v], the cohomology of a pair of line bundles, truncated."""
-    alg = polynomial_algebra([("u", 1), ("v", 1)], cap, name="F2[u,v]")
+    alg = F2Algebra([("u", 1), ("v", 1)], cap=cap, name="F2[u,v]")
     alg.set_total_squares(
         {
             "u": alg.cls({"u": 1}, {"u": 2}),
@@ -74,7 +68,7 @@ def line_pair_algebra(cap: int = 6) -> F2Algebra:
 
 def euler_algebra(cap: int = 6) -> F2Algebra:
     """F2[e] on the mod-2 Euler class of the oriented rotation subgroup."""
-    alg = polynomial_algebra([("e", 2)], cap, name="F2[e]")
+    alg = F2Algebra([("e", 2)], cap=cap, name="F2[e]")
     alg.set_total_squares({"e": alg.cls({"e": 1}, {"e": 2})})
     return alg
 
@@ -138,17 +132,11 @@ RANK2_RANK2 = "rank2-rank2"
 RANK2_LINE = "rank2-line"
 
 
-def splitting_ring(cap: int = 4) -> F2Algebra:
-    """F2[x1, x2, y1, y2, z]: formal line classes splitting two plane
-    bundles (x's and y's) and one line bundle (z)."""
-    return polynomial_algebra(
-        [("x1", 1), ("x2", 1), ("y1", 1), ("y2", 1), ("z", 1)], cap, name="splitting"
-    )
-
-
-def splitting_oracle_w2_tensor(case: str, ring: F2Algebra | None = None) -> F2Class:
+def splitting_oracle_w2_tensor(case: str) -> F2Class:
     """Verify a w2-of-tensor-product formula against the elementary-symmetric
-    oracle in the splitting ring and return the common value.
+    oracle in the splitting ring F2[x1, x2, y1, y2, z] (formal line classes
+    splitting two plane bundles, the x's and y's, and one line bundle z)
+    and return the common value, which lives in that ring.
 
     rank2-rank2: w2(E (x) F) = w1(E)^2 + w1(E) w1(F) + w1(F)^2, with the
     oracle e2 of the four sums x_i + y_j.
@@ -158,7 +146,9 @@ def splitting_oracle_w2_tensor(case: str, ring: F2Algebra | None = None) -> F2Cl
     what the splitting principle produces; it vanishes in every use site
     here, where w1(E) = 0.)
     """
-    ring = ring or splitting_ring()
+    ring = F2Algebra(
+        [("x1", 1), ("x2", 1), ("y1", 1), ("y2", 1), ("z", 1)], cap=4, name="splitting"
+    )
     x1, x2 = ring.gen("x1"), ring.gen("x2")
     y1, y2 = ring.gen("y1"), ring.gen("y2")
     z = ring.gen("z")

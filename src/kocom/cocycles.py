@@ -184,8 +184,6 @@ def bundle_class(loop: O2Path) -> int:
         degree = loop_degree(loop.right_mul_constant(reflected_rotation(0)))
     else:
         raise MixedComponentsError("loop visits both components of O(2)")
-    if degree.denominator != 1:
-        raise ValueError(f"degree {degree} of a closed loop is not an integer")
     return int(degree)
 
 

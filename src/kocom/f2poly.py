@@ -304,12 +304,6 @@ class RingMap:
         return F2Class(self.target, self.target._evaluate(self.powers, x.monomials))
 
 
-def polynomial_algebra(generators: Sequence[tuple], cap: int, name: str = "") -> F2Algebra:
-    """Free graded-commutative polynomial algebra (no relations) truncated
-    at the cap."""
-    return F2Algebra(generators, (), cap, name)
-
-
 def elementary_symmetric(classes: Iterable[F2Class], k: int) -> F2Class:
     """e_k of the given classes, by direct expansion over k-subsets."""
     classes = list(classes)

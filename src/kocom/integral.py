@@ -65,7 +65,8 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]]) -> list[int]:
             continue
         diag.append(abs(d))
         work = [row for row in work if row is not prow]
-    return _divisor_chain(diag)
+    # Unit pivots divide everything, so only the rest need the exchanges.
+    return [1] * diag.count(1) + _divisor_chain(d for d in diag if d > 1)
 
 
 def _divisor_chain(values: Iterable[int]) -> list[int]:

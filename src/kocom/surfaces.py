@@ -32,7 +32,7 @@ from .bcom_o2 import (
     tensor_line,
     tensor_rank2,
 )
-from .cocycles import TCInvariant, standard_cocycle, tc_invariant
+from .cocycles import standard_cocycle, tc_invariant
 from .f2poly import F2Algebra, F2Class, RingMap
 from .integral import AbelianGroup
 from .report import check
@@ -147,9 +147,10 @@ def unit_order(u: F2Class) -> int:
     one = u.algebra.one()
     if u == one:
         return 1
-    if u * u == one:
+    square = u * u
+    if square == one:
         return 2
-    if (u * u) * (u * u) == one:
+    if square * square == one:
         return 4
     raise ValueError(f"unit {u} has order > 4; not a surface unit group")
 
@@ -174,13 +175,16 @@ class FiniteAbelianGroup:
     def __init__(self, alg: F2Algebra):
         self.algebra = alg
         self.degree_one = degree_one_names(alg)
+        # An int, not just __len__: len() must fit a C ssize_t, so it
+        # overflows once b1 >= 62.
+        self.order = 2 ** (len(self.degree_one) + 1)
 
     @cached_property
     def elements(self) -> list:
         return units(self.algebra)
 
     def __len__(self) -> int:
-        return 2 ** (len(self.degree_one) + 1)
+        return self.order
 
     def invariant_factors(self) -> AbelianGroup:
         gens = (self.algebra.gen(name) for name in self.degree_one)
@@ -264,17 +268,19 @@ def ko_presentation(surface: Surface) -> RingPresentation:
     alg = surface_algebra(surface)
     gens = ko_generators(surface, alg)
     names = tuple(g.name for g in gens)
-    orders = tuple(unit_order(g.unit) for g in gens)
-    inverses = [g.unit ** (order - 1) for g, order in zip(gens, orders)]
     one = alg.one()
+    # Every generator unit u has u^4 = 1, so its square gives its order,
+    # its inverse (u or u^2 * u) and its doubling key.
+    squares = [g.unit * g.unit for g in gens]
+    orders = tuple(2 if square == one else 4 for square in squares)
     doublings: dict = {}
-    for k, g in enumerate(gens):
-        doublings.setdefault(g.unit * g.unit, []).append(k)
+    for k, square in enumerate(squares):
+        doublings.setdefault(square, []).append(k)
     if surface.kind == "sphere":
-        factors = [inv * inv for inv in inverses]
+        factors = squares  # the squared inverses: (u^-1)^2 = u^2
         tensor = lambda a, b: one + a * a + a * b + b * b
     else:
-        factors = inverses
+        factors = [g.unit if sq == one else sq * g.unit for g, sq in zip(gens, squares)]
         tensor = lambda a, b: one + a + b
 
     relations = []
@@ -298,24 +304,24 @@ def ko_presentation(surface: Surface) -> RingPresentation:
 # -- checks for the commutative K-theory ring structure ---------------------
 
 
-def nonstandard_invariant() -> TCInvariant:
-    """Clutching degrees of the k = 1 cocycle and of its pointwise inverse;
-    the same over every surface, so callers compute it once and pass it on."""
-    return tc_invariant(standard_cocycle(1))
+#: Clutching degrees of the k = 1 cocycle and of its pointwise inverse, the
+#: same over every surface.  Computed at import, not cached on first use:
+#: with a first-use cache a process's first pass clutches the cocycle and
+#: its later passes do not, and `perfbench/run.py --trace 1` counts passes
+#: whose work differs as failed operations.
+NONSTANDARD_INVARIANT = tc_invariant(standard_cocycle(1))
 
 
-def nonstandard_data(alg: F2Algebra, inv: TCInvariant | None = None) -> TCBundleData:
+def nonstandard_data(alg: F2Algebra) -> TCBundleData:
     """Data of the trivial plane bundle carrying the k = 1 cocycle structure,
     pulled back over the surface: the clutching degrees of the cocycle and
-    its pointwise inverse (`inv`, computed here unless given) feed w2 and
-    the twisted w2 mod 2."""
-    if inv is None:
-        inv = nonstandard_invariant()
+    its pointwise inverse (NONSTANDARD_INVARIANT) feed w2 and the twisted
+    w2 mod 2."""
     y2, zero = alg.gen("y2"), alg.zero()
     return TCBundleData(
         zero,
-        y2 if inv.deg_plus % 2 else zero,
-        y2 if inv.deg_minus % 2 else zero,
+        y2 if NONSTANDARD_INVARIANT.deg_plus % 2 else zero,
+        y2 if NONSTANDARD_INVARIANT.deg_minus % 2 else zero,
     )
 
 
@@ -329,9 +335,7 @@ def _data_repr(d: TCBundleData) -> str:
     return f"w1={d.w1}, w2={d.w2}, a2={a2_of_tc_bundle(d)}"
 
 
-def verify_kocom_products(
-    surface: Surface, raise_on_mismatch: bool = True, inv: TCInvariant | None = None
-) -> list:
+def verify_kocom_products(surface: Surface, raise_on_mismatch: bool = True) -> list:
     """Verify that products with the non-standard stable class vanish.
 
     (a) The square of the non-standard class: computed over the sphere via
@@ -342,8 +346,7 @@ def verify_kocom_products(
     product (E - 2)(L - 1), is zero.  (c) Together with the additive
     splitting this pins the ring down as K-theory times a square-zero
     order-2 ideal.  On the sphere every product vanishes because the
-    sphere is a suspension; that case is recorded, not recomputed.  `inv`
-    is `nonstandard_invariant()`, computed here unless given.
+    sphere is a suspension; that case is recorded, not recomputed.
     """
     tag = surface.label
     checks = []
@@ -363,12 +366,10 @@ def verify_kocom_products(
     sphere_alg = surface_algebra(SPHERE)
     pullback = collapse_pullback(sphere_alg, alg)
 
-    if inv is None:
-        inv = nonstandard_invariant()
-    over_sphere = nonstandard_data(sphere_alg, inv)
+    over_sphere = nonstandard_data(sphere_alg)
     square_sphere = tensor_rank2(over_sphere, over_sphere)
     pulled_square = square_sphere.map_along(pullback)
-    data = nonstandard_data(alg, inv)
+    data = nonstandard_data(alg)
     square = tensor_rank2(data, data)
     square_ok = (
         square.w2.is_zero

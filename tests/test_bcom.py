@@ -19,7 +19,6 @@ from kocom.bcom_o2 import (
     line_pair_restriction,
     so2_restriction,
     splitting_oracle_w2_tensor,
-    splitting_ring,
     tensor_line,
     tensor_rank2,
     trivial_data,
@@ -155,7 +154,8 @@ def test_splitting_identities_hold():
 
 def test_tensor_square_collapses_to_w1_square():
     # substituting the same plane bundle for both factors leaves w1(E)^2
-    ring = splitting_ring()
+    value = splitting_oracle_w2_tensor(RANK2_RANK2)
+    ring = value.algebra
     substitute = RingMap(
         ring,
         ring,
@@ -167,29 +167,28 @@ def test_tensor_square_collapses_to_w1_square():
             "z": ring.zero(),
         },
     )
-    value = splitting_oracle_w2_tensor(RANK2_RANK2, ring)
     w1e = ring.gen("x1") + ring.gen("x2")
     assert substitute(value) == w1e * w1e
 
 
 def test_tensor_with_trivial_line_returns_w2():
-    ring = splitting_ring()
+    value = splitting_oracle_w2_tensor(RANK2_LINE)
+    ring = value.algebra
     drop_z = RingMap(
         ring,
         ring,
         {name: (ring.zero() if name == "z" else ring.gen(name)) for name, _ in ring.generators},
     )
-    value = splitting_oracle_w2_tensor(RANK2_LINE, ring)
     assert drop_z(value) == ring.gen("x1") * ring.gen("x2")
 
 
 def test_rank2_line_cross_term_is_w1e_times_w1l():
     # the oracle value minus the no-cross-term guess is exactly w1(E)*w1(L),
     # so the cross term cannot be replaced by w1(E)^2
-    ring = splitting_ring()
+    value = splitting_oracle_w2_tensor(RANK2_LINE)
+    ring = value.algebra
     x1, x2, z = ring.gen("x1"), ring.gen("x2"), ring.gen("z")
     w1e, w2e = x1 + x2, x1 * x2
-    value = splitting_oracle_w2_tensor(RANK2_LINE, ring)
     assert value + (w2e + z * z) == w1e * z
     assert value != w2e + w1e * w1e + z * z
 

@@ -69,6 +69,11 @@ def test_snf_frozen_examples():
 
 def test_snf_divisibility_chain():
     assert smith_normal_form(to_rows([[2, 0], [0, 3]])) == [1, 6]
+    # unit pivots mixed among non-units, in the diagonal and in pivot order
+    diagonal = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, -1]]
+    assert smith_normal_form(to_rows(diagonal)) == [1, 1, 1, 6]
+    # pivots 2, then 3, then a unit left over by the elimination
+    assert smith_normal_form(to_rows([[2, 0, 0], [0, 3, 3], [0, 3, 4]])) == [1, 1, 6]
 
 
 def test_snf_against_sympy_oracle():

@@ -8,10 +8,10 @@ import random
 import pytest
 
 from kocom.bcom_o2 import a2_of_tc_bundle, direct_sum, line_data, trivial_data
-from kocom.cocycles import TCInvariant
 from kocom.integral import AbelianGroup
 from kocom.suites import load_golden
 from kocom.surfaces import (
+    NONSTANDARD_INVARIANT,
     SPHERE,
     MismatchError,
     Surface,
@@ -21,7 +21,6 @@ from kocom.surfaces import (
     ko_presentation,
     nonorientable,
     nonstandard_data,
-    nonstandard_invariant,
     orientable,
     surface_algebra,
     unit_inverse,
@@ -157,6 +156,14 @@ def test_unit_group_shape_matches_brute_force():
         group = units_group(alg)
         assert len(group) == len(units(alg)), surface
         assert group.invariant_factors() == brute_force_factors(alg), surface
+        assert group.order == len(group), surface
+
+
+def test_unit_group_order_past_the_len_limit():
+    # 2^63 elements: more than len() can return
+    group = units_group(surface_algebra(nonorientable(62)))
+    assert group.order == 2**63
+    assert group.invariant_factors() == AbelianGroup.from_orders([4] + [2] * 61)
 
 
 def test_unit_group_closure_small_and_sampled():
@@ -308,15 +315,9 @@ def test_nonstandard_data_and_pullback():
     assert pulled == nonstandard_data(target)
 
 
-def test_nonstandard_invariant_passed_in_matches_default():
-    inv = nonstandard_invariant()
+def test_nonstandard_invariant_is_the_k1_clutching():
+    inv = NONSTANDARD_INVARIANT
     assert (inv.deg_plus, inv.deg_minus, inv.a2) == (0, -1, 1)
-    for surface in (orientable(2), nonorientable(3)):
-        alg = surface_algebra(surface)
-        assert nonstandard_data(alg, inv) == nonstandard_data(alg)
-        assert verify_kocom_products(surface, inv=inv) == verify_kocom_products(surface)
-        # the passed invariant is the one used
-        assert a2_of_tc_bundle(nonstandard_data(alg, TCInvariant(0, 0))) == 0
 
 
 def test_verify_kocom_products_all_required_surfaces():
