@@ -5,7 +5,7 @@
 Suites: cocycles, so3-homology, char-classes, surface-ko, all.  Options:
 --k-range/--n-range as inclusive lo..hi pairs of at most 41 values,
 --surface as sphere | genus:<g> | rp:<n> with b1 <= 40, --degree-cap
-4..24 for the characteristic algebra, and --out for the structured
+4..32 for the characteristic algebra, and --out for the structured
 report.  Exit code 0 when every check passes, 1 when any fails or none
 ran, 2 for bad arguments or an --out path that cannot be written.
 """
@@ -48,9 +48,10 @@ MAX_SURFACE_B1 = 40
 MAX_RANGE_VALUES = 41
 
 #: Largest --degree-cap; the characteristic algebra grows with the cap, and
-#: at this bound `kocom verify char-classes` takes under a second (0.8 s on
-#: a 2-CPU VM with Python 3.11).
-MAX_DEGREE_CAP = 24
+#: at this bound `kocom verify char-classes` takes about a second from the
+#: shell (medians of 0.81 and 0.96 s over two sets of 5 runs, 0.6 s of it
+#: in the suite, on a 2-CPU VM with Python 3.11).
+MAX_DEGREE_CAP = 32
 
 
 def parse_surface(text: str) -> Surface:

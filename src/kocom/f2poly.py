@@ -10,6 +10,8 @@ degree cap: products simply drop monomials beyond it.
 
 A ring map keeps, per source generator, the powers of that generator's
 image; a monomial maps to the product of one table entry per generator.
+A map keeps each source monomial's image once it is formed, so a class
+maps to the sum of stored images and no monomial's image is formed twice.
 The total Steenrod square is such a map: by the Cartan formula it is the
 ring endomorphism determined by the squares of the generators, which are
 checked against the relations when they are set.
@@ -71,9 +73,10 @@ class F2Algebra:
             for lhs, rhs in relations
         )
         self._reduce_cache: dict = {}
-        # Powers of the generators' total squares, as monomial sets; never
-        # classes or maps of this algebra, which would refer back to it.
-        self._square_powers: tuple | None = None
+        # The total square as (powers, images) of monomial sets, as a
+        # RingMap keeps them; never classes or maps of this algebra, which
+        # would refer back to it.
+        self._square: tuple | None = None
 
     # -- monomial plumbing -------------------------------------------------
 
@@ -181,22 +184,33 @@ class F2Algebra:
             powers.append(self._product(powers[-1], image))
         return tuple(powers)
 
-    def _evaluate(self, powers: Sequence[tuple], monomials: Iterable[Monomial]) -> frozenset:
+    def _evaluate(
+        self, powers: Sequence[tuple], images: dict, monomials: Iterable[Monomial]
+    ) -> frozenset:
         """Image of a sum of source monomials under the ring map into this
         algebra that sends the e-th power of source generator i to
-        powers[i][e]."""
-        one = self.one().monomials
+        powers[i][e].  `images` holds the map's image of each source
+        monomial formed so far and gains those formed here."""
         acc: set = set()
         for mono in monomials:
-            factors = [table[e] for table, e in zip(powers, mono) if e]
-            acc ^= functools.reduce(self._product, factors) if factors else one
+            image = images.get(mono)
+            if image is None:
+                factors = [table[e] for table, e in zip(powers, mono) if e]
+                if factors:
+                    image = functools.reduce(self._product, factors)
+                else:
+                    image = self.one().monomials
+                images[mono] = image
+            acc ^= image
         return frozenset(acc)
 
     def set_total_squares(self, squares: Mapping[str, "F2Class"]) -> None:
         """Set the total Steenrod square of each generator.  The square is
         the ring endomorphism they determine, so they must respect the
-        relations (RelationViolationError otherwise)."""
-        self._square_powers = RingMap(self, self, squares).powers
+        relations (RelationViolationError otherwise, and the old squares
+        stay)."""
+        square = RingMap(self, self, squares)
+        self._square = (square.powers, square.images)
 
     def __repr__(self) -> str:
         gens = ", ".join(f"{n}:{d}" for n, d in self.generators)
@@ -265,16 +279,17 @@ def total_steenrod_square(x: F2Class) -> F2Class:
     """Total Steenrod square: the ring endomorphism set by
     F2Algebra.set_total_squares, truncated at the degree cap."""
     alg = x.algebra
-    if alg._square_powers is None:
+    if alg._square is None:
         raise KeyError(f"no Steenrod data on {alg!r}")
-    return F2Class(alg, alg._evaluate(alg._square_powers, x.monomials))
+    return F2Class(alg, alg._evaluate(*alg._square, x.monomials))
 
 
 class RingMap:
     """An algebra map determined by generator images.  It keeps the powers
     of each image up to the largest exponent that a normal monomial or a
-    relation of the source carries; the source relations are verified to
-    map to zero at construction time."""
+    relation of the source carries, and the image of each source monomial
+    once it is formed; the source relations are verified to map to zero
+    at construction time."""
 
     def __init__(self, source: F2Algebra, target: F2Algebra, images: Mapping[str, F2Class]):
         self.source = source
@@ -290,8 +305,10 @@ class RingMap:
             target._power_table(images[n].monomials, top)
             for n, top in zip(names, map(max, zip(*rows)))
         )
+        self.images: dict = {}
+        evaluate = functools.partial(target._evaluate, self.powers, self.images)
         for lhs, rhs in source._rules:
-            if target._evaluate(self.powers, (lhs,)) != target._evaluate(self.powers, rhs):
+            if evaluate((lhs,)) != evaluate(rhs):
                 raise RelationViolationError(
                     f"relation {source.monomial_str(lhs)} -> "
                     f"{'+'.join(source.monomial_str(m) for m in rhs) or '0'} "
@@ -301,7 +318,7 @@ class RingMap:
     def __call__(self, x: F2Class) -> F2Class:
         if x.algebra is not self.source:
             raise ValueError("class does not live in the source algebra")
-        return F2Class(self.target, self.target._evaluate(self.powers, x.monomials))
+        return F2Class(self.target, self.target._evaluate(self.powers, self.images, x.monomials))
 
 
 def elementary_symmetric(classes: Iterable[F2Class], k: int) -> F2Class:

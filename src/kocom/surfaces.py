@@ -269,8 +269,8 @@ def ko_presentation(surface: Surface) -> RingPresentation:
     gens = ko_generators(surface, alg)
     names = tuple(g.name for g in gens)
     one = alg.one()
-    # Every generator unit u has u^4 = 1, so its square gives its order,
-    # its inverse (u or u^2 * u) and its doubling key.
+    # Every generator unit u has u^4 = 1, so its square gives its order
+    # and its doubling key.
     squares = [g.unit * g.unit for g in gens]
     orders = tuple(2 if square == one else 4 for square in squares)
     doublings: dict = {}
@@ -280,7 +280,10 @@ def ko_presentation(surface: Surface) -> RingPresentation:
         factors = squares  # the squared inverses: (u^-1)^2 = u^2
         tensor = lambda a, b: one + a * a + a * b + b * b
     else:
-        factors = [g.unit if sq == one else sq * g.unit for g, sq in zip(gens, squares)]
+        # The units stand in for their inverses: a genus unit is its own
+        # inverse, and every crosscap square is 1 + y2 with (1 + y2)^2 = 1
+        # at cap 2, so u_i^-1 u_j^-1 = (1 + y2)^2 u_i u_j = u_i u_j.
+        factors = [g.unit for g in gens]
         tensor = lambda a, b: one + a + b
 
     relations = []

@@ -2,6 +2,8 @@
 class, the splitting-principle tensor identities, and the bundle-data
 calculus."""
 
+import itertools
+
 import pytest
 
 from kocom.bcom_o2 import (
@@ -123,28 +125,77 @@ def product_of_powers(x, images, target):
     return acc
 
 
+def defined_maps(bcom):
+    """Fresh maps on the characteristic algebra, each with its target and
+    its generator images as its definition states them."""
+    phi, k, j = inversion_pullback(bcom), line_pair_restriction(bcom), so2_restriction(bcom)
+    w1, w2, r, s = (bcom.gen(name) for name in ("w1", "w2", "r", "s"))
+    u, v, e = k.target.gen("u"), k.target.gen("v"), j.target.gen("e")
+    k0, j0 = k.target.zero(), j.target.zero()
+    squares = {
+        "w1": w1 + w1 * w1,
+        "w2": w2 + w1 * w2 + w2 * w2,
+        "r": r,
+        "s": s + w2 * r + w1 * w1 * s,
+    }
+    return [
+        (phi, bcom, {"w1": w1, "w2": w2 + r, "r": r, "s": s}),
+        (k, k.target, {"w1": u + v, "w2": u * v, "r": k0, "s": k0}),
+        (j, j.target, {"w1": j0, "w2": e, "r": j0, "s": j0}),
+        (total_steenrod_square, bcom, squares),
+    ]
+
+
 @pytest.mark.parametrize("cap", range(4, 11))
 def test_ring_maps_and_squares_match_product_of_powers(cap):
-    bcom = bcom_o2_algebra(cap)
-    maps = [inversion_pullback(bcom), line_pair_restriction(bcom), so2_restriction(bcom)]
-    for f in maps:
-        images = {name: f(bcom.gen(name)) for name, _ in bcom.generators}
-        for x in bcom.basis_through(cap):
-            assert f(x) == product_of_powers(x, images, f.target)
-    for alg in (bcom, line_pair_algebra(cap), euler_algebra(cap)):
+    # A map forms each monomial's image on its first use, from a basis class
+    # or from a sum of two, and reads it back on every later use.
+    for first_use in ("basis", "sums"):
+        bcom = bcom_o2_algebra(cap)
+        basis = bcom.basis_through(cap)
+        sums = [x + y for x, y in zip(basis, basis[1:])]
+        for f, target, images in defined_maps(bcom):
+            expected = [product_of_powers(x, images, target) for x in basis]
+            expected_sums = [a + b for a, b in zip(expected, expected[1:])]
+            if first_use == "sums":
+                assert [f(x) for x in sums] == expected_sums
+            assert [f(x) for x in basis] == expected
+            if isinstance(f, RingMap):
+                stored = dict(f.images)
+                assert all(m in stored for x in basis for m in x.monomials)
+            assert [f(x) for x in basis] == expected
+            assert [f(x) for x in sums] == expected_sums
+            if isinstance(f, RingMap):
+                assert f.images == stored
+            for x, y in itertools.combinations(basis, 2):
+                assert f(x + y) == f(x) + f(y)
+    for alg in (line_pair_algebra(cap), euler_algebra(cap)):
         squares = {name: total_steenrod_square(alg.gen(name)) for name, _ in alg.generators}
         for x in alg.basis_through(cap):
             assert total_steenrod_square(x) == product_of_powers(x, squares, alg)
 
 
+def test_squares_set_again_replace_the_stored_images():
+    alg = bcom_o2_algebra(8)
+    basis = alg.basis_through(8)
+    assert [total_steenrod_square(x) for x in basis] != basis
+    alg.set_total_squares({name: alg.gen(name) for name, _ in alg.generators})
+    assert [total_steenrod_square(x) for x in basis] == basis
+
+
 def test_squares_that_break_a_relation_are_refused():
     alg = bcom_o2_algebra(6)
+    basis = alg.basis_through(6)
+    old = [total_steenrod_square(x).monomials for x in bcom_o2_algebra(6).basis_through(6)]
+    assert [total_steenrod_square(x).monomials for x in basis[::2]] == old[::2]
     squares = {name: total_steenrod_square(alg.gen(name)) for name, _ in alg.generators}
     # Sq(r) = r + w1^2 would send w1 * r = 0 to w1^3 + w1^4
     squares["r"] = alg.gen("r") + alg.gen("w1") * alg.gen("w1")
     with pytest.raises(RelationViolationError):
         alg.set_total_squares(squares)
     assert total_steenrod_square(alg.gen("r")) == alg.gen("r")
+    # the old squares stay, both the images already formed and the rest
+    assert [total_steenrod_square(x).monomials for x in basis] == old
 
 
 def test_splitting_identities_hold():

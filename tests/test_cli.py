@@ -117,15 +117,15 @@ def test_surface_size_bound_exit_code_2(capsys):
 
 
 def test_range_and_degree_cap_bounds_exit_code_2(capsys):
-    assert MAX_RANGE_VALUES == 41 and MAX_DEGREE_CAP == 24
+    assert MAX_RANGE_VALUES == 41 and MAX_DEGREE_CAP == 32
     assert parse_range("-20..20") == (-20, 20)
     for option in ("--k-range=-20..21", "--n-range=-1000000..1000000"):
         with pytest.raises(SystemExit) as info:
             main(["verify", "cocycles", option])
         assert info.value.code == 2
     assert "limit 41" in capsys.readouterr().err
-    assert main(["verify", "char-classes", "--degree-cap", "25"]) == 2
-    assert "between 4 and 24" in capsys.readouterr().err
+    assert main(["verify", "char-classes", "--degree-cap", "33"]) == 2
+    assert "between 4 and 32" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["cocycles", "so3-homology", "char-classes"])
