@@ -35,10 +35,10 @@ def bcom_o2_algebra(cap: int = 6) -> F2Algebra:
     alg = F2Algebra(
         generators=[("w1", 1), ("w2", 2), ("r", 2), ("s", 3)],
         relations=[
-            ({"w1": 1, "r": 1}, []),
-            ({"r": 2}, []),
-            ({"r": 1, "s": 1}, []),
-            ({"s": 2}, []),
+            ({"w1": 1, "r": 1}, None),
+            ({"r": 2}, None),
+            ({"r": 1, "s": 1}, None),
+            ({"s": 2}, None),
         ],
         cap=cap,
         name="H(BcomO2)",

@@ -3,15 +3,16 @@ field, with monomial rewrite rules, ring maps, and total Steenrod squares.
 
 A class is a set of normal-form monomials (coefficients live in F2, so
 addition is symmetric difference).  Relations are rewrite rules sending a
-forbidden monomial to a normal form, applied greedily; the rule sets used
-in this package are tiny and terminating, and confluence is exercised by
-the exhaustive associativity tests.  Every algebra is truncated above a
-degree cap: products simply drop monomials beyond it.
+forbidden monomial to one monomial or to zero, applied greedily; the rule
+sets used in this package are tiny and terminating, and confluence is
+exercised by the exhaustive associativity tests.  Every algebra is
+truncated above a degree cap: products simply drop monomials beyond it.
 
-A ring map keeps, per source generator, the powers of that generator's
-image; a monomial maps to the product of one table entry per generator.
-A map keeps each source monomial's image once it is formed, so a class
-maps to the sum of stored images and no monomial's image is formed twice.
+A ring map keeps its generator images and each source monomial's image
+once it is formed, starting from the unit at the zero monomial.  A new
+monomial's image is the stored image of that monomial with one factor
+fewer times that factor's generator image, so a class maps to the sum of
+stored images and no monomial's image is formed twice.
 The total Steenrod square is such a map: by the Cartan formula it is the
 ring endomorphism determined by the squares of the generators, which are
 checked against the relations when they are set.
@@ -51,8 +52,9 @@ class F2Algebra:
 
     generators: sequence of (name, degree) pairs.
     relations: sequence of (lhs, rhs) pairs, lhs a {name: exponent} mapping
-        for the forbidden monomial and rhs an iterable of such mappings for
-        its normal form (empty iterable means the monomial is zero).
+        for the forbidden monomial and rhs one such mapping for the monomial
+        it rewrites to, or None if it is zero.  Exponents are non-negative
+        ints (ValueError otherwise).
     cap: top degree kept by the truncation.
     """
 
@@ -69,13 +71,13 @@ class F2Algebra:
         self._index = {n: i for i, (n, _) in enumerate(self.generators)}
         self._degrees = tuple(d for _, d in self.generators)
         self._rules = tuple(
-            (self._monomial_tuple(lhs), tuple(self._monomial_tuple(m) for m in rhs))
+            (self._monomial_tuple(lhs), None if rhs is None else self._monomial_tuple(rhs))
             for lhs, rhs in relations
         )
         self._reduce_cache: dict = {}
-        # The total square as (powers, images) of monomial sets, as a
-        # RingMap keeps them; never classes or maps of this algebra, which
-        # would refer back to it.
+        # The total square as (generator images, images) of monomial sets,
+        # as a RingMap keeps them; never classes or maps of this algebra,
+        # which would refer back to it.
         self._square: tuple | None = None
 
     # -- monomial plumbing -------------------------------------------------
@@ -83,7 +85,9 @@ class F2Algebra:
     def _monomial_tuple(self, exps: Mapping[str, int]) -> Monomial:
         mono = [0] * len(self.generators)
         for name, e in exps.items():
-            mono[self._index[name]] = int(e)
+            if not isinstance(e, int) or e < 0:
+                raise ValueError(f"exponent of {name} must be a non-negative int, got {e!r}")
+            mono[self._index[name]] = e
         return tuple(mono)
 
     def monomial_degree(self, mono: Monomial) -> int:
@@ -108,20 +112,17 @@ class F2Algebra:
             result = None
             for lhs, rhs in self._rules:
                 if all(m >= l for m, l in zip(mono, lhs)):
-                    rest = tuple(m - l for m, l in zip(mono, lhs))
-                    acc: set = set()
-                    for target in rhs:
-                        lifted = tuple(r + t for r, t in zip(rest, target))
-                        acc ^= self.reduce_monomial(lifted)
-                    result = frozenset(acc) or _ZERO
+                    if rhs is None:
+                        result = _ZERO
+                    else:
+                        result = self.reduce_monomial(
+                            tuple([m - l + r for m, l, r in zip(mono, lhs, rhs)])
+                        )
                     break
             if result is None:
                 result = frozenset({mono})
         self._reduce_cache[mono] = result
         return result
-
-    def is_normal(self, mono: Monomial) -> bool:
-        return self.reduce_monomial(mono) == frozenset({mono})
 
     # -- class constructors ------------------------------------------------
 
@@ -159,7 +160,8 @@ class F2Algebra:
         return out
 
     def _basis_monomials(self, degree: int) -> list:
-        return [m for m in _exponent_vectors(self._degrees, degree) if self.is_normal(m)]
+        vectors = _exponent_vectors(self._degrees, degree)
+        return [m for m in vectors if self.reduce_monomial(m) == {m}]
 
     def dimension(self, degree: int) -> int:
         return len(self._basis_monomials(degree))
@@ -177,30 +179,28 @@ class F2Algebra:
                 acc ^= reduce_monomial(tuple([p + q for p, q in zip(x, y)]))
         return frozenset(acc)
 
-    def _power_table(self, image: frozenset, top: int) -> tuple:
-        """image^0, image^1, ..., image^top."""
-        powers = [self.one().monomials]
-        for _ in range(top):
-            powers.append(self._product(powers[-1], image))
-        return tuple(powers)
-
     def _evaluate(
-        self, powers: Sequence[tuple], images: dict, monomials: Iterable[Monomial]
+        self, generator_images: Sequence[frozenset], images: dict, monomials: Iterable[Monomial]
     ) -> frozenset:
         """Image of a sum of source monomials under the ring map into this
-        algebra that sends the e-th power of source generator i to
-        powers[i][e].  `images` holds the map's image of each source
-        monomial formed so far and gains those formed here."""
+        algebra that sends source generator i to generator_images[i].
+        `images` holds the map's image of each source monomial formed so
+        far, the unit at the zero monomial at least, and gains those formed
+        here."""
         acc: set = set()
         for mono in monomials:
             image = images.get(mono)
             if image is None:
-                factors = [table[e] for table, e in zip(powers, mono) if e]
-                if factors:
-                    image = functools.reduce(self._product, factors)
-                else:
-                    image = self.one().monomials
-                images[mono] = image
+                # One factor fewer at a time down to a stored image (the unit
+                # at worst), then the factors back on, storing each image.
+                stripped, m = [], mono
+                while image is None:
+                    i = next(j for j, e in enumerate(m) if e)
+                    stripped.append((m, i))
+                    m = tuple([e - (j == i) for j, e in enumerate(m)])
+                    image = images.get(m)
+                for m, i in reversed(stripped):
+                    image = images[m] = self._product(image, generator_images[i])
             acc ^= image
         return frozenset(acc)
 
@@ -210,7 +210,7 @@ class F2Algebra:
         relations (RelationViolationError otherwise, and the old squares
         stay)."""
         square = RingMap(self, self, squares)
-        self._square = (square.powers, square.images)
+        self._square = (square.generator_images, square.images)
 
     def __repr__(self) -> str:
         gens = ", ".join(f"{n}:{d}" for n, d in self.generators)
@@ -237,7 +237,8 @@ class F2Class:
     def __pow__(self, n: int) -> "F2Class":
         if n < 0:
             raise ValueError("negative powers are not defined here")
-        return F2Class(self.algebra, self.algebra._power_table(self.monomials, n)[n])
+        alg = self.algebra
+        return F2Class(alg, functools.reduce(alg._product, [self.monomials] * n, alg.one().monomials))
 
     def _check(self, other: "F2Class") -> None:
         if self.algebra is not other.algebra:
@@ -247,11 +248,8 @@ class F2Class:
     def is_zero(self) -> bool:
         return not self.monomials
 
-    def degrees(self) -> set:
-        return {self.algebra.monomial_degree(m) for m in self.monomials}
-
     def homogeneous_degree(self) -> int:
-        degs = self.degrees()
+        degs = {self.algebra.monomial_degree(m) for m in self.monomials}
         if len(degs) != 1:
             raise ValueError(f"class {self} is not homogeneous")
         return degs.pop()
@@ -285,11 +283,11 @@ def total_steenrod_square(x: F2Class) -> F2Class:
 
 
 class RingMap:
-    """An algebra map determined by generator images.  It keeps the powers
-    of each image up to the largest exponent that a normal monomial or a
-    relation of the source carries, and the image of each source monomial
-    once it is formed; the source relations are verified to map to zero
-    at construction time."""
+    """An algebra map determined by generator images.  It keeps the image
+    of each source generator and, in `images`, of each source monomial once
+    it is formed; a new monomial's image is one stored image times one
+    generator image.  The source relations are verified to be preserved at
+    construction time."""
 
     def __init__(self, source: F2Algebra, target: F2Algebra, images: Mapping[str, F2Class]):
         self.source = source
@@ -299,26 +297,20 @@ class RingMap:
             raise ValueError(f"need images for exactly {names}, got {sorted(images)}")
         if any(images[n].algebra is not target for n in names):
             raise ValueError("images must live in the target algebra")
-        rows = [tuple(source.cap // d for d in source._degrees)]
-        rows += [m for lhs, rhs in source._rules for m in (lhs, *rhs)]
-        self.powers = tuple(
-            target._power_table(images[n].monomials, top)
-            for n, top in zip(names, map(max, zip(*rows)))
-        )
-        self.images: dict = {}
-        evaluate = functools.partial(target._evaluate, self.powers, self.images)
+        self.generator_images = tuple(images[n].monomials for n in names)
+        self.images: dict = {(0,) * len(names): target.one().monomials}
+        self._evaluate = functools.partial(target._evaluate, self.generator_images, self.images)
         for lhs, rhs in source._rules:
-            if evaluate((lhs,)) != evaluate(rhs):
+            if self._evaluate((lhs,)) != self._evaluate(() if rhs is None else (rhs,)):
                 raise RelationViolationError(
                     f"relation {source.monomial_str(lhs)} -> "
-                    f"{'+'.join(source.monomial_str(m) for m in rhs) or '0'} "
-                    f"not preserved"
+                    f"{'0' if rhs is None else source.monomial_str(rhs)} not preserved"
                 )
 
     def __call__(self, x: F2Class) -> F2Class:
         if x.algebra is not self.source:
             raise ValueError("class does not live in the source algebra")
-        return F2Class(self.target, self.target._evaluate(self.powers, self.images, x.monomials))
+        return F2Class(self.target, self._evaluate(x.monomials))
 
 
 def elementary_symmetric(classes: Iterable[F2Class], k: int) -> F2Class:

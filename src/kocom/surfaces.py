@@ -114,7 +114,7 @@ def surface_algebra(surface: Surface) -> F2Algebra:
         names = [f"a{i}" for i in range(1, surface.count + 1)]
         paired = {(name, name) for name in names}
     relations = [
-        ({x: 1, y: 1} if x != y else {x: 2}, [{"y2": 1}] if (x, y) in paired else [])
+        ({x: 1, y: 1} if x != y else {x: 2}, {"y2": 1} if (x, y) in paired else None)
         for x, y in itertools.combinations_with_replacement(names, 2)
     ]
     gens = [(n, 1) for n in names] + [("y2", 2)]

@@ -5,6 +5,7 @@ calculus."""
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kocom.bcom_o2 import (
     RANK2_LINE,
@@ -173,6 +174,26 @@ def test_ring_maps_and_squares_match_product_of_powers(cap):
         squares = {name: total_steenrod_square(alg.gen(name)) for name, _ in alg.generators}
         for x in alg.basis_through(cap):
             assert total_steenrod_square(x) == product_of_powers(x, squares, alg)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_fresh_maps_match_product_of_powers_in_any_first_use_order(data):
+    # Fresh maps meet random classes in a random order, so each monomial's
+    # image is first formed from whichever smaller images are stored by then.
+    bcom = bcom_o2_algebra(8)
+    basis = bcom.basis_through(8)
+    maps = defined_maps(bcom)
+    picks = st.sets(st.integers(0, len(basis) - 1), max_size=6)
+    uses = data.draw(st.lists(st.tuples(st.integers(0, len(maps) - 1), picks), max_size=8))
+    for k, indices in uses:
+        f, target, images = maps[k]
+        x = sum((basis[i] for i in indices), bcom.zero())
+        assert f(x) == product_of_powers(x, images, target)
+        power = bcom.one()
+        for n in range(11):
+            assert x**n == power
+            power = power * x
 
 
 def test_squares_set_again_replace_the_stored_images():

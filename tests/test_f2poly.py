@@ -13,6 +13,7 @@ from kocom.f2poly import (
     RingMap,
     elementary_symmetric,
 )
+from kocom.surfaces import orientable, surface_algebra
 
 
 def test_polynomial_squares_are_frobenius():
@@ -58,12 +59,12 @@ def test_surface_style_rewrite_to_nonzero_normal_form():
     alg = F2Algebra(
         [("a", 1), ("b", 1), ("y", 2)],
         [
-            ({"a": 2}, []),
-            ({"b": 2}, []),
-            ({"a": 1, "b": 1}, [{"y": 1}]),
-            ({"a": 1, "y": 1}, []),
-            ({"b": 1, "y": 1}, []),
-            ({"y": 2}, []),
+            ({"a": 2}, None),
+            ({"b": 2}, None),
+            ({"a": 1, "b": 1}, {"y": 1}),
+            ({"a": 1, "y": 1}, None),
+            ({"b": 1, "y": 1}, None),
+            ({"y": 2}, None),
         ],
         cap=2,
     )
@@ -72,6 +73,17 @@ def test_surface_style_rewrite_to_nonzero_normal_form():
     assert (a * b) * a == alg.zero()
     assert (a + b) * (a + b) == alg.zero()
     assert (alg.one() + a) * (alg.one() + b) == alg.one() + a + b + y
+
+
+@pytest.mark.parametrize("exponent", [-1, 1.5, "2"])
+def test_exponents_must_be_non_negative_ints(exponent):
+    alg = bcom_o2_algebra(6)
+    with pytest.raises(ValueError):
+        alg.cls({"w1": exponent})
+    with pytest.raises(ValueError):
+        F2Algebra([("u", 1)], [({"u": exponent}, None)], cap=4)
+    with pytest.raises(ValueError):
+        F2Algebra([("u", 1)], [({"u": 2}, {"u": exponent})], cap=4)
 
 
 def test_associativity_exhaustive_low_degrees():
@@ -121,6 +133,19 @@ def test_ring_map_validates_relations():
                 "s": target.zero(),
             },
         )
+
+
+def test_ring_map_checks_relations_with_a_monomial_right_side():
+    # In genus 2, a1*b1 and a2*b2 rewrite to y2: swapping each pair keeps
+    # both rules, and sending a1 and b1 both to b1 breaks a1*b1 -> y2.
+    alg = surface_algebra(orientable(2))
+    g = {name: alg.gen(name) for name, _ in alg.generators}
+    swap = RingMap(
+        alg, alg, {"a1": g["b1"], "b1": g["a1"], "a2": g["b2"], "b2": g["a2"], "y2": g["y2"]}
+    )
+    assert swap(g["a1"] * g["b1"] + g["a1"]) == g["y2"] + g["b1"]
+    with pytest.raises(RelationViolationError):
+        RingMap(alg, alg, {**g, "a1": g["b1"]})
 
 
 def test_ring_map_requires_all_images():
