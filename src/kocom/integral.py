@@ -91,8 +91,11 @@ class AbelianGroup:
     free_rank: int = 0
 
     def __post_init__(self) -> None:
-        factors = tuple(int(d) for d in self.invariant_factors)
+        factors = tuple(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", factors)
+        for d in (*factors, self.free_rank):
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise TypeError(f"expected an int, got {d!r}")
         for d in factors:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")

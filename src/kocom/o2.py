@@ -30,7 +30,12 @@ class NotInSO2Error(ValueError):
 
 
 def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    # Exact input only: a float or a string would give an inexact angle.
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -174,24 +179,28 @@ class O2Path:
     def in_reflection_coset(self) -> bool:
         return all(seg.reflect for seg in self.segments)
 
-    def breakpoints(self) -> list[Fraction]:
-        pts = [seg.t0 for seg in self.segments]
-        pts.append(self.segments[-1].t1)
-        return pts
-
     def pointwise_mul(self, other: "O2Path") -> "O2Path":
-        """The path t |-> self(t) * other(t), on the common refinement."""
-        cuts = sorted(set(self.breakpoints()) | set(other.breakpoints()))
+        """The path t |-> self(t) * other(t), on a domain (a sub-interval of
+        [0, 1]) that both paths share.  One walk cuts at the nearer segment
+        end, applies the multiplication table, kept affine in t, to the two
+        segments there, and advances whichever list ended."""
+        left, right = self.segments, other.segments
+        if (left[0].t0, left[-1].t1) != (right[0].t0, right[-1].t1):
+            raise ValueError("the two paths have different domains")
         segs = []
-        for t0, t1 in itertools.pairwise(cuts):
-            a = _segment_at(self, t0, t1)
-            b = _segment_at(other, t0, t1)
-            # The angle algebra of the multiplication table, kept affine in t.
+        i = j = 0
+        t0 = left[0].t0
+        while i < len(left):  # the two lists run out together, at the common end
+            a, b = left[i], right[j]
+            t1 = min(a.t1, b.t1)
             if not a.reflect:
                 slope, offset = a.slope + b.slope, a.offset + b.offset
             else:
                 slope, offset = a.slope - b.slope, a.offset - b.offset
             segs.append(PathSegment(t0, t1, slope, offset, a.reflect != b.reflect))
+            i += a.t1 == t1
+            j += b.t1 == t1
+            t0 = t1
         return _RawPath(_merge_segments(segs))
 
     def pointwise_pow(self, n: int) -> "O2Path":
@@ -210,15 +219,9 @@ class O2Path:
         return _RawPath(_merge_segments(segs))
 
     def right_mul_constant(self, a: O2Element) -> "O2Path":
-        """The path t |-> self(t) * a."""
-        segs = []
-        for seg in self.segments:
-            if not seg.reflect:
-                slope, offset = seg.slope, seg.offset + a.angle
-            else:
-                slope, offset = seg.slope, seg.offset - a.angle
-            segs.append(PathSegment(seg.t0, seg.t1, slope, offset, seg.reflect != a.reflect))
-        return _RawPath(_merge_segments(segs))
+        """The path t |-> self(t) * a on [0, 1]: the pointwise product with
+        the constant path at a."""
+        return self.pointwise_mul(constant_path(a))
 
     def reparameterized(self, scale: Rational, shift: Rational) -> "O2Path":
         """The path u |-> self(scale*u + shift), on the u-interval where
@@ -276,13 +279,6 @@ def _merge_segments(segs: Sequence[PathSegment]) -> tuple[PathSegment, ...]:
                 continue
         merged.append(seg)
     return tuple(merged)
-
-
-def _segment_at(path: O2Path, t0: Fraction, t1: Fraction) -> PathSegment:
-    for seg in path.segments:
-        if seg.t0 <= t0 and t1 <= seg.t1:
-            return PathSegment(t0, t1, seg.slope, seg.offset, seg.reflect)
-    raise ValueError(f"no segment covers [{t0}, {t1}]")
 
 
 def affine_path(slope: Rational, offset: Rational, reflect: bool = False) -> O2Path:

@@ -46,7 +46,6 @@ def check(check_id: str, citation: str, expected, actual) -> Check:
 class VerificationReport:
     suite: str
     checks: list = field(default_factory=list)
-    elapsed_seconds: float = 0.0
 
     def add(self, c: Check) -> None:
         self.checks.append(c)

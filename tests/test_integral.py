@@ -123,6 +123,12 @@ def test_abelian_group_validation():
         AbelianGroup((1,))
 
 
+def test_abelian_group_takes_ints_only():
+    for args in (((2,), 1.5), ((2.7,),), ((2,), True), ((2.0, 4),)):
+        with pytest.raises(TypeError):
+            AbelianGroup(*args)
+
+
 def test_direct_sum():
     a = AbelianGroup((2,))
     assert str(a.direct_sum(a)) == "Z/2 + Z/2"

@@ -72,6 +72,46 @@ def reverse(path: O2Path) -> O2Path:
     return O2Path(path.reparameterized(-1, 1).segments)
 
 
+def ends(path: O2Path) -> set:
+    return {seg.t0 for seg in path.segments} | {path.segments[-1].t1}
+
+
+def merged(segs) -> tuple:
+    """Neighbouring segments with one affine formula joined into one."""
+    out = []
+    for seg in segs:
+        last = out[-1] if out else None
+        formula = (seg.slope, seg.offset, seg.reflect)
+        if last and (last.slope, last.offset, last.reflect) == formula:
+            out[-1] = PathSegment(last.t0, seg.t1, seg.slope, seg.offset, seg.reflect)
+        else:
+            out.append(seg)
+    return tuple(out)
+
+
+def refined_product(p: O2Path, q: O2Path) -> tuple:
+    """Segments of t |-> p(t) q(t) by refining at every cut: on each piece
+    between consecutive ends of either path, look up the segment of each
+    path that covers it and apply the multiplication table."""
+    segs = []
+    for t0, t1 in itertools.pairwise(sorted(ends(p) | ends(q))):
+        a = next(s for s in p.segments if s.t0 <= t0 and t1 <= s.t1)
+        b = next(s for s in q.segments if s.t0 <= t0 and t1 <= s.t1)
+        sign = -1 if a.reflect else 1
+        slope, offset = a.slope + sign * b.slope, a.offset + sign * b.offset
+        segs.append(PathSegment(t0, t1, slope, offset, a.reflect != b.reflect))
+    return merged(segs)
+
+
+def right_product(p: O2Path, a: O2Element) -> tuple:
+    """Segments of t |-> p(t) a, one segment at a time."""
+    segs = []
+    for s in p.segments:
+        offset = s.offset - a.angle if s.reflect else s.offset + a.angle
+        segs.append(PathSegment(s.t0, s.t1, s.slope, offset, s.reflect != a.reflect))
+    return merged(segs)
+
+
 rational_angles = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=24
 )
@@ -183,6 +223,16 @@ def test_path_validation():
         )
 
 
+def test_inexact_input_is_rejected():
+    for value in (0.1, 2.0, "1/3", True):
+        with pytest.raises(TypeError):
+            rotation(value)
+    with pytest.raises(TypeError):
+        loop_degree(affine_path(2.0, 0))
+    with pytest.raises(TypeError):
+        PathSegment(Fraction(0), 0.5, Fraction(1), Fraction(0))
+
+
 def test_loop_degree_generator_convention():
     # t |-> R_{2t*pi} is the degree-1 generator
     assert loop_degree(affine_path(2, 0)) == 1
@@ -218,6 +268,15 @@ def test_pointwise_mul_matches_values():
     prod = p.pointwise_mul(q)
     for t in (Fraction(0), Fraction(1, 4), Fraction(2, 3), Fraction(1)):
         assert prod.value(t) == p.value(t) * q.value(t)
+    # Halves on [0, 1/2] multiply with each other, not with a full path.
+    half_p = p.reparameterized(2, 0)
+    half_q = concat(q, affine_path(1, Fraction(1, 3))).reparameterized(2, 0)
+    assert len(half_q.segments) == 2
+    assert half_p.pointwise_mul(half_q).segments == refined_product(half_p, half_q)
+    with pytest.raises(ValueError):
+        half_p.pointwise_mul(q)
+    with pytest.raises(ValueError):
+        q.pointwise_mul(half_p)
 
 
 def test_pointwise_pow_matches_values():
@@ -275,7 +334,9 @@ def test_derived_paths_pass_the_public_constructor(p, q, n, a):
     for name, path in derived.items():
         checked = O2Path(path.segments)
         assert checked == path and checked.segments == path.segments, name
-    for t in set(p.breakpoints()) | set(q.breakpoints()) | {Fraction(1, 7)}:
+    assert derived["mul"].segments == refined_product(p, q)
+    assert derived["right_mul"].segments == right_product(p, a)
+    for t in ends(p) | ends(q) | {Fraction(1, 7)}:
         assert derived["mul"].value(t) == p.value(t) * q.value(t)
         assert derived["pow"].value(t) == o2_pow(p.value(t), n)
         assert derived["right_mul"].value(t) == p.value(t) * a

@@ -13,7 +13,6 @@ from kocom.suites import load_golden
 from kocom.surfaces import (
     NONSTANDARD_INVARIANT,
     SPHERE,
-    MismatchError,
     Surface,
     collapse_pullback,
     degree_one_names,
@@ -353,5 +352,7 @@ def test_degree_one_names():
     assert degree_one_names(surface_algebra(SPHERE)) == []
 
 
-def test_exception_types_exist():
-    assert issubclass(MismatchError, ValueError)
+def test_surface_count_must_be_an_int():
+    for count in (2.5, 2.0, True, "2"):
+        with pytest.raises(TypeError):
+            Surface("orientable", count)
