@@ -24,7 +24,7 @@ from .surfaces import Surface
 
 
 def parse_range(text: str) -> tuple:
-    match = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
+    match = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", text)
     if not match:
         raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}")
     lo, hi = int(match.group(1)), int(match.group(2))

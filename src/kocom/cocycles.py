@@ -25,6 +25,8 @@ from .o2 import (
     IDENTITY,
     O2Element,
     O2Path,
+    _merge_segments,
+    _RawPath,
     affine_path,
     commutes,
     constant_path,
@@ -35,11 +37,6 @@ from .o2 import (
 
 class InvalidCocycleError(ValueError):
     """Raised when an operation requires a valid commutative cocycle."""
-
-
-class MixedComponentsError(ValueError):
-    """Raised for loops visiting both components of O(2); no normal form
-    for the bundle class is implemented in that case."""
 
 
 #: Parameter values of the two triple points shared by all three arcs.
@@ -159,7 +156,8 @@ def clutching_function(c: CommCocycle) -> O2Path:
     alpha12(t) * alpha23(t) for t from 0 to 1 (the retraction onto the
     equatorial arc is the identity on the parameter), and the second half
     is the lower arc carrying alpha13, traversed from t = 1 back to 0.
-    Continuity at both junctions is exactly the cocycle condition.
+    Continuity at both junctions is exactly the cocycle condition, so the
+    halves are joined without a second check once validate has passed.
     """
     report = validate(c)
     if not report.ok:
@@ -167,24 +165,18 @@ def clutching_function(c: CommCocycle) -> O2Path:
     upper = c.alpha12.pointwise_mul(c.alpha23)
     first = upper.reparameterized(2, 0)          # u in [0, 1/2], t = 2u
     second = c.alpha13.reparameterized(-2, 2)    # u in [1/2, 1], t = 2 - 2u
-    return O2Path(first.segments + second.segments)
+    # Joined on trust: the junctions at u = 1/2 and u = 1 ~ 0 are the cocycle
+    # condition at t = 1 and t = 0, which validate has just checked, and each
+    # half is a product or reparameterization of continuous paths.
+    return _RawPath(_merge_segments(first.segments + second.segments))
 
 
 def bundle_class(loop: O2Path) -> int:
-    """The integer class of the bundle clutched by a closed loop.
-
-    Rotation-valued loops report their winding degree directly.  Loops
-    inside the reflection coset are first translated into rotations by a
-    constant right multiplication by A, which does not change the clutched
-    bundle's isomorphism class.
-    """
-    if loop.in_so2:
-        degree = loop_degree(loop)
-    elif loop.in_reflection_coset:
-        degree = loop_degree(loop.right_mul_constant(reflected_rotation(0)))
-    else:
-        raise MixedComponentsError("loop visits both components of O(2)")
-    return int(degree)
+    """The integer class of the bundle clutched by a closed loop: its
+    winding degree, read by the same rule in either component of O(2)
+    (a constant right multiplication by A, which keeps every slope, does
+    not change the clutched bundle's isomorphism class)."""
+    return int(loop_degree(loop))
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,13 @@ class F2Algebra:
         cap: int = 6,
         name: str = "",
     ):
-        self.generators = tuple((str(n), int(d)) for n, d in generators)
-        self.cap = int(cap)
+        self.generators = tuple((str(n), d) for n, d in generators)
+        self.cap = cap
+        for d in (*(d for _, d in self.generators), cap):
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise TypeError(f"expected an int, got {d!r}")
+        if any(d < 1 for _, d in self.generators) or cap < 0:
+            raise ValueError("generator degrees must be >= 1 and the cap >= 0")
         self.name = name
         self._index = {n: i for i, (n, _) in enumerate(self.generators)}
         self._degrees = tuple(d for _, d in self.generators)

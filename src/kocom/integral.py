@@ -143,7 +143,12 @@ class IntChainComplex:
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: dict):
-        self.ranks = tuple(int(r) for r in ranks)
+        self.ranks = tuple(ranks)
+        for r in self.ranks:
+            if isinstance(r, bool) or not isinstance(r, int):
+                raise TypeError(f"expected an int rank, got {r!r}")
+            if r < 0:
+                raise ValueError(f"negative rank {r}")
         self.boundaries = {}
         if any(p not in range(1, len(self.ranks)) for p in boundaries):
             raise ValueError(f"boundary keys must lie in 1..{len(self.ranks) - 1}")

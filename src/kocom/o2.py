@@ -25,10 +25,6 @@ class NotALoopError(ValueError):
     """Raised when a path degree is requested for a non-closed path."""
 
 
-class NotInSO2Error(ValueError):
-    """Raised when a rotation-only operation meets a reflected segment."""
-
-
 def _frac(x: Rational) -> Fraction:
     # Exact input only: a float or a string would give an inexact angle.
     if isinstance(x, Fraction):
@@ -171,14 +167,6 @@ class O2Path:
     def is_loop(self) -> bool:
         return self.start == self.end
 
-    @property
-    def in_so2(self) -> bool:
-        return all(not seg.reflect for seg in self.segments)
-
-    @property
-    def in_reflection_coset(self) -> bool:
-        return all(seg.reflect for seg in self.segments)
-
     def pointwise_mul(self, other: "O2Path") -> "O2Path":
         """The path t |-> self(t) * other(t), on a domain (a sub-interval of
         [0, 1]) that both paths share.  One walk cuts at the nearer segment
@@ -259,7 +247,8 @@ class O2Path:
 
 class _RawPath(O2Path):
     """O2Path taken on trust, with no domain or continuity check: pointwise
-    products and powers of continuous paths, and pieces used mid-construction."""
+    products and powers of continuous paths, pieces used mid-construction,
+    and clutching loops of validated cocycles."""
 
     def __init__(self, segments: Sequence[PathSegment]):
         self.segments = tuple(segments)
@@ -291,14 +280,15 @@ def constant_path(elem: O2Element) -> O2Path:
 
 
 def loop_degree(loop: O2Path) -> Fraction:
-    """Winding degree of a closed rotation-valued path.
+    """Winding degree of a closed path, in either component of O(2).
 
-    Returns sum(slope * (t1 - t0)) / 2 over the segments, exact.  The value
-    is an integer Fraction for every genuine loop; the halved normalization
-    makes t |-> R_{2t*pi} the degree-1 generator.
+    Returns sum(slope * (t1 - t0)) / 2 over the segments, exact.  A
+    continuous loop stays in one component, and in the reflection coset
+    right multiplication by A maps R_a*A to R_a and keeps every slope, so
+    one sum serves both.  The value is an integer Fraction for every
+    genuine loop; the halved normalization makes t |-> R_{2t*pi} the
+    degree-1 generator.
     """
-    if not loop.in_so2:
-        raise NotInSO2Error("path leaves the rotation subgroup")
     if not loop.is_loop:
         raise NotALoopError(f"endpoints differ: {loop.start} vs {loop.end}")
     return sum((seg.angle_change() for seg in loop.segments), Fraction(0)) / 2

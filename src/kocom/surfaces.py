@@ -76,12 +76,15 @@ class Surface:
 
     @classmethod
     def parse(cls, selector: str) -> "Surface":
-        """Parse 'sphere' | 'genus:<g>' | 'rp:<n>'."""
+        """Parse 'sphere' | 'genus:<g>' | 'rp:<n>', with g and n in ASCII
+        digits only (int() would also take '1_0', ' 3', '+2' and non-ASCII
+        digits)."""
         if selector == "sphere":
             return SPHERE
         for prefix, kind in (("genus:", "orientable"), ("rp:", "nonorientable")):
-            if selector.startswith(prefix):
-                return cls(kind, int(selector[len(prefix):]))
+            count = selector.removeprefix(prefix)
+            if selector.startswith(prefix) and count.isascii() and count.isdigit():
+                return cls(kind, int(count))
         raise ValueError(f"bad surface selector {selector!r}")
 
     def __str__(self) -> str:

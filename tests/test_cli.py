@@ -26,6 +26,10 @@ def test_parse_range():
         parse_range("5..-5")
     with pytest.raises(Exception):
         parse_range("oops")
+    # Only ASCII digits: int() alone would also take these.
+    for text in ("\u0663..5", "-\u0663..\u0663", "1_0..12", "+1..2", " 1..2"):
+        with pytest.raises(Exception):
+            parse_range(text)
 
 
 def test_parser_accepts_negative_range_tokens():
@@ -44,6 +48,13 @@ def test_invalid_arguments_exit_code_2(capsys):
         main(["verify", "cocycles", "--k-range", "bad"])
     assert info.value.code == 2
     assert main(["verify", "cocycles", "--degree-cap", "2"]) == 2
+    for selector in ("genus:1_0", "rp: 3", "genus:+2", "genus:\u0663"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "surface-ko", "--surface", selector])
+        assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "cocycles", "--k-range", "\u0663..5"])
+    assert info.value.code == 2
 
 
 def test_verify_small_suite_passes(tmp_path, capsys):

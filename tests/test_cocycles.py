@@ -4,13 +4,12 @@ invariant, with the degree formula checked exactly."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kocom import suites
 from kocom.cocycles import (
     CommCocycle,
     InvalidCocycleError,
-    MixedComponentsError,
     TCInvariant,
     broken_cocycle_condition,
     broken_commutation_cocycle,
@@ -26,6 +25,8 @@ from kocom.cocycles import (
 )
 from kocom.o2 import (
     IDENTITY,
+    REFLECTION,
+    O2Element,
     O2Path,
     PathSegment,
     affine_path,
@@ -103,19 +104,19 @@ def test_powers_stay_valid(k, n):
 
 def test_clutching_standard_is_reflected_loop():
     loop = clutching_function(standard_cocycle(3))
-    assert loop.in_reflection_coset
+    assert all(seg.reflect for seg in loop.segments)
     assert loop.is_loop
 
 
 def test_clutching_identity_cocycle_is_constant():
     loop = clutching_function(identity_cocycle())
-    assert loop.in_so2
+    assert not any(seg.reflect for seg in loop.segments)
     assert loop_degree(loop) == 0
 
 
 def test_clutching_even_power_lands_in_rotations():
     loop = clutching_function(power_cocycle(standard_cocycle(3), 2))
-    assert loop.in_so2
+    assert not any(seg.reflect for seg in loop.segments)
     # upper arc winds 3 full turns, lower arc sits at the identity
     assert loop.value(Fraction(3, 4)) == IDENTITY
     assert loop_degree(loop) == 3
@@ -126,27 +127,58 @@ def test_clutching_requires_validity():
         clutching_function(broken_commutation_cocycle())
 
 
-def test_bundle_class_mixed_loop_rejected():
-    # a continuous path cannot change components, so only malformed raw
-    # segment data can reach this guard
-    from kocom.o2 import _RawPath
-
-    mixed = _RawPath(
-        [
-            PathSegment(Fraction(0), Fraction(1, 2), Fraction(2), Fraction(0)),
-            PathSegment(Fraction(1, 2), Fraction(1), Fraction(0), Fraction(1), True),
-        ]
-    )
-    with pytest.raises(MixedComponentsError):
-        bundle_class(mixed)
-
-
 def test_degree_formula_exact():
     for k in range(-6, 7):
         base = standard_cocycle(k)
         for n in range(-6, 7):
             loop = clutching_function(power_cocycle(base, n))
             assert bundle_class(loop) == expected_degree(k, n), (k, n)
+
+
+@st.composite
+def random_valid_cocycles(draw):
+    """A valid cocycle with a random alpha12 and a known clutching degree.
+
+    alpha12 is continuous with 1-3 segments, in one component, with integer
+    angles at t = 0 and t = 1; alpha23 is constant in {I, R_pi, A, R_pi*A};
+    alpha13 = alpha12 * alpha23 * (t |-> R_{2dt*pi}).  Every triple-point value
+    then lies in {I, R_pi, A, R_pi*A}, so all of them commute.  Returns the
+    cocycle and d."""
+    reflect = draw(st.booleans())
+    cuts = sorted(draw(st.sets(st.integers(1, 11), max_size=2)))
+    times = [Fraction(0)] + [Fraction(i, 12) for i in cuts] + [Fraction(1)]
+    inner = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6))
+    angles = (
+        [Fraction(draw(st.integers(-3, 3)))]
+        + [draw(inner) for _ in cuts]
+        + [Fraction(draw(st.integers(-3, 3)))]
+    )
+    segments = []
+    for (t0, t1), (a0, a1) in zip(zip(times, times[1:]), zip(angles, angles[1:])):
+        slope = (a1 - a0) / (t1 - t0)
+        segments.append(PathSegment(t0, t1, slope, a0 - slope * t0, reflect))
+    alpha12 = O2Path(segments)
+    alpha23 = constant_path(O2Element(draw(st.integers(0, 1)), draw(st.booleans())))
+    d = draw(st.integers(-3, 3))
+    alpha13 = O2Path(
+        alpha12.pointwise_mul(alpha23).pointwise_mul(affine_path(2 * d, 0)).segments
+    )
+    return CommCocycle(alpha12, alpha13, alpha23), d
+
+
+@settings(deadline=None)
+@given(random_valid_cocycles())
+def test_clutching_random_valid_cocycles(case):
+    c, d = case
+    assert validate(c).ok
+    loop = clutching_function(c)
+    # The loop joined on trust is one the public constructor accepts as is.
+    assert O2Path(loop.segments) == loop
+    reflected = c.alpha13.start.reflect
+    if reflected:
+        # The route through the rotations gives the same degree.
+        assert bundle_class(loop) == loop_degree(loop.right_mul_constant(REFLECTION))
+    assert bundle_class(loop) == (d if reflected else -d)
 
 
 def test_standard_clutching_is_nullhomotopic():

@@ -86,6 +86,29 @@ def test_exponents_must_be_non_negative_ints(exponent):
         F2Algebra([("u", 1)], [({"u": 2}, {"u": exponent})], cap=4)
 
 
+@pytest.mark.parametrize(
+    "generators, cap, error",
+    [
+        ([("x", 1.5)], 4, TypeError),
+        ([("x", 1)], 4.5, TypeError),
+        ([("x", "2")], 4, TypeError),
+        ([("x", True)], 4, TypeError),
+        ([("x", 1)], True, TypeError),
+        ([("x", 0)], 4, ValueError),
+        ([("x", -1)], 4, ValueError),
+        ([("x", 1)], -1, ValueError),
+    ],
+)
+def test_degrees_and_cap_must_be_exact(generators, cap, error):
+    with pytest.raises(error):
+        F2Algebra(generators, [], cap=cap)
+
+
+def test_bcom_cap_must_be_an_int():
+    with pytest.raises(TypeError):
+        bcom_o2_algebra(6.9)
+
+
 def test_associativity_exhaustive_low_degrees():
     alg = bcom_o2_algebra(6)
     small = alg.basis_through(3)

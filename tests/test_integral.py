@@ -235,3 +235,9 @@ def test_sparse_rows_edge_cases():
     ):
         with pytest.raises(ValueError):
             IntChainComplex(ranks, boundaries)
+    # Ranks are exact non-negative ints, checked at construction.
+    for bad in (2.7, "3", True):
+        with pytest.raises(TypeError):
+            IntChainComplex([bad], {})
+    with pytest.raises(ValueError):
+        IntChainComplex([-1], {})

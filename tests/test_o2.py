@@ -14,7 +14,6 @@ from kocom.o2 import (
     REFLECTION,
     D4Element,
     NotALoopError,
-    NotInSO2Error,
     O2Element,
     O2Path,
     PathSegment,
@@ -241,11 +240,15 @@ def test_loop_degree_generator_convention():
     assert loop_degree(affine_path(4, 0)) == 2
 
 
-def test_loop_degree_rejects_open_and_reflected_paths():
+def test_loop_degree_rejects_open_paths_and_reads_reflected_loops():
     with pytest.raises(NotALoopError):
         loop_degree(affine_path(1, 0))
-    with pytest.raises(NotInSO2Error):
-        loop_degree(affine_path(2, 0, reflect=True))
+    with pytest.raises(NotALoopError):
+        loop_degree(affine_path(1, 0, reflect=True))
+    # A reflected loop has the degree of its translate into the rotations.
+    reflected = affine_path(2, 0, reflect=True)
+    assert loop_degree(reflected) == 1
+    assert loop_degree(reflected) == loop_degree(reflected.right_mul_constant(REFLECTION))
 
 
 def test_loop_degree_concat_and_reversal():
@@ -295,7 +298,7 @@ def test_pointwise_pow_matches_values():
 def test_right_mul_constant():
     p = affine_path(1, 0, reflect=True)
     q = p.right_mul_constant(REFLECTION)
-    assert q.in_so2
+    assert not any(seg.reflect for seg in q.segments)
     for t in (Fraction(0), Fraction(1, 2), Fraction(1)):
         assert q.value(t) == p.value(t) * REFLECTION
 
