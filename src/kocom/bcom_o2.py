@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .f2poly import F2Algebra, F2Class, RingMap, elementary_symmetric
+from .integral import exact_int
 
 
 class IdentityFailsError(AssertionError):
@@ -30,7 +31,7 @@ class IdentityFailsError(AssertionError):
 def bcom_o2_algebra(cap: int = 6) -> F2Algebra:
     """F2[w1, w2, r, s] / (w1*r, r^2, r*s, s^2), truncated at the cap,
     with the total Steenrod squares of the generators attached."""
-    if cap < 4:
+    if exact_int(cap) < 4:
         raise ValueError("cap must be at least 4")
     alg = F2Algebra(
         generators=[("w1", 1), ("w2", 2), ("r", 2), ("s", 3)],

@@ -5,9 +5,9 @@
 Suites: cocycles, so3-homology, char-classes, surface-ko, all.  Options:
 --k-range/--n-range as inclusive lo..hi pairs of at most 41 values,
 --surface as sphere | genus:<g> | rp:<n> with b1 <= 40, --degree-cap
-4..32 for the characteristic algebra, and --out for the structured
-report.  Exit code 0 when every check passes, 1 when any fails or none
-ran, 2 for bad arguments or an --out path that cannot be written.
+4..32 for the characteristic algebra (ASCII digits only), --out for the
+structured report.  Exit code 0 when every check passes, 1 when any fails
+or none ran, 2 when argparse rejects an argument or --out is unwritable.
 """
 
 from __future__ import annotations
@@ -66,6 +66,12 @@ def parse_surface(text: str) -> Surface:
     return surface
 
 
+def parse_degree_cap(text: str) -> int:
+    if re.fullmatch(r"[0-9]+", text) and 4 <= int(text) <= MAX_DEGREE_CAP:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected an int between 4 and {MAX_DEGREE_CAP}, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kocom",
@@ -101,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--degree-cap",
-        type=int,
+        type=parse_degree_cap,
         default=6,
         metavar="D",
         help="degree cap for the characteristic algebra (default 6)",
@@ -113,9 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_verify(args: argparse.Namespace) -> int:
-    if not 4 <= args.degree_cap <= MAX_DEGREE_CAP:
-        print(f"error: --degree-cap must be between 4 and {MAX_DEGREE_CAP}", file=sys.stderr)
-        return 2
     if args.surface is not None and args.suite not in ("surface-ko", "all"):
         print(f"warning: suite {args.suite} ignores --surface", file=sys.stderr)
     options = {

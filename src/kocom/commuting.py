@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .integral import AbelianGroup, IntChainComplex
+from .integral import AbelianGroup, IntChainComplex, exact_int
 from .o2 import D4Element
 
 D4Tuple = tuple[D4Element, ...]
@@ -79,7 +79,7 @@ def enumerate_components(n: int) -> list[ComponentLabel]:
     labels are the first-appearance tuples that use c2, generated directly
     as restricted growth strings: each entry is at most one more than the
     largest entry before it."""
-    if n < 0:
+    if exact_int(n) < 0:
         raise ValueError("tuple length must be non-negative")
     level = [((), D4Element.I)]  # (prefix, largest entry so far)
     for _ in range(n):
@@ -112,7 +112,7 @@ def boundary_matrix(n: int) -> list[dict[int, int]]:
     induced face maps, from the free abelian group on the level-n components
     (columns, enumerate_components(n)) to the level-(n-1) ones (rows); each
     column is computed on the component's canonical tuple."""
-    if n < 1:
+    if exact_int(n) < 1:
         raise ValueError("boundary needs level >= 1")
     index = {label: row for row, label in enumerate(enumerate_components(n - 1))}
     rows: list[dict[int, int]] = [{} for _ in index]

@@ -24,6 +24,8 @@ import functools
 import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .integral import exact_int
+
 Monomial = tuple[int, ...]
 
 #: The empty monomial set that zero() and every reduction to zero share:
@@ -54,7 +56,7 @@ class F2Algebra:
     relations: sequence of (lhs, rhs) pairs, lhs a {name: exponent} mapping
         for the forbidden monomial and rhs one such mapping for the monomial
         it rewrites to, or None if it is zero.  Exponents are non-negative
-        ints (ValueError otherwise).
+        ints: TypeError for any other type, bools too, ValueError below 0.
     cap: top degree kept by the truncation.
     """
 
@@ -65,11 +67,8 @@ class F2Algebra:
         cap: int = 6,
         name: str = "",
     ):
-        self.generators = tuple((str(n), d) for n, d in generators)
-        self.cap = cap
-        for d in (*(d for _, d in self.generators), cap):
-            if isinstance(d, bool) or not isinstance(d, int):
-                raise TypeError(f"expected an int, got {d!r}")
+        self.generators = tuple((str(n), exact_int(d)) for n, d in generators)
+        self.cap = exact_int(cap)
         if any(d < 1 for _, d in self.generators) or cap < 0:
             raise ValueError("generator degrees must be >= 1 and the cap >= 0")
         self.name = name
@@ -90,7 +89,7 @@ class F2Algebra:
     def _monomial_tuple(self, exps: Mapping[str, int]) -> Monomial:
         mono = [0] * len(self.generators)
         for name, e in exps.items():
-            if not isinstance(e, int) or e < 0:
+            if exact_int(e) < 0:
                 raise ValueError(f"exponent of {name} must be a non-negative int, got {e!r}")
             mono[self._index[name]] = e
         return tuple(mono)
@@ -240,7 +239,7 @@ class F2Class:
         return F2Class(self.algebra, self.algebra._product(self.monomials, other.monomials))
 
     def __pow__(self, n: int) -> "F2Class":
-        if n < 0:
+        if exact_int(n) < 0:
             raise ValueError("negative powers are not defined here")
         alg = self.algebra
         return F2Class(alg, functools.reduce(alg._product, [self.monomials] * n, alg.one().monomials))

@@ -18,6 +18,13 @@ class NotAComplexError(ValueError):
     """Raised when consecutive boundary maps fail to compose to zero."""
 
 
+def exact_int(x: object) -> int:
+    """x if it is an int and not a bool, else TypeError: kocom's one exact-integer rule."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an int, got {x!r}")
+    return x
+
+
 def smith_normal_form(rows: Sequence[Mapping[int, int]]) -> list[int]:
     """Diagonal of the Smith normal form of sparse {column: entry} rows, zero
     entries ignored: positive d1 | d2 | ... | dr (zero diagonal entries are
@@ -91,11 +98,9 @@ class AbelianGroup:
     free_rank: int = 0
 
     def __post_init__(self) -> None:
-        factors = tuple(self.invariant_factors)
+        factors = tuple(map(exact_int, self.invariant_factors))
         object.__setattr__(self, "invariant_factors", factors)
-        for d in (*factors, self.free_rank):
-            if isinstance(d, bool) or not isinstance(d, int):
-                raise TypeError(f"expected an int, got {d!r}")
+        exact_int(self.free_rank)
         for d in factors:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
@@ -108,7 +113,7 @@ class AbelianGroup:
     @classmethod
     def from_orders(cls, orders: Sequence[int], free_rank: int = 0) -> "AbelianGroup":
         """Canonicalize an unsorted list of finite cyclic orders (>= 1)."""
-        if any(d < 1 for d in orders):
+        if any(exact_int(d) < 1 for d in orders):
             raise ValueError(f"cyclic orders must be >= 1, got {list(orders)}")
         chain = _divisor_chain(d for d in orders if d > 1)
         return cls(tuple(d for d in chain if d > 1), free_rank)
@@ -143,12 +148,9 @@ class IntChainComplex:
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: dict):
-        self.ranks = tuple(ranks)
-        for r in self.ranks:
-            if isinstance(r, bool) or not isinstance(r, int):
-                raise TypeError(f"expected an int rank, got {r!r}")
-            if r < 0:
-                raise ValueError(f"negative rank {r}")
+        self.ranks = tuple(map(exact_int, ranks))
+        if any(r < 0 for r in self.ranks):
+            raise ValueError(f"negative rank in {self.ranks}")
         self.boundaries = {}
         if any(p not in range(1, len(self.ranks)) for p in boundaries):
             raise ValueError(f"boundary keys must lie in 1..{len(self.ranks) - 1}")
@@ -171,7 +173,7 @@ class IntChainComplex:
         """H_p = ker d_p / im d_{p+1}, by Smith normal form: the free rank is
         rank C_p - rank d_p - rank d_{p+1}, and the torsion is given by the
         invariant factors of d_{p+1} that exceed 1."""
-        if not 0 <= p < len(self.ranks):
+        if not 0 <= exact_int(p) < len(self.ranks):
             return AbelianGroup()
         outgoing = smith_normal_form(self.boundaries.get(p, []))
         incoming = smith_normal_form(self.boundaries.get(p + 1, []))

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .integral import exact_int
+
 Rational = Union[int, Fraction]
 
 
@@ -26,12 +28,10 @@ class NotALoopError(ValueError):
 
 
 def _frac(x: Rational) -> Fraction:
-    # Exact input only: a float or a string would give an inexact angle.
+    # A Fraction or an exact int (integral.exact_int); anything else raises TypeError.
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError(f"expected an int or a Fraction, got {x!r}")
+    return Fraction(exact_int(x))
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,7 @@ class O2Path:
 
     def pointwise_pow(self, n: int) -> "O2Path":
         """The path t |-> self(t)**n (affine again, by the power case table)."""
+        exact_int(n)
         segs = []
         for seg in self.segments:
             if seg.reflect:

@@ -34,7 +34,7 @@ from .bcom_o2 import (
 )
 from .cocycles import standard_cocycle, tc_invariant
 from .f2poly import F2Algebra, F2Class, RingMap
-from .integral import AbelianGroup
+from .integral import AbelianGroup, exact_int
 from .report import check
 
 
@@ -50,8 +50,7 @@ class Surface:
     def __post_init__(self) -> None:
         if self.kind not in ("sphere", "orientable", "nonorientable"):
             raise ValueError(f"unknown surface kind {self.kind!r}")
-        if isinstance(self.count, bool) or not isinstance(self.count, int):
-            raise TypeError(f"the count must be an int, got {self.count!r}")
+        exact_int(self.count)
         if self.kind == "sphere" and self.count != 0:
             raise ValueError("the sphere carries no count")
         if self.kind != "sphere" and self.count < 1:

@@ -47,7 +47,11 @@ def test_invalid_arguments_exit_code_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "cocycles", "--k-range", "bad"])
     assert info.value.code == 2
-    assert main(["verify", "cocycles", "--degree-cap", "2"]) == 2
+    # Only ASCII digits in range: int() alone would take the last four.
+    for cap in ("2", "1_0", "+8", " 8", "\u0668"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "cocycles", "--degree-cap", cap])
+        assert info.value.code == 2
     for selector in ("genus:1_0", "rp: 3", "genus:+2", "genus:\u0663"):
         with pytest.raises(SystemExit) as info:
             main(["verify", "surface-ko", "--surface", selector])
@@ -135,8 +139,13 @@ def test_range_and_degree_cap_bounds_exit_code_2(capsys):
             main(["verify", "cocycles", option])
         assert info.value.code == 2
     assert "limit 41" in capsys.readouterr().err
-    assert main(["verify", "char-classes", "--degree-cap", "33"]) == 2
-    assert "between 4 and 32" in capsys.readouterr().err
+    assert [build_parser().parse_args(["verify", "all", "--degree-cap", cap]).degree_cap
+            for cap in ("4", "32")] == [4, 32]
+    for cap in ("3", "33", "1_0", "+8", " 8", "\u0668"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "char-classes", "--degree-cap", cap])
+        assert info.value.code == 2
+        assert "between 4 and 32" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["cocycles", "so3-homology", "char-classes"])

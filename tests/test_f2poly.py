@@ -75,14 +75,18 @@ def test_surface_style_rewrite_to_nonzero_normal_form():
     assert (alg.one() + a) * (alg.one() + b) == alg.one() + a + b + y
 
 
-@pytest.mark.parametrize("exponent", [-1, 1.5, "2"])
-def test_exponents_must_be_non_negative_ints(exponent):
+@pytest.mark.parametrize(
+    "exponent, error",
+    [(-1, ValueError), (1.5, TypeError), ("2", TypeError), (True, TypeError)],
+    ids=["-1", "1.5", "2", "True"],
+)
+def test_exponents_must_be_non_negative_ints(exponent, error):
     alg = bcom_o2_algebra(6)
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         alg.cls({"w1": exponent})
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         F2Algebra([("u", 1)], [({"u": exponent}, None)], cap=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         F2Algebra([("u", 1)], [({"u": 2}, {"u": exponent})], cap=4)
 
 
@@ -105,8 +109,9 @@ def test_degrees_and_cap_must_be_exact(generators, cap, error):
 
 
 def test_bcom_cap_must_be_an_int():
-    with pytest.raises(TypeError):
-        bcom_o2_algebra(6.9)
+    for cap in (6.9, True):
+        with pytest.raises(TypeError):
+            bcom_o2_algebra(cap)
 
 
 def test_associativity_exhaustive_low_degrees():

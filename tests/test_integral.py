@@ -7,13 +7,17 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from kocom.commuting import boundary_matrix, enumerate_components
+from kocom.bcom_o2 import bcom_o2_algebra
+from kocom.cocycles import power_cocycle, standard_cocycle
+from kocom.commuting import boundary_matrix, component_homology, enumerate_components
 from kocom.integral import (
     AbelianGroup,
     IntChainComplex,
     NotAComplexError,
+    exact_int,
     smith_normal_form,
 )
+from kocom.o2 import D4Element
 
 
 def to_rows(mat):
@@ -239,5 +243,36 @@ def test_sparse_rows_edge_cases():
     for bad in (2.7, "3", True):
         with pytest.raises(TypeError):
             IntChainComplex([bad], {})
+        with pytest.raises(TypeError):
+            IntChainComplex([1], {}).homology(bad)
     with pytest.raises(ValueError):
         IntChainComplex([-1], {})
+
+
+def test_exact_int_is_the_one_rule():
+    assert exact_int(3) == 3 and exact_int(-2) == -2
+    assert exact_int(D4Element.C2) is D4Element.C2  # an int subclass, not a bool
+    for bad in (True, False, 2.0, "2", None):
+        with pytest.raises(TypeError):
+            exact_int(bad)
+
+
+@pytest.mark.parametrize("value", [True, 2.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: bcom_o2_algebra(6).gen("w1") ** v,
+        lambda v: power_cocycle(standard_cocycle(2), v),
+        lambda v: AbelianGroup.from_orders([v, 4]),
+        lambda v: enumerate_components(v),
+        lambda v: boundary_matrix(v),
+        lambda v: component_homology(v),
+        lambda v: bcom_o2_algebra(v),
+    ],
+    ids=["f2-pow", "power-cocycle", "from-orders", "components", "boundary", "homology", "bcom"],
+)
+def test_integer_entry_points_refuse_inexact_ints(call, value):
+    """Each entry point raises TypeError for a bool or a float, never
+    reading True as 1 or 2.0 as 2."""
+    with pytest.raises(TypeError):
+        call(value)
