@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .o2 import (
     IDENTITY,
@@ -39,9 +40,6 @@ class InvalidCocycleError(ValueError):
     """Raised when an operation requires a valid commutative cocycle."""
 
 
-#: Parameter values of the two triple points shared by all three arcs.
-TRIPLE_POINTS = (Fraction(0), Fraction(1))
-
 #: The labeled arcs of the cover: boundary-circle halves (1,2) and (1,3),
 #: and the equatorial arc (2,3) of the right hemisphere.  All geometry is
 #: collapsed into the shared parameter; the retraction of the north-east
@@ -56,9 +54,6 @@ class CommCocycle:
     alpha12: O2Path
     alpha13: O2Path
     alpha23: O2Path
-
-    def path(self, arc: tuple) -> O2Path:
-        return {(1, 2): self.alpha12, (1, 3): self.alpha13, (2, 3): self.alpha23}[arc]
 
 
 @dataclass(frozen=True)
@@ -120,22 +115,19 @@ def validate(c: CommCocycle) -> ValidationReport:
     triple points.  Distinct arcs meet only there, so those are the only
     points where two transition values are simultaneously defined.
     Failures are returned as data, not raised.  The triple points are the
-    arc endpoints t = 0 and 1, so the values are each path's start and end."""
+    arc endpoints t = 0 and 1: the six values are the paths' starts and ends."""
     cocycle_failures = []
     commutation_failures = []
-    starts = {arc: c.path(arc).start for arc in ARCS}
-    ends = {arc: c.path(arc).end for arc in ARCS}
-    for p, values in zip(TRIPLE_POINTS, (starts, ends)):
-        product = values[(1, 2)] * values[(2, 3)]
-        if product != values[(1, 3)]:
-            cocycle_failures.append(CocycleFailure(p, product, values[(1, 3)]))
-        for i in range(len(ARCS)):
-            for j in range(i + 1, len(ARCS)):
-                a, b = ARCS[i], ARCS[j]
-                if not commutes(values[a], values[b]):
-                    commutation_failures.append(
-                        CommutationFailure(p, a, b, values[a], values[b])
-                    )
+    paths = (c.alpha12, c.alpha13, c.alpha23)  # in ARCS order
+    starts, ends = [x.start for x in paths], [x.end for x in paths]
+    for p, values in ((Fraction(0), starts), (Fraction(1), ends)):
+        a12, a13, a23 = values
+        product = a12 * a23
+        if product != a13:
+            cocycle_failures.append(CocycleFailure(p, product, a13))
+        for (a, x), (b, y) in combinations(zip(ARCS, values), 2):
+            if not commutes(x, y):
+                commutation_failures.append(CommutationFailure(p, a, b, x, y))
     return ValidationReport(tuple(cocycle_failures), tuple(commutation_failures))
 
 

@@ -134,8 +134,9 @@ def component_complex(top: int = 3) -> IntChainComplex:
 
 
 def component_homology(p: int) -> AbelianGroup:
-    """H_p, from component_complex(p + 1), the least top holding d_{p+1}."""
-    return component_complex(p + 1).homology(p)
+    """H_p, from component_complex(p + 1), the least top holding d_{p+1};
+    0 for every p < 0, as for any degree outside the complex."""
+    return component_complex(max(p + 1, 0)).homology(p)
 
 
 def h2_bcom_so3() -> AbelianGroup:

@@ -111,10 +111,11 @@ class AbelianGroup:
             raise ValueError("negative free rank")
 
     @classmethod
-    def from_orders(cls, orders: Sequence[int], free_rank: int = 0) -> "AbelianGroup":
-        """Canonicalize an unsorted list of finite cyclic orders (>= 1)."""
-        if any(exact_int(d) < 1 for d in orders):
-            raise ValueError(f"cyclic orders must be >= 1, got {list(orders)}")
+    def from_orders(cls, orders: Iterable[int], free_rank: int = 0) -> "AbelianGroup":
+        """Canonicalize finite cyclic orders (>= 1) from any iterable, read once."""
+        orders = [exact_int(d) for d in orders]
+        if any(d < 1 for d in orders):
+            raise ValueError(f"cyclic orders must be >= 1, got {orders}")
         chain = _divisor_chain(d for d in orders if d > 1)
         return cls(tuple(d for d in chain if d > 1), free_rank)
 

@@ -28,7 +28,7 @@ from .cocycles import (
 from .f2poly import total_steenrod_square
 from .integral import AbelianGroup, smith_normal_form
 from .o2 import D4Element
-from .report import VerificationReport, check
+from .report import Check, VerificationReport, check
 
 SUITES = ("cocycles", "so3-homology", "char-classes", "surface-ko", "all")
 
@@ -47,7 +47,6 @@ LISTED_FACE_TABLE = {
     (C1, C2, C2): ("(1,0)", "(0,1)", "(1,0)", "(0,1)"),
     (C2, C2, C3): ("(0,1)", "(1,0)", "(0,1)", "(1,0)"),
 }
-LISTED_EXOTIC_TRIPLES = tuple(LISTED_FACE_TABLE)
 
 
 def degree_formula(k: int, n: int) -> Fraction:
@@ -56,7 +55,14 @@ def degree_formula(k: int, n: int) -> Fraction:
     return Fraction(n * k, 2) if n % 2 == 0 else Fraction((n - 1) * k, 2)
 
 
-def cocycle_suite(k_range=(-5, 5), n_range=(-5, 5)) -> VerificationReport:
+def tally(check_id: str, citation: str, results: list) -> Check:
+    """A counted check: all N results hold, rendered N/N against sum/N."""
+    return check(
+        check_id, citation, f"{len(results)}/{len(results)}", f"{sum(results)}/{len(results)}"
+    )
+
+
+def cocycle_suite(k_range, n_range) -> VerificationReport:
     report = VerificationReport("cocycles")
     ks = range(k_range[0], k_range[1] + 1)
     ns = range(n_range[0], n_range[1] + 1)
@@ -93,13 +99,12 @@ def cocycle_suite(k_range=(-5, 5), n_range=(-5, 5)) -> VerificationReport:
                 bundle_class(clutching_function(standard_cocycle(k))),
             )
         )
-    total = len(ks) * len(ns)
     report.add(
         check(
             "cocycles.validity.power-family",
             "pointwise powers of commutative cocycles stay commutative "
             "cocycles",
-            f"{total} valid",
+            f"{len(ks) * len(ns)} valid",
             f"{valid} valid",
         )
     )
@@ -139,7 +144,7 @@ def cocycle_suite(k_range=(-5, 5), n_range=(-5, 5)) -> VerificationReport:
                 "adding the k-th cocycle structure to the oriented bundle of "
                 "Euler number m yields pairwise distinct invariant pairs "
                 "(m, -k-m) over k",
-                f"{len(list(ks))} distinct",
+                f"{len(ks)} distinct",
                 f"{len(invariants)} distinct",
             )
         )
@@ -182,6 +187,7 @@ def cocycle_suite(k_range=(-5, 5), n_range=(-5, 5)) -> VerificationReport:
 def so3_suite() -> VerificationReport:
     report = VerificationReport("so3-homology")
     expected_counts = {0: 1, 1: 1, 2: 2, 3: 8}
+    components = {n: commuting.enumerate_components(n) for n in expected_counts}
     for n, count in expected_counts.items():
         report.add(
             check(
@@ -189,15 +195,11 @@ def so3_suite() -> VerificationReport:
                 "number of connected components of commuting n-tuples in the "
                 "rotation group of 3-space",
                 count,
-                len(commuting.enumerate_components(n)),
+                len(components[n]),
             )
         )
-    listed = {commuting.canonical_tuple(t) for t in LISTED_EXOTIC_TRIPLES}
-    computed = {
-        label.canonical
-        for label in commuting.enumerate_components(3)
-        if label.exotic
-    }
+    listed = {commuting.canonical_tuple(t) for t in LISTED_FACE_TABLE}
+    computed = {label.canonical for label in components[3] if label.exotic}
     report.add(
         check(
             "so3.exotic-representatives",
@@ -226,12 +228,12 @@ def so3_suite() -> VerificationReport:
             "both pair components map to the single 1-tuple component with "
             "alternating sum one, so the kernel is generated by (-1, 1)",
             "[[1, 1]]",
-            str([[row.get(j, 0) for j in range(len(commuting.enumerate_components(2)))]
+            str([[row.get(j, 0) for j in range(len(components[2]))]
                  for row in commuting.boundary_matrix(2)]),
         )
     )
     d3 = commuting.boundary_matrix(3)
-    zero_cols = len(commuting.enumerate_components(3)) - len({j for row in d3 for j in row})
+    zero_cols = len(components[3]) - len({j for row in d3 for j in row})
     report.add(
         check(
             "so3.boundary.level3",
@@ -250,6 +252,7 @@ def so3_suite() -> VerificationReport:
             commuting.component_homology(2),
         )
     )
+    h2 = commuting.h2_bcom_so3()
     report.add(
         check(
             "so3.homology.h2",
@@ -258,7 +261,7 @@ def so3_suite() -> VerificationReport:
             "group's Z/2 (computable shadow of the degree-two homotopy "
             "group statement)",
             "Z/2 + Z/2",
-            commuting.h2_bcom_so3(),
+            h2,
         )
     )
     report.add(
@@ -275,14 +278,14 @@ def so3_suite() -> VerificationReport:
             "so3.homology.full-orthogonal",
             "the full 3x3 orthogonal case gives the same group via the "
             "product splitting off the center (standing structural input)",
-            commuting.h2_bcom_so3(),
-            commuting.h2_bcom_so3(),
+            h2,
+            h2,
         )
     )
     return report
 
 
-def char_class_suite(cap: int = 6) -> VerificationReport:
+def char_class_suite(cap: int) -> VerificationReport:
     report = VerificationReport("char-classes")
     alg = bcom_o2.bcom_o2_algebra(cap)
     phi = bcom_o2.inversion_pullback(alg)
@@ -314,14 +317,12 @@ def char_class_suite(cap: int = 6) -> VerificationReport:
     basis = alg.basis_through(cap)
     degrees = [x.homogeneous_degree() for x in basis]
     phis = [phi(x) for x in basis]
-    involution_ok = sum(1 for x, px in zip(basis, phis) if phi(px) == x)
     report.add(
-        check(
+        tally(
             "char.involution",
             "the inversion pullback is an involution on the full basis "
             "through the degree cap",
-            f"{len(basis)}/{len(basis)}",
-            f"{involution_ok}/{len(basis)}",
+            [phi(px) == x for x, px in zip(basis, phis)],
         )
     )
 
@@ -333,24 +334,20 @@ def char_class_suite(cap: int = 6) -> VerificationReport:
                     break
                 yield i, j
 
-    ring = [phi(basis[i] * basis[j]) == phis[i] * phis[j] for i, j in pairs(cap)]
     report.add(
-        check(
+        tally(
             "char.ring-map",
             "the inversion pullback is multiplicative on all basis pairs "
             "through the degree cap",
-            f"{len(ring)}/{len(ring)}",
-            f"{sum(ring)}/{len(ring)}",
+            [phi(basis[i] * basis[j]) == phis[i] * phis[j] for i, j in pairs(cap)],
         )
     )
-    compat_ok = sum(1 for x, px in zip(basis, phis) if kmap(px) == kmap(x))
     report.add(
-        check(
+        tally(
             "char.kstar-compat",
             "restriction to a pair of line bundles absorbs the inversion "
             "pullback (inversion is the identity on the line pair)",
-            f"{len(basis)}/{len(basis)}",
-            f"{compat_ok}/{len(basis)}",
+            [kmap(px) == kmap(x) for x, px in zip(basis, phis)],
         )
     )
     a2 = bcom_o2.a2_class(alg)
@@ -405,32 +402,27 @@ def char_class_suite(cap: int = 6) -> VerificationReport:
         )
     )
     squares = [total_steenrod_square(x) for x, d in zip(basis, degrees) if d <= min(5, cap)]
-    cartan = [
-        total_steenrod_square(basis[i] * basis[j]) == squares[i] * squares[j]
-        for i, j in pairs(min(5, cap))
-    ]
     report.add(
-        check(
+        tally(
             "char.sq-cartan",
             "the total square is multiplicative on all basis pairs through "
             "degree 5",
-            f"{len(cartan)}/{len(cartan)}",
-            f"{sum(cartan)}/{len(cartan)}",
+            [
+                total_steenrod_square(basis[i] * basis[j]) == squares[i] * squares[j]
+                for i, j in pairs(min(5, cap))
+            ],
         )
     )
-    nat_basis = [x for x, d in zip(basis, degrees) if d < cap]
-    nat_ok = sum(
-        1
-        for x in nat_basis
-        if kmap(total_steenrod_square(x)) == total_steenrod_square(kmap(x))
-    )
     report.add(
-        check(
+        tally(
             "char.sq-naturality",
             "the total square commutes with restriction to the line pair on "
             "the basis through cap - 1",
-            f"{len(nat_basis)}/{len(nat_basis)}",
-            f"{nat_ok}/{len(nat_basis)}",
+            [
+                kmap(total_steenrod_square(x)) == total_steenrod_square(kmap(x))
+                for x, d in zip(basis, degrees)
+                if d < cap
+            ],
         )
     )
     for case in (bcom_o2.RANK2_RANK2, bcom_o2.RANK2_LINE):
@@ -476,25 +468,20 @@ def expected_units(surface) -> str:
     return str(AbelianGroup.from_orders([2] * (2 * surface.count + 1)))
 
 
-def golden_name(surface) -> str:
-    return surface.label.replace(":", "")
-
-
 def load_golden(surface) -> str:
-    path = resources.files("kocom").joinpath(f"golden/{golden_name(surface)}.txt")
-    return path.read_text()
+    name = surface.label.replace(":", "")
+    return resources.files("kocom").joinpath(f"golden/{name}.txt").read_text()
 
 
-def surface_suite(only=None) -> VerificationReport:
-    """Surface checks over the listed surfaces, or over `only` alone.  A
-    selected surface gets every check; its presentation is compared only
-    where a golden file exists."""
+def surface_suite(only) -> VerificationReport:
+    """Surface checks in one pass over UNITS_SURFACES, or over `only` alone
+    when a surface is selected.  Every surface gets the units checks and,
+    off the sphere, its unit identity; the presentation is compared when the
+    surface is in PRESENTATION_SURFACES, the surfaces with a golden file; the
+    product and obstruction checks run on a selected surface and on
+    PRODUCT_SURFACES."""
     report = VerificationReport("surface-ko")
-
-    def selected(listed) -> tuple:
-        return listed if only is None else (only,)
-
-    for surface in selected(UNITS_SURFACES):
+    for surface in UNITS_SURFACES if only is None else (only,):
         alg = surfaces.surface_algebra(surface)
         group = surfaces.units_group(alg)
         report.add(
@@ -514,66 +501,61 @@ def surface_suite(only=None) -> VerificationReport:
                 group.order,
             )
         )
-        if surface.kind == "orientable":
+        if surface.kind != "sphere":
             one, y2 = alg.one(), alg.gen("y2")
-            ok = all(
-                (one + alg.gen(f"a{i}") + alg.gen(f"b{i}"))
-                * (one + alg.gen(f"a{i}"))
-                * (one + alg.gen(f"b{i}"))
-                == one + y2
-                for i in range(1, surface.count + 1)
-            )
-            report.add(
-                check(
-                    f"surface-ko.unit-identity.{surface.label}",
+            indices = range(1, surface.count + 1)
+            if surface.kind == "orientable":
+                citation = (
                     "(1 + a_i + b_i)(1 + a_i)(1 + b_i) = 1 + y2, the unit "
-                    "identity behind the diagonal products",
-                    "holds",
-                    "holds" if ok else "fails",
+                    "identity behind the diagonal products"
                 )
-            )
-        if surface.kind == "nonorientable":
-            one, y2 = alg.one(), alg.gen("y2")
-            ok = all(
-                surfaces.unit_inverse(one + alg.gen(f"a{i}")) ** 2 == one + y2
-                for i in range(1, surface.count + 1)
-            )
+                ok = all(
+                    (one + alg.gen(f"a{i}") + alg.gen(f"b{i}"))
+                    * (one + alg.gen(f"a{i}"))
+                    * (one + alg.gen(f"b{i}"))
+                    == one + y2
+                    for i in indices
+                )
+            else:
+                citation = (
+                    "(1 + a_i)^(-2) = 1 + y2, the unit identity behind the "
+                    "diagonal squares"
+                )
+                ok = all(
+                    surfaces.unit_inverse(one + alg.gen(f"a{i}")) ** 2 == one + y2
+                    for i in indices
+                )
             report.add(
                 check(
                     f"surface-ko.unit-identity.{surface.label}",
-                    "(1 + a_i)^(-2) = 1 + y2, the unit identity behind the "
-                    "diagonal squares",
+                    citation,
                     "holds",
                     "holds" if ok else "fails",
                 )
             )
-    for surface in PRESENTATION_SURFACES:
-        if only is not None and surface != only:
-            continue
-        text = surfaces.ko_presentation(surface).to_text()
-        golden = load_golden(surface)
-        report.add(
-            check(
-                f"surface-ko.presentation.{surface.label}",
-                "the derived K-theory ring presentation matches the recorded "
-                "presentation term for term",
-                "matches golden",
-                "matches golden" if text == golden else "differs",
+        if surface in PRESENTATION_SURFACES:
+            text = surfaces.ko_presentation(surface).to_text()
+            report.add(
+                check(
+                    f"surface-ko.presentation.{surface.label}",
+                    "the derived K-theory ring presentation matches the recorded "
+                    "presentation term for term",
+                    "matches golden",
+                    "matches golden" if text == load_golden(surface) else "differs",
+                )
             )
-        )
-    for surface in selected(PRODUCT_SURFACES):
+        if only is None and surface not in PRODUCT_SURFACES:
+            continue
         report.extend(surfaces.verify_kocom_products(surface))
         if surface.kind == "sphere":
             continue
-        alg = surfaces.surface_algebra(surface)
-        data = surfaces.nonstandard_data(alg)
         report.add(
             check(
                 f"surface-ko.a2.nonstandard.{surface.label}",
                 "the pulled-back non-standard structure has obstruction bit 1 "
                 "(its twisted w2 is the top class)",
                 1,
-                bcom_o2.a2_of_tc_bundle(data),
+                bcom_o2.a2_of_tc_bundle(surfaces.nonstandard_data(alg)),
             )
         )
         first = surfaces.degree_one_names(alg)[0]

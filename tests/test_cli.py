@@ -3,10 +3,18 @@ determinism, and the structured output format."""
 
 import hashlib
 import json
+import re
 
 import pytest
 
-from kocom.cli import MAX_DEGREE_CAP, MAX_RANGE_VALUES, build_parser, main, parse_range
+from kocom.cli import (
+    MAX_DEGREE_CAP,
+    MAX_RANGE_VALUES,
+    build_parser,
+    main,
+    parse_range,
+    parse_surface,
+)
 from kocom.report import VerificationReport, check
 from kocom.suites import run_suite
 
@@ -121,6 +129,45 @@ def test_surface_outside_listed_surfaces_gets_checks(tmp_path):
     assert "surface-ko.units.genus:9" in ids
     assert "surface-ko.products.genus:9.square" in ids
     assert not any(i.startswith("surface-ko.presentation.") for i in ids)
+
+
+UNITS = {"surface-ko.units", "surface-ko.units-count"}
+PRODUCTS = {
+    "surface-ko.products.ring-structure",
+    "surface-ko.products.square",
+    "surface-ko.products.tensor-vs-sum",
+}
+A2 = {"surface-ko.a2.algebraic", "surface-ko.a2.nonstandard"}
+IDENTITY = {"surface-ko.unit-identity"}
+PRESENTATION = {"surface-ko.presentation"}
+SUSPENSION = {"surface-ko.products.suspension"}
+
+
+@pytest.mark.parametrize(
+    "selector, families, total",
+    [
+        ("sphere", UNITS | PRESENTATION | SUSPENSION, 4),
+        ("genus:4", UNITS | IDENTITY | PRODUCTS | A2, 15),
+        ("rp:4", UNITS | IDENTITY | PRESENTATION | PRODUCTS | A2, 12),
+        ("rp:3", UNITS | IDENTITY | PRESENTATION | PRODUCTS | A2, 11),
+        ("genus:9", UNITS | IDENTITY | PRODUCTS | A2, 25),
+        (None, UNITS | IDENTITY | PRESENTATION | PRODUCTS | A2 | SUSPENSION, 80),
+    ],
+)
+def test_surface_selection_runs_its_check_families(selector, families, total):
+    """Which check families each selection runs: the id without its surface
+    label and generator name.  A selected surface gets every family it has a
+    golden or a product rule for; no selection covers the listed surfaces."""
+    only = None if selector is None else parse_surface(selector)
+    report = run_suite("surface-ko", {"surface": only})
+    label_or_generator = re.compile(r"sphere|genus:\d+|rp:\d+|l_[ab]\d+")
+    found = {
+        ".".join(part for part in c.check_id.split(".") if not label_or_generator.fullmatch(part))
+        for c in report.checks
+    }
+    assert found == families
+    assert len(report.checks) == total
+    assert report.all_passed
 
 
 def test_surface_size_bound_exit_code_2(capsys):

@@ -79,6 +79,54 @@ def test_validate_failure_fixtures():
     assert [f.point for f in report.cocycle_failures] == [Fraction(1)]
 
 
+def quarter_turn_matrix(element: O2Element) -> tuple:
+    """R_{j*pi/2}, times A = diag(1, -1) when reflected, as an exact integer
+    2x2 matrix."""
+    j = element.angle * 2
+    assert j.denominator == 1
+    c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[int(j) % 4]
+    return ((c, s), (s, -c)) if element.reflect else ((c, -s), (s, c))
+
+
+def matmul(x: tuple, y: tuple) -> tuple:
+    return tuple(
+        tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+
+
+# A path from one quarter-turn element to another in the same component,
+# constant when the two agree.
+quarter_turn_paths = st.builds(
+    lambda a, b, reflect: affine_path(Fraction(b - a, 2), Fraction(a, 2), reflect),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.booleans(),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(quarter_turn_paths, quarter_turn_paths, quarter_turn_paths)
+def test_validate_matches_matrix_oracle(alpha12, alpha13, alpha23):
+    arcs = ((1, 2), (1, 3), (2, 3))
+    cocycle, commutation = [], []
+    for t in (Fraction(0), Fraction(1)):
+        values = (p.value(t) for p in (alpha12, alpha13, alpha23))
+        m = dict(zip(arcs, map(quarter_turn_matrix, values)))
+        product = matmul(m[(1, 2)], m[(2, 3)])
+        if product != m[(1, 3)]:
+            cocycle.append((t, product))
+        for i, a in enumerate(arcs):
+            for b in arcs[i + 1:]:
+                if matmul(m[a], m[b]) != matmul(m[b], m[a]):
+                    commutation.append((t, a, b))
+    report = validate(CommCocycle(alpha12, alpha13, alpha23))
+    assert [
+        (f.point, quarter_turn_matrix(f.product)) for f in report.cocycle_failures
+    ] == cocycle
+    assert [(f.point, f.arc_a, f.arc_b) for f in report.commutation_failures] == commutation
+
+
 def test_power_cocycle_zero_gives_identity():
     assert power_cocycle(standard_cocycle(5), 0) == identity_cocycle()
 

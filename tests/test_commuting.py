@@ -285,3 +285,6 @@ def test_universal_coefficients_mod_2_and_3():
 def test_level_zero_and_one():
     assert boundary_matrix(1) == to_rows([[0]])
     assert str(component_homology(0)) == "Z"
+    # Degrees below the complex are zero, however far below.
+    for p in (-1, -2, -3):
+        assert str(component_homology(p)) == "0"

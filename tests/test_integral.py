@@ -115,6 +115,9 @@ def test_abelian_group_canonicalization():
     assert AbelianGroup.from_orders([1, 1]) == AbelianGroup()
     assert str(AbelianGroup.from_orders([2, 4], free_rank=1)) == "Z + Z/2 + Z/4"
     assert str(AbelianGroup()) == "0"
+    # Any iterable, read once: a generator gives the same group as its list.
+    assert AbelianGroup.from_orders(iter([2, 4])) == AbelianGroup.from_orders([2, 4])
+    assert str(AbelianGroup.from_orders(d for d in (4, 2))) == "Z/2 + Z/4"
     for bad in ([0], [0, 2], [2, -3]):
         with pytest.raises(ValueError):
             AbelianGroup.from_orders(bad)
