@@ -5,7 +5,7 @@ Subpackages by capability:
 - o2: exact O(2) and Klein four-group arithmetic, piecewise rotation
   paths, winding degrees.
 - cocycles: commutative cocycles on the three-set sphere cover, pointwise
-  powers, clutching loops, and the two-degree invariant.
+  powers, clutching loops and degrees, and the two-degree invariant.
 - commuting: components of commuting tuples in SO(3) and the homology of
   their component complex.
 - integral: Smith normal form and homology of small integer complexes.
@@ -20,6 +20,7 @@ from .cocycles import (
     TCInvariant,
     ValidationReport,
     bundle_class,
+    clutching_degree,
     clutching_function,
     oriented_invariant,
     power_cocycle,
@@ -71,6 +72,7 @@ __all__ = [
     "boundary_matrix",
     "bundle_class",
     "classify_component",
+    "clutching_degree",
     "clutching_function",
     "commutes",
     "enumerate_components",

@@ -4,7 +4,7 @@
 
 Suites: cocycles, so3-homology, char-classes, surface-ko, all.  Options:
 --k-range/--n-range as inclusive lo..hi pairs of at most 41 values,
---surface as sphere | genus:<g> | rp:<n> with b1 <= 40, --degree-cap
+--surface as sphere | genus:<g> | rp:<n> with b1 <= 80, --degree-cap
 4..32 for the characteristic algebra (ASCII digits only), --out for the
 structured report.  Exit code 0 when every check passes, 1 when any fails
 or none ran, 2 when argparse rejects an argument or --out is unwritable.
@@ -19,7 +19,7 @@ import time
 from contextlib import nullcontext
 
 from .report import VerificationReport
-from .suites import SUITES, run_suite
+from .suites import DEFAULT_OPTIONS, SUITES, run_suite
 from .surfaces import Surface
 
 
@@ -37,20 +37,21 @@ def parse_range(text: str) -> tuple:
     return lo, hi
 
 
-#: Largest first Betti number --surface accepts (genus 20, rp:40).  The
-#: per-surface checks grow with b1; at this bound they take a fraction of
-#: a second.
-MAX_SURFACE_B1 = 40
+#: Largest first Betti number --surface accepts (genus 40, rp:80).  The
+#: per-surface checks grow with b1; at this bound `kocom verify surface-ko`
+#: reports 0.03-0.06 s elapsed (5 runs each of rp:80 and genus:40, medians
+#: 0.048 and 0.053 s, on a 2-CPU VM with Python 3.11).
+MAX_SURFACE_B1 = 80
 
 #: Most values --k-range and --n-range may each span (-20..20).  The cocycle
-#: suite checks every (k, n) pair; at this bound it takes about 0.6 s on a
-#: 2-CPU VM with Python 3.11.
+#: suite checks every (k, n) pair; at this bound it takes 0.25-0.30 s in
+#: process on a 2-CPU VM with Python 3.11 (3 runs).
 MAX_RANGE_VALUES = 41
 
 #: Largest --degree-cap; the characteristic algebra grows with the cap, and
-#: at this bound `kocom verify char-classes` takes about a second from the
-#: shell (medians of 0.81 and 0.96 s over two sets of 5 runs, 0.6 s of it
-#: in the suite, on a 2-CPU VM with Python 3.11).
+#: at this bound `kocom verify char-classes` takes about half a second from
+#: the shell (median 0.46 s over 5 runs, 0.31 s of it in the suite, on a
+#: 2-CPU VM with Python 3.11).
 MAX_DEGREE_CAP = 32
 
 
@@ -84,33 +85,35 @@ def build_parser() -> argparse.ArgumentParser:
     # Let bare range tokens like -5..5 through the option scanner.
     verify._negative_number_matcher = re.compile(r"^-\d")
     verify.add_argument("suite", choices=SUITES)
+    k_lo, k_hi = DEFAULT_OPTIONS["k_range"]
+    n_lo, n_hi = DEFAULT_OPTIONS["n_range"]
     verify.add_argument(
         "--k-range",
         type=parse_range,
-        default=(-5, 5),
+        default=DEFAULT_OPTIONS["k_range"],
         metavar="LO..HI",
-        help="cocycle index range (default -5..5)",
+        help=f"cocycle index range (default {k_lo}..{k_hi})",
     )
     verify.add_argument(
         "--n-range",
         type=parse_range,
-        default=(-5, 5),
+        default=DEFAULT_OPTIONS["n_range"],
         metavar="LO..HI",
-        help="power range (default -5..5)",
+        help=f"power range (default {n_lo}..{n_hi})",
     )
     verify.add_argument(
         "--surface",
         type=parse_surface,
-        default=None,
+        default=DEFAULT_OPTIONS["surface"],
         metavar="SEL",
         help="restrict surface checks: sphere | genus:<g> | rp:<n>",
     )
     verify.add_argument(
         "--degree-cap",
         type=parse_degree_cap,
-        default=6,
+        default=DEFAULT_OPTIONS["degree_cap"],
         metavar="D",
-        help="degree cap for the characteristic algebra (default 6)",
+        help=f"degree cap for the characteristic algebra (default {DEFAULT_OPTIONS['degree_cap']})",
     )
     verify.add_argument(
         "--out", default=None, metavar="PATH", help="write the structured report here"
@@ -121,12 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run_verify(args: argparse.Namespace) -> int:
     if args.surface is not None and args.suite not in ("surface-ko", "all"):
         print(f"warning: suite {args.suite} ignores --surface", file=sys.stderr)
-    options = {
-        "k_range": args.k_range,
-        "n_range": args.n_range,
-        "degree_cap": args.degree_cap,
-        "surface": args.surface,
-    }
+    options = {name: getattr(args, name) for name in DEFAULT_OPTIONS}
     try:
         # Opened before the suite runs, so an unwritable path fails before any check.
         out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext()

@@ -29,6 +29,7 @@ from .o2 import (
     _merge_segments,
     _RawPath,
     affine_path,
+    angle_sweep,
     commutes,
     constant_path,
     loop_degree,
@@ -141,6 +142,12 @@ def power_cocycle(c: CommCocycle, n: int) -> CommCocycle:
     )
 
 
+def _require_valid(c: CommCocycle) -> None:
+    report = validate(c)
+    if not report.ok:
+        raise InvalidCocycleError(report.summary())
+
+
 def clutching_function(c: CommCocycle) -> O2Path:
     """The clutching loop over the boundary circle of the left hemisphere.
 
@@ -151,9 +158,7 @@ def clutching_function(c: CommCocycle) -> O2Path:
     Continuity at both junctions is exactly the cocycle condition, so the
     halves are joined without a second check once validate has passed.
     """
-    report = validate(c)
-    if not report.ok:
-        raise InvalidCocycleError(report.summary())
+    _require_valid(c)
     upper = c.alpha12.pointwise_mul(c.alpha23)
     first = upper.reparameterized(2, 0)          # u in [0, 1/2], t = 2u
     second = c.alpha13.reparameterized(-2, 2)    # u in [1/2, 1], t = 2 - 2u
@@ -169,6 +174,21 @@ def bundle_class(loop: O2Path) -> int:
     (a constant right multiplication by A, which keeps every slope, does
     not change the clutched bundle's isomorphism class)."""
     return int(loop_degree(loop))
+
+
+def clutching_degree(c: CommCocycle) -> int:
+    """bundle_class(clutching_function(c)), read off the paths' angle sweeps
+    without building the loop.  With sweep(p) the sum of slope * (t1 - t0),
+    the upper half sweeps sweep(alpha12) + sweep(alpha23), or their
+    difference when alpha12 is reflected (R_a A R_b = R_{a-b} A), and the
+    lower half runs alpha13 backwards, so the degree is
+    (sweep(alpha12) +- sweep(alpha23) - sweep(alpha13)) / 2.  Raises
+    InvalidCocycleError as clutching_function does."""
+    _require_valid(c)
+    d12, d13, d23 = (angle_sweep(p) for p in (c.alpha12, c.alpha13, c.alpha23))
+    if c.alpha12.segments[0].reflect:
+        d23 = -d23
+    return int((d12 + d23 - d13) / 2)
 
 
 @dataclass(frozen=True)
@@ -189,8 +209,8 @@ class TCInvariant:
 
 
 def tc_invariant(c: CommCocycle) -> TCInvariant:
-    deg_plus = bundle_class(clutching_function(c))
-    deg_minus = bundle_class(clutching_function(power_cocycle(c, -1)))
+    deg_plus = clutching_degree(c)
+    deg_minus = clutching_degree(power_cocycle(c, -1))
     return TCInvariant(deg_plus, deg_minus)
 
 

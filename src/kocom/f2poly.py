@@ -8,11 +8,28 @@ sets used in this package are tiny and terminating, and confluence is
 exercised by the exhaustive associativity tests.  Every algebra is
 truncated above a degree cap: products simply drop monomials beyond it.
 
+A monomial is one int holding its exponent vector (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  Each generator has a field of the same width, and
+generator 0 the most significant one, so int order is the lexicographic
+order of exponent vectors and the unit is 0.  A field holds 2*cap plus the
+largest exponent on a right side, and every exponent in a relation, below
+one guard bit at its top.  A product of two normal monomials is their sum
+and a rewrite is m - lhs + rhs; the cap is tested before any rule, so no
+field overflows, and a monomial given above the cap is zero before it is
+packed.  m is divisible by lhs iff ((m | G) - lhs) & G == G, where G holds
+every guard bit: a field below lhs borrows its guard bit away, and none
+borrows from the next.  Each rule is indexed under the first generator its
+left side uses, so a monomial tries only the rules under its nonzero
+fields, in rule order, and greedy rewriting is the same as over the whole
+list.
+
 A ring map keeps its generator images and each source monomial's image
 once it is formed, starting from the unit at the zero monomial.  A new
-monomial's image is the stored image of that monomial with one factor
-fewer times that factor's generator image, so a class maps to the sum of
-stored images and no monomial's image is formed twice.
+monomial's image is the stored image of that monomial with its most
+significant factor removed (one step off the top nonzero field, in the
+source's layout) times that factor's generator image, so a class maps to
+the sum of stored images and no monomial's image is formed twice.
 The total Steenrod square is such a map: by the Cartan formula it is the
 ring endomorphism determined by the squares of the generators, which are
 checked against the relations when they are set.
@@ -26,7 +43,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .integral import exact_int
 
-Monomial = tuple[int, ...]
+Monomial = int
 
 #: The empty monomial set that zero() and every reduction to zero share:
 #: each call of frozenset() makes a new 216-byte object.
@@ -37,7 +54,7 @@ class RelationViolationError(ValueError):
     """Raised when proposed generator images fail the source relations."""
 
 
-def _exponent_vectors(degrees: Sequence[int], total: int) -> Iterator[Monomial]:
+def _exponent_vectors(degrees: Sequence[int], total: int) -> Iterator[tuple]:
     """Exponent vectors of degree `total` (exponents weighted by `degrees`),
     in lexicographic order."""
     if not degrees:
@@ -57,6 +74,8 @@ class F2Algebra:
         for the forbidden monomial and rhs one such mapping for the monomial
         it rewrites to, or None if it is zero.  Exponents are non-negative
         ints: TypeError for any other type, bools too, ValueError below 0.
+        A left side must use some generator (ValueError otherwise): each
+        rule is indexed under its first one.
     cap: top degree kept by the truncation.
     """
 
@@ -74,36 +93,65 @@ class F2Algebra:
         self.name = name
         self._index = {n: i for i, (n, _) in enumerate(self.generators)}
         self._degrees = tuple(d for _, d in self.generators)
-        self._rules = tuple(
-            (self._monomial_tuple(lhs), None if rhs is None else self._monomial_tuple(rhs))
+        sides = [
+            (self._exponents(lhs), None if rhs is None else self._exponents(rhs))
             for lhs, rhs in relations
+        ]
+        top = max((e for pair in sides for v in pair if v for e in v.values()), default=0)
+        rhs_top = max((e for _, rhs in sides if rhs for e in rhs.values()), default=0)
+        self._width = max(2 * self.cap + rhs_top, top).bit_length() + 1
+        n = len(self.generators)
+        self._shifts = tuple((n - 1 - i) * self._width for i in range(n))
+        self._guards = sum(1 << s + self._width - 1 for s in self._shifts)
+        # Rule positions by the first generator of their left side, in rule order.
+        self._rule_index: list = [[] for _ in range(n)]
+        for p, (lhs, _) in enumerate(sides):
+            first = min((i for i, e in lhs.items() if e), default=None)
+            if first is None:
+                raise ValueError("the left side of a relation must not be the unit")
+            self._rule_index[first].append(p)
+        self._rules = tuple(
+            (self._pack(lhs.items()), None if rhs is None else self._pack(rhs.items()))
+            for lhs, rhs in sides
         )
         self._reduce_cache: dict = {}
-        # The total square as (generator images, images) of monomial sets,
-        # as a RingMap keeps them; never classes or maps of this algebra,
+        # The total square as (field width, generator images, images), as a
+        # RingMap keeps them; never classes or maps of this algebra,
         # which would refer back to it.
         self._square: tuple | None = None
 
     # -- monomial plumbing -------------------------------------------------
 
-    def _monomial_tuple(self, exps: Mapping[str, int]) -> Monomial:
-        mono = [0] * len(self.generators)
+    def _exponents(self, exps: Mapping[str, int]) -> dict:
+        """{generator index: exponent} of a {name: exponent} mapping."""
+        out = {}
         for name, e in exps.items():
             if exact_int(e) < 0:
                 raise ValueError(f"exponent of {name} must be a non-negative int, got {e!r}")
-            mono[self._index[name]] = e
-        return tuple(mono)
+            out[self._index[name]] = e
+        return out
+
+    def _pack(self, exponents: Iterable[tuple]) -> Monomial:
+        """The monomial of (generator index, exponent) pairs."""
+        return sum(e << self._shifts[i] for i, e in exponents)
+
+    def _fields(self, mono: Monomial) -> Iterator[tuple]:
+        """(generator index, exponent) of each nonzero field, generator 0 first."""
+        width, last = self._width, len(self.generators) - 1
+        while mono:
+            j = (mono.bit_length() - 1) // width
+            e = mono >> j * width
+            mono -= e << j * width
+            yield last - j, e
 
     def monomial_degree(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self._degrees))
+        return sum(e * self._degrees[i] for i, e in self._fields(mono))
 
     def monomial_str(self, mono: Monomial) -> str:
         parts = []
-        for (name, _), e in zip(self.generators, mono):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
+        for i, e in self._fields(mono):
+            name = self.generators[i][0]
+            parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts) if parts else "1"
 
     def reduce_monomial(self, mono: Monomial) -> frozenset:
@@ -113,18 +161,22 @@ class F2Algebra:
         if self.monomial_degree(mono) > self.cap:
             result = _ZERO
         else:
-            result = None
-            for lhs, rhs in self._rules:
-                if all(m >= l for m, l in zip(mono, lhs)):
-                    if rhs is None:
-                        result = _ZERO
-                    else:
-                        result = self.reduce_monomial(
-                            tuple([m - l + r for m, l, r in zip(mono, lhs, rhs)])
-                        )
-                    break
-            if result is None:
+            # The first rule in list order whose left side divides mono: the
+            # first match under each nonzero field, the least of those.
+            rules, guards = self._rules, self._guards
+            first = len(rules)
+            for i, _ in self._fields(mono):
+                for p in self._rule_index[i]:
+                    if p >= first:
+                        break
+                    if ((mono | guards) - rules[p][0]) & guards == guards:
+                        first = p
+                        break
+            if first == len(rules):
                 result = frozenset({mono})
+            else:
+                lhs, rhs = rules[first]
+                result = _ZERO if rhs is None else self.reduce_monomial(mono - lhs + rhs)
         self._reduce_cache[mono] = result
         return result
 
@@ -134,7 +186,7 @@ class F2Algebra:
         return F2Class(self, _ZERO)
 
     def one(self) -> "F2Class":
-        return F2Class(self, frozenset({(0,) * len(self.generators)}))
+        return F2Class(self, frozenset({0}))
 
     def gen(self, name: str) -> "F2Class":
         return self.cls({name: 1})
@@ -144,7 +196,10 @@ class F2Algebra:
         reduced to normal form."""
         acc: set = set()
         for m in monomials:
-            acc ^= self.reduce_monomial(self._monomial_tuple(m))
+            exponents = self._exponents(m).items()
+            # Zero above the cap, before packing: such exponents may not fit a field.
+            if sum(e * self._degrees[i] for i, e in exponents) <= self.cap:
+                acc ^= self.reduce_monomial(self._pack(exponents))
         return F2Class(self, frozenset(acc))
 
     # -- bases ---------------------------------------------------------------
@@ -164,8 +219,11 @@ class F2Algebra:
         return out
 
     def _basis_monomials(self, degree: int) -> list:
+        if degree > self.cap:  # and its exponents may not fit a field
+            return []
         vectors = _exponent_vectors(self._degrees, degree)
-        return [m for m in vectors if self.reduce_monomial(m) == {m}]
+        monomials = (self._pack(enumerate(v)) for v in vectors)
+        return [m for m in monomials if self.reduce_monomial(m) == {m}]
 
     def dimension(self, degree: int) -> int:
         return len(self._basis_monomials(degree))
@@ -173,35 +231,38 @@ class F2Algebra:
     # -- products and ring maps on monomial sets ---------------------------
 
     def _product(self, a: frozenset, b: frozenset) -> frozenset:
-        # tuple() of a list, not of a generator: a tuple built from a
-        # generator is allocated at a guessed size and shrunk, so it never
-        # reuses CPython's per-length free lists and those fill up instead.
         reduce_monomial = self.reduce_monomial
         acc: set = set()
         for x in a:
             for y in b:
-                acc ^= reduce_monomial(tuple([p + q for p, q in zip(x, y)]))
+                acc ^= reduce_monomial(x + y)
         return frozenset(acc)
 
     def _evaluate(
-        self, generator_images: Sequence[frozenset], images: dict, monomials: Iterable[Monomial]
+        self,
+        width: int,
+        generator_images: Sequence[frozenset],
+        images: dict,
+        monomials: Iterable[Monomial],
     ) -> frozenset:
         """Image of a sum of source monomials under the ring map into this
         algebra that sends source generator i to generator_images[i].
-        `images` holds the map's image of each source monomial formed so
-        far, the unit at the zero monomial at least, and gains those formed
-        here."""
+        `width` is the source's field width, `images` holds the map's image
+        of each source monomial formed so far, the unit at 0 at least, and
+        gains those formed here."""
+        last = len(generator_images) - 1
         acc: set = set()
         for mono in monomials:
             image = images.get(mono)
             if image is None:
-                # One factor fewer at a time down to a stored image (the unit
-                # at worst), then the factors back on, storing each image.
+                # One step off the top nonzero field at a time down to a
+                # stored image (the unit at worst), then the factors back on,
+                # storing each image.
                 stripped, m = [], mono
                 while image is None:
-                    i = next(j for j, e in enumerate(m) if e)
-                    stripped.append((m, i))
-                    m = tuple([e - (j == i) for j, e in enumerate(m)])
+                    j = (m.bit_length() - 1) // width
+                    stripped.append((m, last - j))
+                    m -= 1 << j * width
                     image = images.get(m)
                 for m, i in reversed(stripped):
                     image = images[m] = self._product(image, generator_images[i])
@@ -214,7 +275,7 @@ class F2Algebra:
         relations (RelationViolationError otherwise, and the old squares
         stay)."""
         square = RingMap(self, self, squares)
-        self._square = (square.generator_images, square.images)
+        self._square = (self._width, square.generator_images, square.images)
 
     def __repr__(self) -> str:
         gens = ", ".join(f"{n}:{d}" for n, d in self.generators)
@@ -302,8 +363,10 @@ class RingMap:
         if any(images[n].algebra is not target for n in names):
             raise ValueError("images must live in the target algebra")
         self.generator_images = tuple(images[n].monomials for n in names)
-        self.images: dict = {(0,) * len(names): target.one().monomials}
-        self._evaluate = functools.partial(target._evaluate, self.generator_images, self.images)
+        self.images: dict = {0: target.one().monomials}
+        self._evaluate = functools.partial(
+            target._evaluate, source._width, self.generator_images, self.images
+        )
         for lhs, rhs in source._rules:
             if self._evaluate((lhs,)) != self._evaluate(() if rhs is None else (rhs,)):
                 raise RelationViolationError(

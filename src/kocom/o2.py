@@ -292,7 +292,13 @@ def loop_degree(loop: O2Path) -> Fraction:
     """
     if not loop.is_loop:
         raise NotALoopError(f"endpoints differ: {loop.start} vs {loop.end}")
-    return sum((seg.angle_change() for seg in loop.segments), Fraction(0)) / 2
+    return angle_sweep(loop) / 2
+
+
+def angle_sweep(path: O2Path) -> Fraction:
+    """sum(slope * (t1 - t0)) over the segments: the total change of the
+    angle coordinate along the path, in units of pi."""
+    return sum((seg.angle_change() for seg in path.segments), Fraction(0))
 
 
 class D4Element(enum.IntEnum):

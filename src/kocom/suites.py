@@ -16,8 +16,7 @@ from .cocycles import (
     InvalidCocycleError,
     broken_cocycle_condition,
     broken_commutation_cocycle,
-    bundle_class,
-    clutching_function,
+    clutching_degree,
     oriented_invariant,
     power_cocycle,
     standard_cocycle,
@@ -31,6 +30,11 @@ from .o2 import D4Element
 from .report import Check, VerificationReport, check
 
 SUITES = ("cocycles", "so3-homology", "char-classes", "surface-ko", "all")
+
+#: The options a suite run falls back to, and the command line's defaults:
+#: cocycle indices k and powers n over -5..5, the characteristic algebra
+#: at cap 6, and no surface selected.
+DEFAULT_OPTIONS = {"k_range": (-5, 5), "n_range": (-5, 5), "degree_cap": 6, "surface": None}
 
 I, C1, C2, C3 = D4Element
 
@@ -72,9 +76,9 @@ def cocycle_suite(k_range, n_range) -> VerificationReport:
         base = standard_cocycle(k)
         tc[k] = tc_invariant(base)
         for n in ns:
-            # clutching_function validates; an invalid power fails this check.
+            # clutching_degree validates; an invalid power fails this check.
             try:
-                actual = bundle_class(clutching_function(power_cocycle(base, n)))
+                actual = clutching_degree(power_cocycle(base, n))
             except InvalidCocycleError as exc:
                 actual = str(exc)
             else:
@@ -96,7 +100,7 @@ def cocycle_suite(k_range, n_range) -> VerificationReport:
                 "the standard cocycles themselves clutch the trivial bundle: "
                 "the loop retracts once composed into the full structure group",
                 0,
-                bundle_class(clutching_function(standard_cocycle(k))),
+                clutching_degree(standard_cocycle(k)),
             )
         )
     report.add(
@@ -575,19 +579,15 @@ def surface_suite(only) -> VerificationReport:
 
 
 def run_suite(name: str, options: dict | None = None) -> VerificationReport:
-    options = options or {}
-    k_range = options.get("k_range", (-5, 5))
-    n_range = options.get("n_range", (-5, 5))
-    cap = options.get("degree_cap", 6)
-    only = options.get("surface")
+    options = {**DEFAULT_OPTIONS, **(options or {})}
     if name == "cocycles":
-        return cocycle_suite(k_range, n_range)
+        return cocycle_suite(options["k_range"], options["n_range"])
     if name == "so3-homology":
         return so3_suite()
     if name == "char-classes":
-        return char_class_suite(cap)
+        return char_class_suite(options["degree_cap"])
     if name == "surface-ko":
-        return surface_suite(only)
+        return surface_suite(options["surface"])
     if name == "all":
         combined = VerificationReport("all")
         for sub in ("cocycles", "so3-homology", "char-classes", "surface-ko"):

@@ -112,6 +112,14 @@ def test_square_naturality_under_line_pair_restriction():
         assert k(total_steenrod_square(x)) == total_steenrod_square(k(x))
 
 
+def exponents(alg, mono):
+    """{name: exponent} of a monomial, read off its printed form."""
+    if alg.monomial_str(mono) == "1":
+        return {}
+    factors = (part.partition("^") for part in alg.monomial_str(mono).split("*"))
+    return {name: int(e) if e else 1 for name, _, e in factors}
+
+
 def product_of_powers(x, images, target):
     """Reference expansion: each monomial of x maps to the product of its
     generators' images, each raised to its exponent by repeated
@@ -119,7 +127,7 @@ def product_of_powers(x, images, target):
     acc = target.zero()
     for mono in x.monomials:
         term = target.one()
-        for (name, _), e in zip(x.algebra.generators, mono):
+        for name, e in exponents(x.algebra, mono).items():
             for _ in range(e):
                 term = term * images[name]
         acc = acc + term

@@ -16,7 +16,7 @@ from kocom.cli import (
     parse_surface,
 )
 from kocom.report import VerificationReport, check
-from kocom.suites import run_suite
+from kocom.suites import DEFAULT_OPTIONS, run_suite
 
 #: SHA-256 of the `kocom verify all --out R` report with default options.
 ALL_REPORT_SHA256 = "e0b7af5aad68eb5bd7c587e8961f9dd5cbf34473ce677e53d05b923ff4716e17"
@@ -171,11 +171,11 @@ def test_surface_selection_runs_its_check_families(selector, families, total):
 
 
 def test_surface_size_bound_exit_code_2(capsys):
-    for selector in ("genus:21", "rp:41"):
+    for selector in ("genus:41", "rp:81"):
         with pytest.raises(SystemExit) as info:
             main(["verify", "surface-ko", "--surface", selector])
         assert info.value.code == 2
-    assert "limit 40" in capsys.readouterr().err
+    assert "limit 80" in capsys.readouterr().err
 
 
 def test_range_and_degree_cap_bounds_exit_code_2(capsys):
@@ -235,6 +235,15 @@ def test_unwritable_out_exits_2_before_the_suite(tmp_path, capsys, monkeypatch):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and str(out) in lines[0]
     assert not out.parent.exists()
+
+
+def test_parser_defaults_are_the_suite_defaults():
+    args = vars(build_parser().parse_args(["verify", "all"]))
+    assert {name: args[name] for name in DEFAULT_OPTIONS} == DEFAULT_OPTIONS
+    # A partial options mapping falls back to the same defaults.
+    assert run_suite("char-classes", {"degree_cap": 4}).to_json() == run_suite(
+        "char-classes", {**DEFAULT_OPTIONS, "degree_cap": 4}
+    ).to_json()
 
 
 def test_run_suite_unknown_name():

@@ -14,6 +14,7 @@ from kocom.cocycles import (
     broken_cocycle_condition,
     broken_commutation_cocycle,
     bundle_class,
+    clutching_degree,
     clutching_function,
     oriented_invariant,
     power_cocycle,
@@ -171,16 +172,20 @@ def test_clutching_even_power_lands_in_rotations():
 
 
 def test_clutching_requires_validity():
-    with pytest.raises(InvalidCocycleError):
-        clutching_function(broken_commutation_cocycle())
+    for clutch in (clutching_function, clutching_degree):
+        for broken in (broken_commutation_cocycle(), broken_cocycle_condition()):
+            with pytest.raises(InvalidCocycleError):
+                clutch(broken)
 
 
 def test_degree_formula_exact():
     for k in range(-6, 7):
         base = standard_cocycle(k)
         for n in range(-6, 7):
-            loop = clutching_function(power_cocycle(base, n))
+            power = power_cocycle(base, n)
+            loop = clutching_function(power)
             assert bundle_class(loop) == expected_degree(k, n), (k, n)
+            assert clutching_degree(power) == bundle_class(loop), (k, n)
 
 
 @st.composite
@@ -188,7 +193,8 @@ def random_valid_cocycles(draw):
     """A valid cocycle with a random alpha12 and a known clutching degree.
 
     alpha12 is continuous with 1-3 segments, in one component, with integer
-    angles at t = 0 and t = 1; alpha23 is constant in {I, R_pi, A, R_pi*A};
+    angles at t = 0 and t = 1; alpha23 is a constant in {I, R_pi, A, R_pi*A}
+    times the loop t |-> R_{2et*pi}, so its sweep is 2e;
     alpha13 = alpha12 * alpha23 * (t |-> R_{2dt*pi}).  Every triple-point value
     then lies in {I, R_pi, A, R_pi*A}, so all of them commute.  Returns the
     cocycle and d."""
@@ -207,6 +213,7 @@ def random_valid_cocycles(draw):
         segments.append(PathSegment(t0, t1, slope, a0 - slope * t0, reflect))
     alpha12 = O2Path(segments)
     alpha23 = constant_path(O2Element(draw(st.integers(0, 1)), draw(st.booleans())))
+    alpha23 = alpha23.pointwise_mul(affine_path(2 * draw(st.integers(-2, 2)), 0))
     d = draw(st.integers(-3, 3))
     alpha13 = O2Path(
         alpha12.pointwise_mul(alpha23).pointwise_mul(affine_path(2 * d, 0)).segments
@@ -227,6 +234,7 @@ def test_clutching_random_valid_cocycles(case):
         # The route through the rotations gives the same degree.
         assert bundle_class(loop) == loop_degree(loop.right_mul_constant(REFLECTION))
     assert bundle_class(loop) == (d if reflected else -d)
+    assert clutching_degree(c) == bundle_class(loop)
 
 
 def test_standard_clutching_is_nullhomotopic():

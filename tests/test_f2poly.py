@@ -4,7 +4,7 @@ elementary-symmetric helper."""
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kocom.bcom_o2 import bcom_o2_algebra
 from kocom.f2poly import (
@@ -13,7 +13,7 @@ from kocom.f2poly import (
     RingMap,
     elementary_symmetric,
 )
-from kocom.surfaces import orientable, surface_algebra
+from kocom.surfaces import nonorientable, orientable, surface_algebra
 
 
 def test_polynomial_squares_are_frobenius():
@@ -194,3 +194,113 @@ def test_elementary_symmetric_against_expansion():
     for k in range(1, 4):
         esum = esum + elementary_symmetric([u, v, w], k)
     assert total == esum
+
+
+def surface_relations(pairs, names):
+    """The cup-product rules of a surface, in the order surface_algebra lists them."""
+    return [
+        ({x: 1, y: 1} if x != y else {x: 2}, {"y2": 1} if (x, y) in pairs else None)
+        for x, y in itertools.combinations_with_replacement(names, 2)
+    ]
+
+
+#: An algebra that lists a rule on a later generator first: x*y*z has two
+#: rules that apply, and the one listed first sends it to x^4 = 0 where the
+#: other gives z^2.
+ORDERED_GENERATORS = [("x", 1), ("y", 1), ("z", 2)]
+ORDERED_RULES = [({"y": 1, "z": 1}, {"x": 3}), ({"x": 1, "y": 1}, {"z": 1}), ({"x": 4}, None)]
+ORDERED = F2Algebra(ORDERED_GENERATORS, ORDERED_RULES, cap=8)
+
+#: (algebra, generators, relations), with the relations restated here.
+REFERENCE_CASES = [
+    (
+        bcom_o2_algebra(6),
+        [("w1", 1), ("w2", 2), ("r", 2), ("s", 3)],
+        [({"w1": 1, "r": 1}, None), ({"r": 2}, None), ({"r": 1, "s": 1}, None), ({"s": 2}, None)],
+    ),
+    (
+        surface_algebra(nonorientable(3)),
+        [("a1", 1), ("a2", 1), ("a3", 1), ("y2", 2)],
+        surface_relations({("a1", "a1"), ("a2", "a2"), ("a3", "a3")}, ["a1", "a2", "a3"]),
+    ),
+    (
+        surface_algebra(orientable(2)),
+        [("a1", 1), ("a2", 1), ("b1", 1), ("b2", 1), ("y2", 2)],
+        surface_relations({("a1", "b1"), ("a2", "b2")}, ["a1", "a2", "b1", "b2"]),
+    ),
+    (ORDERED, ORDERED_GENERATORS, ORDERED_RULES),
+]
+
+
+def reference_str(generators, relations, cap, exps):
+    """Normal form on exponent tuples: zero above the cap, else the first
+    rule in list order whose left side divides, until none does."""
+    names = [n for n, _ in generators]
+    degrees = [d for _, d in generators]
+
+    def vector(m):
+        return tuple(m.get(n, 0) for n in names)
+
+    rules = [(vector(lhs), None if rhs is None else vector(rhs)) for lhs, rhs in relations]
+    mono = vector(exps)
+    while sum(e * d for e, d in zip(mono, degrees)) <= cap:
+        for lhs, rhs in rules:
+            if all(m >= l for m, l in zip(mono, lhs)):
+                if rhs is None:
+                    return "0"
+                mono = tuple(m - l + r for m, l, r in zip(mono, lhs, rhs))
+                break
+        else:
+            parts = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono) if e]
+            return "*".join(parts) or "1"
+    return "0"
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_packed_reduction_matches_tuple_reference(data):
+    alg, generators, relations = data.draw(st.sampled_from(REFERENCE_CASES))
+    names = [n for n, _ in generators]
+    exps = data.draw(st.dictionaries(st.sampled_from(names), st.integers(0, 3 * alg.cap)))
+    assert str(alg.cls(exps)) == reference_str(generators, relations, alg.cap, exps)
+
+
+def test_ordered_rules_apply_in_list_order():
+    assert ORDERED.cls({"x": 1, "y": 1, "z": 1}).is_zero
+    assert str(ORDERED.cls({"x": 1, "y": 1})) == "z"
+    assert str(ORDERED.cls({"y": 1, "z": 1})) == "x^3"
+
+
+def test_monomials_above_the_cap_are_zero_before_packing():
+    # At cap 6 a field is 4 bits under its guard bit, and an exponent of 32
+    # carries into the next field: packed as it is, w2^32 reads w1.
+    alg = bcom_o2_algebra(6)
+    for exps in ({"w1": 100}, {"w1": 17}, {"w2": 1, "s": 16}, {"w2": 32}, {"r": 1, "s": 32}):
+        assert alg.cls(exps).is_zero
+    assert alg.basis(64) == [] and alg.dimension(100) == 0  # w2^32 is in degree 64
+
+
+def test_relation_needs_a_non_unit_left_side():
+    with pytest.raises(ValueError):
+        F2Algebra([("u", 1)], [({}, None)], cap=4)
+    with pytest.raises(ValueError):
+        F2Algebra([("u", 1)], [({"u": 0}, {"u": 1})], cap=4)
+
+
+def test_ring_map_strips_in_the_source_layout():
+    # Source and target differ in generator count and field width, so a
+    # source monomial read in the target's layout would name other factors.
+    source = F2Algebra([("x", 1), ("y", 1), ("z", 2)], [({"z": 2}, {"x": 4})], cap=12)
+    target = F2Algebra([("u", 1), ("v", 2)], cap=5)
+    u, v = target.gen("u"), target.gen("v")
+    images = {"x": u, "y": u + v, "z": u * u}
+    f = RingMap(source, target, images)
+    for x in source.basis_through(source.cap):
+        expected = target.zero()
+        for term in str(x).split(" + "):
+            value = target.one()
+            for factor in term.split("*") if term != "1" else ():
+                name, _, e = factor.partition("^")
+                value = value * images[name] ** int(e or 1)
+            expected = expected + value
+        assert f(x) == expected, x
