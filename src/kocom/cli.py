@@ -50,7 +50,7 @@ MAX_RANGE_VALUES = 41
 
 #: Largest --degree-cap; the characteristic algebra grows with the cap, and
 #: at this bound `kocom verify char-classes` takes about half a second from
-#: the shell (median 0.46 s over 5 runs, 0.31 s of it in the suite, on a
+#: the shell (median 0.42 s over 9 runs, 0.29 s of it in the suite, on a
 #: 2-CPU VM with Python 3.11).
 MAX_DEGREE_CAP = 32
 

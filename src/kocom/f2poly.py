@@ -22,7 +22,8 @@ every guard bit: a field below lhs borrows its guard bit away, and none
 borrows from the next.  Each rule is indexed under the first generator its
 left side uses, so a monomial tries only the rules under its nonzero
 fields, in rule order, and greedy rewriting is the same as over the whole
-list.
+list.  A basis is walked one generator at a time, generator 0 first, and a
+prefix of exponents is extended only while no left side divides it.
 
 A ring map keeps its generator images and each source monomial's image
 once it is formed, starting from the unit at the zero monomial.  A new
@@ -52,18 +53,6 @@ _ZERO: frozenset = frozenset()
 
 class RelationViolationError(ValueError):
     """Raised when proposed generator images fail the source relations."""
-
-
-def _exponent_vectors(degrees: Sequence[int], total: int) -> Iterator[tuple]:
-    """Exponent vectors of degree `total` (exponents weighted by `degrees`),
-    in lexicographic order."""
-    if not degrees:
-        if total == 0:
-            yield ()
-        return
-    for e in range(total // degrees[0] + 1):
-        for rest in _exponent_vectors(degrees[1:], total - e * degrees[0]):
-            yield (e, *rest)
 
 
 class F2Algebra:
@@ -214,16 +203,25 @@ class F2Algebra:
 
     def basis_through(self, top: int) -> list:
         out = []
-        for d in range(top + 1):
+        for d in range(exact_int(top) + 1):
             out.extend(self.basis(d))
         return out
 
     def _basis_monomials(self, degree: int) -> list:
-        if degree > self.cap:  # and its exponents may not fit a field
+        if exact_int(degree) > self.cap:  # and its exponents may not fit a field
             return []
-        vectors = _exponent_vectors(self._degrees, degree)
-        monomials = (self._pack(enumerate(v)) for v in vectors)
-        return [m for m in monomials if self.reduce_monomial(m) == {m}]
+        # (normal monomial, degree left) of each prefix, in int order: a left side
+        # dividing a prefix divides its extensions; a zero exponent needs no new test.
+        walk = [(0, degree)]
+        for shift, d in zip(self._shifts, self._degrees):
+            walk = [
+                (m, left - e * d)
+                for prefix, left in walk
+                for e in range(left // d + 1)
+                for m in (prefix + (e << shift),)
+                if e == 0 or self.reduce_monomial(m) == {m}
+            ]
+        return [m for m, left in walk if left == 0]
 
     def dimension(self, degree: int) -> int:
         return len(self._basis_monomials(degree))
@@ -302,8 +300,10 @@ class F2Class:
     def __pow__(self, n: int) -> "F2Class":
         if exact_int(n) < 0:
             raise ValueError("negative powers are not defined here")
-        alg = self.algebra
-        return F2Class(alg, functools.reduce(alg._product, [self.monomials] * n, alg.one().monomials))
+        if n < 2:
+            return self if n else self.algebra.one()
+        half = self ** (n // 2)  # square and multiply: about 2 log2(n) products
+        return half * half * self if n % 2 else half * half
 
     def _check(self, other: "F2Class") -> None:
         if self.algebra is not other.algebra:

@@ -304,3 +304,48 @@ def test_ring_map_strips_in_the_source_layout():
                 value = value * images[name] ** int(e or 1)
             expected = expected + value
         assert f(x) == expected, x
+
+
+def test_powers_match_repeated_products():
+    alg = bcom_o2_algebra(6)
+    one, w1 = alg.one(), alg.gen("w1")
+    u = one + w1
+    # (1 + w1)^(2^k) = 1 + w1^(2^k), which is 1 once 2^k > 6.
+    assert u ** 2**64 == one and u ** (2**64 + 1) == u
+    for x in (u, w1 + alg.gen("w2") + alg.gen("r")):
+        power = one
+        for n in range(13):
+            assert x**n == power, n
+            power = power * x
+
+
+BCOM_GENERATORS, BCOM_RULES = REFERENCE_CASES[0][1:]
+
+
+def brute_force_basis(generators, relations, cap):
+    """{degree: monomial strings} of every exponent vector up to the cap that
+    no left side divides (compared as exponent dicts), in lexicographic order."""
+    names = [n for n, _ in generators]
+    out: dict = {}
+    for vector in itertools.product(*(range(cap // d + 1) for _, d in generators)):
+        exps = dict(zip(names, vector))
+        degree = sum(e * d for e, (_, d) in zip(vector, generators))
+        if degree <= cap and not any(
+            all(exps[n] >= e for n, e in lhs.items()) for lhs, _ in relations
+        ):
+            parts = [n if e == 1 else f"{n}^{e}" for n, e in exps.items() if e]
+            out.setdefault(degree, []).append("*".join(parts) or "1")
+    return out
+
+
+@pytest.mark.parametrize(
+    "alg, generators, relations",
+    [(bcom_o2_algebra(cap), BCOM_GENERATORS, BCOM_RULES) for cap in range(4, 13)]
+    + REFERENCE_CASES[1:],
+    ids=[f"bcom-{cap}" for cap in range(4, 13)] + ["rp3", "genus2", "ordered"],
+)
+def test_basis_walk_matches_brute_force(alg, generators, relations):
+    expected = brute_force_basis(generators, relations, alg.cap)
+    for d in range(-1, alg.cap + 2):
+        assert [str(x) for x in alg.basis(d)] == expected.get(d, []), d
+        assert alg.dimension(d) == len(expected.get(d, [])), d

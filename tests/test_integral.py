@@ -271,8 +271,14 @@ def test_exact_int_is_the_one_rule():
         lambda v: boundary_matrix(v),
         lambda v: component_homology(v),
         lambda v: bcom_o2_algebra(v),
+        lambda v: bcom_o2_algebra(6).basis(v),
+        lambda v: bcom_o2_algebra(6).dimension(v),
+        lambda v: bcom_o2_algebra(6).basis_through(v),
     ],
-    ids=["f2-pow", "power-cocycle", "from-orders", "components", "boundary", "homology", "bcom"],
+    ids=[
+        "f2-pow", "power-cocycle", "from-orders", "components", "boundary", "homology", "bcom",
+        "basis", "dimension", "basis-through",
+    ],
 )
 def test_integer_entry_points_refuse_inexact_ints(call, value):
     """Each entry point raises TypeError for a bool or a float, never
