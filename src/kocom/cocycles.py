@@ -26,6 +26,7 @@ from .o2 import (
     IDENTITY,
     O2Element,
     O2Path,
+    _div,
     _merge_segments,
     _RawPath,
     affine_path,
@@ -59,14 +60,14 @@ class CommCocycle:
 
 @dataclass(frozen=True)
 class CocycleFailure:
-    point: Fraction
+    point: int
     product: O2Element  # alpha12 * alpha23 at the point
     alpha13: O2Element
 
 
 @dataclass(frozen=True)
 class CommutationFailure:
-    point: Fraction
+    point: int
     arc_a: tuple
     arc_b: tuple
     value_a: O2Element
@@ -121,7 +122,7 @@ def validate(c: CommCocycle) -> ValidationReport:
     commutation_failures = []
     paths = (c.alpha12, c.alpha13, c.alpha23)  # in ARCS order
     starts, ends = [x.start for x in paths], [x.end for x in paths]
-    for p, values in ((Fraction(0), starts), (Fraction(1), ends)):
+    for p, values in ((0, starts), (1, ends)):
         a12, a13, a23 = values
         product = a12 * a23
         if product != a13:
@@ -188,7 +189,7 @@ def clutching_degree(c: CommCocycle) -> int:
     d12, d13, d23 = (angle_sweep(p) for p in (c.alpha12, c.alpha13, c.alpha23))
     if c.alpha12.segments[0].reflect:
         d23 = -d23
-    return int((d12 + d23 - d13) / 2)
+    return int(_div(d12 + d23 - d13, 2))
 
 
 @dataclass(frozen=True)

@@ -203,7 +203,7 @@ class F2Algebra:
 
     def basis_through(self, top: int) -> list:
         out = []
-        for d in range(exact_int(top) + 1):
+        for d in range(min(exact_int(top), self.cap) + 1):  # empty above the cap
             out.extend(self.basis(d))
         return out
 

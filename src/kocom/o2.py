@@ -4,7 +4,11 @@ Every angle is a rational multiple of pi, stored mod 2 (so a value of 1/2
 means the rotation by pi/2).  An element of O(2) is either a rotation R_a
 or a reflected rotation R_a*A, where A = diag(1, -1).  Paths in O(2) are
 piecewise affine in the angle coordinate, which keeps every winding-number
-computation exact: the degree of a loop is a plain Fraction, never a float.
+computation exact.  Every stored angle, time, slope and offset is one
+canonical exact rational: an int when it is integral, a Fraction in lowest
+terms otherwise, never a float.  Python's numeric tower makes ==, hash, %
+and str agree across the two types, and integral paths stay on int
+arithmetic.
 
 The degree convention is fixed so that t |-> R_{2t*pi} on [0, 1] has
 degree 1; a path's degree is sum(slope * (t1 - t0)) / 2 over its segments.
@@ -27,11 +31,21 @@ class NotALoopError(ValueError):
     """Raised when a path degree is requested for a non-closed path."""
 
 
-def _frac(x: Rational) -> Fraction:
-    # A Fraction or an exact int (integral.exact_int); anything else raises TypeError.
-    if isinstance(x, Fraction):
+def _frac(x: Rational) -> Rational:
+    # The canonical exact rational: an int as it is, an integral Fraction as its
+    # numerator, any other Fraction as it is; anything else goes to
+    # integral.exact_int, which raises TypeError.  The int test comes first
+    # because isinstance against Fraction is an ABC check.
+    if type(x) is int:
         return x
-    return Fraction(exact_int(x))
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    return exact_int(x)
+
+
+def _div(a: Rational, b: Rational) -> Fraction:
+    # a / b, exact: the one division rule, since int / int is a float.
+    return Fraction(a, b)
 
 
 @dataclass(frozen=True)
@@ -45,7 +59,7 @@ class O2Element:
         (R_a A)(R_b A) = R_{a-b}
     """
 
-    angle: Fraction
+    angle: Rational
     reflect: bool = False
 
     def __post_init__(self) -> None:
@@ -67,8 +81,8 @@ class O2Element:
         return core + "*A" if self.reflect else core
 
 
-IDENTITY = O2Element(Fraction(0))
-REFLECTION = O2Element(Fraction(0), reflect=True)
+IDENTITY = O2Element(0)
+REFLECTION = O2Element(0, reflect=True)
 
 
 def rotation(value: Rational) -> O2Element:
@@ -98,10 +112,10 @@ def commutes(a: O2Element, b: O2Element) -> bool:
 class PathSegment:
     """t |-> R_{(slope*t + offset)*pi} (times A if reflect) for t in [t0, t1]."""
 
-    t0: Fraction
-    t1: Fraction
-    slope: Fraction
-    offset: Fraction
+    t0: Rational
+    t1: Rational
+    slope: Rational
+    offset: Rational
     reflect: bool = False
 
     def __post_init__(self) -> None:
@@ -119,8 +133,8 @@ class PathSegment:
             raise ValueError(f"parameter {t} outside [{self.t0}, {self.t1}]")
         return O2Element(self.slope * t + self.offset, self.reflect)
 
-    def angle_change(self) -> Fraction:
-        return self.slope * (self.t1 - self.t0)
+    def angle_change(self) -> Rational:
+        return _frac(self.slope * (self.t1 - self.t0))
 
 
 class O2Path:
@@ -200,7 +214,7 @@ class O2Path:
                 if n % 2:
                     segs.append(seg)
                 else:
-                    segs.append(PathSegment(seg.t0, seg.t1, Fraction(0), Fraction(0)))
+                    segs.append(PathSegment(seg.t0, seg.t1, 0, 0))
             else:
                 segs.append(
                     PathSegment(seg.t0, seg.t1, seg.slope * n, seg.offset * n)
@@ -220,7 +234,7 @@ class O2Path:
             raise ValueError("scale must be nonzero")
         segs = []
         for seg in self.segments:
-            u0, u1 = (seg.t0 - shift) / scale, (seg.t1 - shift) / scale
+            u0, u1 = _div(seg.t0 - shift, scale), _div(seg.t1 - shift, scale)
             if scale < 0:
                 u0, u1 = u1, u0
             segs.append(
@@ -273,7 +287,7 @@ def _merge_segments(segs: Sequence[PathSegment]) -> tuple[PathSegment, ...]:
 
 def affine_path(slope: Rational, offset: Rational, reflect: bool = False) -> O2Path:
     """The single-segment path t |-> R_{(slope*t + offset)*pi} (*A) on [0, 1]."""
-    return O2Path([PathSegment(Fraction(0), Fraction(1), _frac(slope), _frac(offset), reflect)])
+    return O2Path([PathSegment(0, 1, slope, offset, reflect)])
 
 
 def constant_path(elem: O2Element) -> O2Path:
@@ -292,13 +306,13 @@ def loop_degree(loop: O2Path) -> Fraction:
     """
     if not loop.is_loop:
         raise NotALoopError(f"endpoints differ: {loop.start} vs {loop.end}")
-    return angle_sweep(loop) / 2
+    return _div(angle_sweep(loop), 2)
 
 
-def angle_sweep(path: O2Path) -> Fraction:
+def angle_sweep(path: O2Path) -> Rational:
     """sum(slope * (t1 - t0)) over the segments: the total change of the
     angle coordinate along the path, in units of pi."""
-    return sum((seg.angle_change() for seg in path.segments), Fraction(0))
+    return _frac(sum(seg.angle_change() for seg in path.segments))
 
 
 class D4Element(enum.IntEnum):

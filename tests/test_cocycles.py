@@ -188,6 +188,17 @@ def test_degree_formula_exact():
             assert clutching_degree(power) == bundle_class(loop), (k, n)
 
 
+def test_degrees_stay_exact_beyond_float_precision():
+    # 10**30 + 1 has no exact float: a float division anywhere on the way
+    # to a degree would lose the trailing 1.
+    k = 10**30 + 1
+    power = power_cocycle(standard_cocycle(k), 3)
+    assert clutching_degree(power) == k
+    assert bundle_class(clutching_function(power)) == k
+    degree = loop_degree(affine_path(2 * k, 0))
+    assert degree == k and type(degree) is Fraction
+
+
 @st.composite
 def random_valid_cocycles(draw):
     """A valid cocycle with a random alpha12 and a known clutching degree.

@@ -280,6 +280,14 @@ def test_monomials_above_the_cap_are_zero_before_packing():
     assert alg.basis(64) == [] and alg.dimension(100) == 0  # w2^32 is in degree 64
 
 
+def test_basis_through_stops_at_the_cap():
+    # Every basis above the cap is empty, so a huge top costs nothing more.
+    alg = bcom_o2_algebra(6)
+    assert alg.basis_through(10**6) == alg.basis_through(6)
+    assert len(alg.basis_through(6)) == 25
+    assert alg.basis_through(-3) == []
+
+
 def test_relation_needs_a_non_unit_left_side():
     with pytest.raises(ValueError):
         F2Algebra([("u", 1)], [({}, None)], cap=4)

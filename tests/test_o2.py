@@ -18,6 +18,7 @@ from kocom.o2 import (
     O2Path,
     PathSegment,
     affine_path,
+    angle_sweep,
     commutes,
     constant_path,
     loop_degree,
@@ -120,7 +121,10 @@ elements = st.builds(O2Element, rational_angles, st.booleans())
 def test_angle_normalization():
     assert O2Element(Fraction(5, 2)).angle == Fraction(1, 2)
     assert O2Element(Fraction(-1, 3), reflect=True).angle == Fraction(5, 3)
-    assert O2Element(2).angle == 0 and isinstance(O2Element(2).angle, Fraction)
+    assert O2Element(2).angle == 0 and type(O2Element(2).angle) is int
+    assert type(O2Element(Fraction(5, 2)).angle) is Fraction
+    integral = O2Element(Fraction(6, 2)).angle
+    assert integral == 1 and type(integral) is int
     assert O2Element(Fraction(-4)) == IDENTITY
     assert str(rotation(Fraction(5, 2))) == "R(1/2*pi)"
     assert str(reflected_rotation(2)) == "I*A"
@@ -345,6 +349,45 @@ def test_derived_paths_pass_the_public_constructor(p, q, n, a):
         assert derived["right_mul"].value(t) == p.value(t) * a
     assert derived["mul"].start == p.start * q.start
     assert derived["mul"].end == p.end * q.end
+
+
+def canonical(x) -> bool:
+    """An int, or a Fraction that is not integral: never a float and never
+    an integral Fraction."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+@given(
+    continuous_paths(),
+    continuous_paths(),
+    st.integers(-6, 6),
+    small_fractions.filter(bool),
+    small_fractions,
+)
+def test_path_results_are_canonical_exact_rationals(p, q, n, scale, shift):
+    derived = (
+        p,
+        p.pointwise_mul(q),
+        p.pointwise_pow(n),
+        p.reparameterized(scale, shift),
+    )
+    for path in derived:
+        for seg in path.segments:
+            fields = (seg.t0, seg.t1, seg.slope, seg.offset, seg.angle_change())
+            assert all(map(canonical, fields)), seg
+        ts = ends(path) | {Fraction(seg.t0 + seg.t1, 2) for seg in path.segments}
+        values = [path.start, path.end] + [path.value(t) for t in ts]
+        assert all(canonical(e.angle) for e in values), values
+        assert canonical(angle_sweep(path))
+    # Integral Fraction parameters read as ints.
+    assert canonical(p.value(Fraction(2, 2)).angle) and canonical(p.value(Fraction(0)).angle)
+
+
+def test_reparameterized_domain_is_exact():
+    third = affine_path(1, 0).reparameterized(3, 0)
+    assert third.segments[-1].t1 == Fraction(1, 3)
+    assert type(third.segments[-1].t1) is Fraction
+    assert third.end == rotation(1)
 
 
 def test_d4_multiplication():
