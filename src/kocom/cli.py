@@ -49,9 +49,9 @@ MAX_SURFACE_B1 = 80
 MAX_RANGE_VALUES = 41
 
 #: Largest --degree-cap; the characteristic algebra grows with the cap, and
-#: at this bound `kocom verify char-classes` takes about half a second from
-#: the shell (median 0.42 s over 9 runs, 0.29 s of it in the suite, on a
-#: 2-CPU VM with Python 3.11).
+#: at this bound `kocom verify char-classes` takes about a quarter second
+#: from the shell (median 0.23 s over 9 runs, 0.11 s of it in the suite, on
+#: a 2-CPU VM with Python 3.11).
 MAX_DEGREE_CAP = 32
 
 

@@ -289,6 +289,24 @@ def so3_suite() -> VerificationReport:
     return report
 
 
+def generator_products(f, basis: list) -> list:
+    """f(g*x) == f(g)*f(x) for each generator g and basis class x with
+    deg g + deg x <= cap.  For a ring map f on F2[gens]/(monomial
+    relations) these give f(x*y) == f(x)*f(y) on all pairs, by induction on
+    deg y for y = g*y' in the basis: no left side divides a divisor of a
+    normal monomial, so y' is normal, and f(x*y) = f(x*g)*f(y') =
+    f(x)*f(g)*f(y') = f(x)*f(y).  Pairs above the cap vanish on both sides,
+    as f keeps degree (the pullback) or never lowers it (the square)."""
+    alg = basis[0].algebra
+    return [
+        f(g * x) == f(g) * f(x)
+        for name, dg in alg.generators
+        for g in (alg.gen(name),)
+        for x in basis
+        if dg + x.homogeneous_degree() <= alg.cap
+    ]
+
+
 def char_class_suite(cap: int) -> VerificationReport:
     report = VerificationReport("char-classes")
     alg = bcom_o2.bcom_o2_algebra(cap)
@@ -319,7 +337,6 @@ def char_class_suite(cap: int) -> VerificationReport:
         )
     )
     basis = alg.basis_through(cap)
-    degrees = [x.homogeneous_degree() for x in basis]
     phis = [phi(x) for x in basis]
     report.add(
         tally(
@@ -329,21 +346,12 @@ def char_class_suite(cap: int) -> VerificationReport:
             [phi(px) == x for x, px in zip(basis, phis)],
         )
     )
-
-    def pairs(top):
-        # The basis is in degree order: row i ends at the first j past top.
-        for i, dx in enumerate(degrees):
-            for j, dy in enumerate(degrees):
-                if dx + dy > top:
-                    break
-                yield i, j
-
     report.add(
         tally(
             "char.ring-map",
-            "the inversion pullback is multiplicative on all basis pairs "
-            "through the degree cap",
-            [phi(basis[i] * basis[j]) == phis[i] * phis[j] for i, j in pairs(cap)],
+            "the inversion pullback is multiplicative on generator-basis "
+            "pairs through the degree cap, hence on all pairs",
+            generator_products(phi, basis),
         )
     )
     report.add(
@@ -405,28 +413,20 @@ def char_class_suite(cap: int) -> VerificationReport:
             str(total_steenrod_square(alg.gen("s"))),
         )
     )
-    squares = [total_steenrod_square(x) for x, d in zip(basis, degrees) if d <= min(5, cap)]
     report.add(
         tally(
             "char.sq-cartan",
-            "the total square is multiplicative on all basis pairs through "
-            "degree 5",
-            [
-                total_steenrod_square(basis[i] * basis[j]) == squares[i] * squares[j]
-                for i, j in pairs(min(5, cap))
-            ],
+            "the total square is multiplicative (Cartan formula) on "
+            "generator-basis pairs through the degree cap, hence on all pairs",
+            generator_products(total_steenrod_square, basis),
         )
     )
     report.add(
         tally(
             "char.sq-naturality",
             "the total square commutes with restriction to the line pair on "
-            "the basis through cap - 1",
-            [
-                kmap(total_steenrod_square(x)) == total_steenrod_square(kmap(x))
-                for x, d in zip(basis, degrees)
-                if d < cap
-            ],
+            "the basis through the degree cap",
+            [kmap(total_steenrod_square(x)) == total_steenrod_square(kmap(x)) for x in basis],
         )
     )
     for case in (bcom_o2.RANK2_RANK2, bcom_o2.RANK2_LINE):

@@ -27,6 +27,7 @@ from kocom.bcom_o2 import (
     trivial_data,
 )
 from kocom.f2poly import RelationViolationError, RingMap, total_steenrod_square
+from kocom.suites import generator_products
 
 
 def test_pullback_generator_images():
@@ -93,22 +94,40 @@ def test_total_square_values():
     assert total_steenrod_square(w1) == w1 + w1 * w1
 
 
-def test_cartan_formula_through_degree_five():
-    alg = bcom_o2_algebra(6)
-    basis = alg.basis_through(5)
-    for x in basis:
-        for y in basis:
-            if x.homogeneous_degree() + y.homogeneous_degree() > 5:
-                continue
-            assert total_steenrod_square(x * y) == total_steenrod_square(
-                x
-            ) * total_steenrod_square(y)
+def all_pairs(f, basis):
+    """The oracle: f(x*y) == f(x)*f(y) on every basis pair through the cap."""
+    cap = basis[0].algebra.cap
+    rows = [(x, x.homogeneous_degree(), f(x)) for x in basis]
+    return [
+        f(x * y) == fx * fy
+        for x, dx, fx in rows
+        for y, dy, fy in rows
+        if dx + dy <= cap
+    ]
+
+
+@pytest.mark.parametrize("cap", range(4, 13))
+def test_generator_pairs_decide_multiplicativity_as_all_pairs_do(cap):
+    alg = bcom_o2_algebra(cap)
+    basis = alg.basis_through(cap)
+    for f in (inversion_pullback(alg), total_steenrod_square):
+        assert all(generator_products(f, basis))
+        assert all(all_pairs(f, basis))
+    # A pullback whose stored image of one top-degree monomial is wrong
+    # (phi(x) + x, never phi(x)) is still linear, but not multiplicative;
+    # the top degree is where the generator pairs meet the cap.
+    for x in (alg.basis(cap)[0], alg.basis(cap)[-1]):
+        planted = inversion_pullback(alg)
+        (mono,) = x.monomials
+        planted.images[mono] = (planted(x) + x).monomials
+        assert not all(generator_products(planted, basis))
+        assert not all(all_pairs(planted, basis))
 
 
 def test_square_naturality_under_line_pair_restriction():
     alg = bcom_o2_algebra(6)
     k = line_pair_restriction(alg)
-    for x in alg.basis_through(5):
+    for x in alg.basis_through(6):
         assert k(total_steenrod_square(x)) == total_steenrod_square(k(x))
 
 

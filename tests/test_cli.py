@@ -19,7 +19,7 @@ from kocom.report import VerificationReport, check
 from kocom.suites import DEFAULT_OPTIONS, run_suite
 
 #: SHA-256 of the `kocom verify all --out R` report with default options.
-ALL_REPORT_SHA256 = "e0b7af5aad68eb5bd7c587e8961f9dd5cbf34473ce677e53d05b923ff4716e17"
+ALL_REPORT_SHA256 = "10504f47b55b6e2f37279d55b69ecdf1894e934d16afa2d0a3e410b2595989ea"
 
 #: SHA-256 of the cocycle report over the widest window the CLI accepts.
 WIDE_COCYCLE_REPORT_SHA256 = (
