@@ -44,8 +44,9 @@ def parse_range(text: str) -> tuple:
 MAX_SURFACE_B1 = 80
 
 #: Most values --k-range and --n-range may each span (-20..20).  The cocycle
-#: suite checks every (k, n) pair; at this bound it takes 0.05-0.06 s in
-#: process on a 2-CPU VM with Python 3.11 (9 runs, median 0.050 s).
+#: suite checks every (k, n) pair; at this bound it takes 0.06-0.11 s in
+#: process on a shared 2-CPU VM with Python 3.11 (11 fresh processes,
+#: median 0.09 s).
 MAX_RANGE_VALUES = 41
 
 #: Largest --degree-cap; the characteristic algebra grows with the cap, and

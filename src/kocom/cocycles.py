@@ -27,8 +27,6 @@ from .o2 import (
     O2Element,
     O2Path,
     _div,
-    _merge_segments,
-    _RawPath,
     affine_path,
     angle_sweep,
     commutes,
@@ -157,16 +155,13 @@ def clutching_function(c: CommCocycle) -> O2Path:
     equatorial arc is the identity on the parameter), and the second half
     is the lower arc carrying alpha13, traversed from t = 1 back to 0.
     Continuity at both junctions is exactly the cocycle condition, so the
-    halves are joined without a second check once validate has passed.
+    checked constructor accepts the join once validate has passed.
     """
     _require_valid(c)
     upper = c.alpha12.pointwise_mul(c.alpha23)
     first = upper.reparameterized(2, 0)          # u in [0, 1/2], t = 2u
     second = c.alpha13.reparameterized(-2, 2)    # u in [1/2, 1], t = 2 - 2u
-    # Joined on trust: the junctions at u = 1/2 and u = 1 ~ 0 are the cocycle
-    # condition at t = 1 and t = 0, which validate has just checked, and each
-    # half is a product or reparameterization of continuous paths.
-    return _RawPath(_merge_segments(first.segments + second.segments))
+    return O2Path(first.segments + second.segments)
 
 
 def bundle_class(loop: O2Path) -> int:

@@ -33,23 +33,22 @@ H1_SO3 = AbelianGroup((2,))
 
 
 class ComponentLabel(NamedTuple):
-    """A connected component of the commuting n-tuples: either the component
-    of the trivial tuple, or an exotic component recorded by the
-    lexicographically least relabeling of a defining four-group tuple.
-    Labels order trivial first, then exotic ones by canonical tuple."""
+    """A connected component of the commuting n-tuples, recorded by the
+    lexicographically least relabeling of a defining four-group tuple; the
+    component of the trivial tuple is the all-identity tuple.  A first-
+    appearance tuple generates a non-cyclic group iff it uses c2, so the
+    exotic labels are exactly those.  Labels order trivial first, then
+    exotic ones by canonical tuple."""
 
-    exotic: bool
     canonical: D4Tuple
+
+    @property
+    def exotic(self) -> bool:
+        return D4Element.C2 in self.canonical
 
     def __str__(self) -> str:
         body = ",".join(str(e) for e in self.canonical)
         return ("exotic" if self.exotic else "identity") + f"({body})"
-
-
-def generates_cyclic(t: Sequence[int]) -> bool:
-    """True iff the entries generate a cyclic subgroup, i.e. at most one
-    distinct non-identity value occurs."""
-    return len({e for e in t if e}) <= 1
 
 
 def canonical_tuple(t: Sequence[int]) -> D4Tuple:
@@ -67,10 +66,8 @@ def canonical_tuple(t: Sequence[int]) -> D4Tuple:
 
 
 def classify_component(t: Sequence[int]) -> ComponentLabel:
-    canonical = canonical_tuple(t)
-    if generates_cyclic(canonical):
-        return ComponentLabel(False, (D4Element.I,) * len(canonical))
-    return ComponentLabel(True, canonical)
+    label = ComponentLabel(canonical_tuple(t))
+    return label if label.exotic else ComponentLabel((D4Element.I,) * len(label.canonical))
 
 
 def enumerate_components(n: int) -> list[ComponentLabel]:
@@ -88,8 +85,8 @@ def enumerate_components(n: int) -> list[ComponentLabel]:
             for prefix, top in level
             for e in _ELEMENTS[: top + 2]
         ]
-    trivial = ComponentLabel(False, (D4Element.I,) * n)
-    exotic = [ComponentLabel(True, t) for t, top in level if top >= D4Element.C2]
+    trivial = ComponentLabel((D4Element.I,) * n)
+    exotic = [ComponentLabel(t) for t, top in level if top >= D4Element.C2]
     return [trivial] + exotic
 
 

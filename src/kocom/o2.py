@@ -262,8 +262,8 @@ class O2Path:
 
 class _RawPath(O2Path):
     """O2Path taken on trust, with no domain or continuity check: pointwise
-    products and powers of continuous paths, pieces used mid-construction,
-    and clutching loops of validated cocycles."""
+    products and powers of continuous paths, and pieces used
+    mid-construction."""
 
     def __init__(self, segments: Sequence[PathSegment]):
         self.segments = tuple(segments)

@@ -190,20 +190,19 @@ def cocycle_suite(k_range, n_range) -> VerificationReport:
 
 def so3_suite() -> VerificationReport:
     report = VerificationReport("so3-homology")
-    expected_counts = {0: 1, 1: 1, 2: 2, 3: 8}
-    components = {n: commuting.enumerate_components(n) for n in expected_counts}
-    for n, count in expected_counts.items():
+    complex_ = commuting.component_complex(3)
+    for n, count in enumerate((1, 1, 2, 8)):
         report.add(
             check(
                 f"so3.components.n={n}",
                 "number of connected components of commuting n-tuples in the "
                 "rotation group of 3-space",
                 count,
-                len(components[n]),
+                complex_.ranks[n],
             )
         )
     listed = {commuting.canonical_tuple(t) for t in LISTED_FACE_TABLE}
-    computed = {label.canonical for label in components[3] if label.exotic}
+    computed = {label.canonical for label in commuting.enumerate_components(3) if label.exotic}
     report.add(
         check(
             "so3.exotic-representatives",
@@ -232,12 +231,12 @@ def so3_suite() -> VerificationReport:
             "both pair components map to the single 1-tuple component with "
             "alternating sum one, so the kernel is generated by (-1, 1)",
             "[[1, 1]]",
-            str([[row.get(j, 0) for j in range(len(components[2]))]
-                 for row in commuting.boundary_matrix(2)]),
+            str([[row.get(j, 0) for j in range(complex_.ranks[2])]
+                 for row in complex_.boundaries[2]]),
         )
     )
-    d3 = commuting.boundary_matrix(3)
-    zero_cols = len(components[3]) - len({j for row in d3 for j in row})
+    d3 = complex_.boundaries[3]
+    zero_cols = complex_.ranks[3] - len({j for row in d3 for j in row})
     report.add(
         check(
             "so3.boundary.level3",
@@ -253,7 +252,7 @@ def so3_suite() -> VerificationReport:
             "degree-2 homology of the component complex: kernel (-1,1) "
             "modulo image (-2,2)",
             "Z/2",
-            commuting.component_homology(2),
+            complex_.homology(2),
         )
     )
     h2 = commuting.h2_bcom_so3()
@@ -590,7 +589,7 @@ def run_suite(name: str, options: dict | None = None) -> VerificationReport:
         return surface_suite(options["surface"])
     if name == "all":
         combined = VerificationReport("all")
-        for sub in ("cocycles", "so3-homology", "char-classes", "surface-ko"):
+        for sub in (s for s in SUITES if s != "all"):
             combined.extend(run_suite(sub, options).checks)
         return combined
     raise ValueError(f"unknown suite {name!r}")

@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from kocom import commuting
+from kocom import commuting, suites
 from kocom.commuting import (
     ComponentLabel,
     boundary_matrix,
@@ -16,7 +16,6 @@ from kocom.commuting import (
     component_homology,
     enumerate_components,
     face_map,
-    generates_cyclic,
     h2_bcom_so3,
 )
 from kocom.integral import AbelianGroup, smith_normal_form
@@ -51,15 +50,21 @@ def relabel(perm, t):
     return tuple(perm[e] for e in t)
 
 
+def generates_cyclic(t):
+    """True iff the entries generate a cyclic subgroup, i.e. at most one
+    distinct non-identity value occurs."""
+    return len({e for e in t if e}) <= 1
+
+
 def brute_force_components(n):
-    """Sorted labels of all 4^n tuples: trivial if at most one involution
-    occurs, else exotic with the least of the six relabelings."""
+    """Sorted labels of all 4^n tuples: the all-identity tuple if they
+    generate a cyclic group, else the least of the six relabelings."""
     labels = set()
     for t in itertools.product(D4Element, repeat=n):
-        if len({e for e in t if e is not I}) <= 1:
-            labels.add(ComponentLabel(False, (I,) * n))
+        if generates_cyclic(t):
+            labels.add(ComponentLabel((I,) * n))
         else:
-            labels.add(ComponentLabel(True, min(relabel(p, t) for p in RELABELINGS)))
+            labels.add(ComponentLabel(min(relabel(p, t) for p in RELABELINGS)))
     return sorted(labels)
 
 
@@ -75,6 +80,18 @@ def test_classify_examples():
     assert label.exotic and label.canonical == (C1, C2, C2)
     assert not classify_component((C3, C3, C3)).exotic  # generates one cyclic group
     assert not classify_component(()).exotic
+
+
+def test_exotic_is_read_off_the_canonical_tuple():
+    # One field: exotic exactly when two distinct involutions occur, and the
+    # all-identity label is the least one.
+    assert ComponentLabel._fields == ("canonical",)
+    for n in range(7):
+        trivial, components = ComponentLabel((I,) * n), set(enumerate_components(n))
+        for t in itertools.product(D4Element, repeat=n):
+            label = classify_component(t)
+            assert label.exotic == (not generates_cyclic(t)), t
+            assert label in components and trivial <= label
 
 
 def test_component_counts():
@@ -231,6 +248,26 @@ def test_component_complex_reads_ranks_off_boundaries(monkeypatch):
     assert len(calls) == 2 * 6 + 1
     assert complex_.ranks == tuple(len(enumerate_components(n)) for n in range(7))
     assert component_complex(0).ranks == (1,)
+
+
+def test_so3_suite_reads_one_complex(monkeypatch):
+    calls = {"enumerate_components": 0, "component_complex": 0}
+
+    def counting(name):
+        original = getattr(commuting, name)
+
+        def counted(n):
+            calls[name] += 1
+            return original(n)
+
+        monkeypatch.setattr(commuting, name, counted)
+
+    counting("enumerate_components")
+    counting("component_complex")
+    assert suites.so3_suite().all_passed
+    # component_complex(3) enumerates 7 times, for the suite and again in
+    # h2_bcom_so3; the exotic-representatives check enumerates level 3 once
+    assert calls == {"enumerate_components": 15, "component_complex": 2}
 
 
 def test_boundaries_compose_to_zero():
