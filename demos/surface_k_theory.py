@@ -31,7 +31,7 @@ for surface in (SPHERE, orientable(1), orientable(2), nonorientable(2)):
 print()
 print("products with the non-standard class vanish")
 for surface in (orientable(1), nonorientable(2)):
-    checks = verify_kocom_products(surface)
+    checks = verify_kocom_products(surface, surface_algebra(surface))
     status = "all pass" if all(c.passed for c in checks) else "MISMATCH"
     print(f"  {surface.label}: {len(checks)} checks, {status}")
     for c in checks:

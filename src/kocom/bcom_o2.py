@@ -28,7 +28,7 @@ class IdentityFailsError(AssertionError):
     """Raised when a splitting-principle identity fails to hold (it must not)."""
 
 
-def bcom_o2_algebra(cap: int = 6) -> F2Algebra:
+def bcom_o2_algebra(cap: int) -> F2Algebra:
     """F2[w1, w2, r, s] / (w1*r, r^2, r*s, s^2), truncated at the cap,
     with the total Steenrod squares of the generators attached."""
     if exact_int(cap) < 4:
@@ -55,7 +55,7 @@ def bcom_o2_algebra(cap: int = 6) -> F2Algebra:
     return alg
 
 
-def line_pair_algebra(cap: int = 6) -> F2Algebra:
+def line_pair_algebra(cap: int) -> F2Algebra:
     """F2[u, v], the cohomology of a pair of line bundles, truncated."""
     alg = F2Algebra([("u", 1), ("v", 1)], cap=cap, name="F2[u,v]")
     alg.set_total_squares(
@@ -67,7 +67,7 @@ def line_pair_algebra(cap: int = 6) -> F2Algebra:
     return alg
 
 
-def euler_algebra(cap: int = 6) -> F2Algebra:
+def euler_algebra(cap: int) -> F2Algebra:
     """F2[e] on the mod-2 Euler class of the oriented rotation subgroup."""
     alg = F2Algebra([("e", 2)], cap=cap, name="F2[e]")
     alg.set_total_squares({"e": alg.cls({"e": 1}, {"e": 2})})

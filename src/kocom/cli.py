@@ -39,8 +39,8 @@ def parse_range(text: str) -> tuple:
 
 #: Largest first Betti number --surface accepts (genus 40, rp:80).  The
 #: per-surface checks grow with b1; at this bound `kocom verify surface-ko`
-#: reports 0.03-0.06 s elapsed (5 runs each of rp:80 and genus:40, medians
-#: 0.048 and 0.053 s, on a 2-CPU VM with Python 3.11).
+#: reports 0.03-0.04 s elapsed (7 runs each of rp:80 and genus:40, medians
+#: 0.037 and 0.037 s, on a 2-CPU VM with Python 3.11).
 MAX_SURFACE_B1 = 80
 
 #: Most values --k-range and --n-range may each span (-20..20).  The cocycle

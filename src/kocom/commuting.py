@@ -120,7 +120,7 @@ def boundary_matrix(n: int) -> list[dict[int, int]]:
     return [{j: a for j, a in row.items() if a} for row in rows]
 
 
-def component_complex(top: int = 3) -> IntChainComplex:
+def component_complex(top: int) -> IntChainComplex:
     """The chain complex of level-0..top component groups with the
     alternating-sum boundaries.  d_n has one row per level-(n-1) component,
     so only level top is enumerated for its rank alone."""

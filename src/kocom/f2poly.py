@@ -58,7 +58,7 @@ class RelationViolationError(ValueError):
 class F2Algebra:
     """Graded-commutative F2 algebra on named generators with rewrite rules.
 
-    generators: sequence of (name, degree) pairs.
+    generators: sequence of (name, degree) pairs, the names distinct.
     relations: sequence of (lhs, rhs) pairs, lhs a {name: exponent} mapping
         for the forbidden monomial and rhs one such mapping for the monomial
         it rewrites to, or None if it is zero.  Exponents are non-negative
@@ -72,7 +72,8 @@ class F2Algebra:
         self,
         generators: Sequence[tuple],
         relations: Sequence[tuple] = (),
-        cap: int = 6,
+        *,
+        cap: int,
         name: str = "",
     ):
         self.generators = tuple((str(n), exact_int(d)) for n, d in generators)
@@ -81,6 +82,8 @@ class F2Algebra:
             raise ValueError("generator degrees must be >= 1 and the cap >= 0")
         self.name = name
         self._index = {n: i for i, (n, _) in enumerate(self.generators)}
+        if len(self._index) != len(self.generators):
+            raise ValueError("generator names must be distinct")
         self._degrees = tuple(d for _, d in self.generators)
         sides = [
             (self._exponents(lhs), None if rhs is None else self._exponents(rhs))

@@ -479,10 +479,10 @@ def load_golden(surface) -> str:
 def surface_suite(only) -> VerificationReport:
     """Surface checks in one pass over UNITS_SURFACES, or over `only` alone
     when a surface is selected.  Every surface gets the units checks and,
-    off the sphere, its unit identity; the presentation is compared when the
-    surface is in PRESENTATION_SURFACES, the surfaces with a golden file; the
-    product and obstruction checks run on a selected surface and on
-    PRODUCT_SURFACES."""
+    if its cup pairing has pairs, their unit identity; the presentation is
+    compared when the surface is in PRESENTATION_SURFACES, the surfaces with
+    a golden file; the product and obstruction checks run on a selected
+    surface and on PRODUCT_SURFACES."""
     report = VerificationReport("surface-ko")
     for surface in UNITS_SURFACES if only is None else (only,):
         alg = surfaces.surface_algebra(surface)
@@ -504,34 +504,20 @@ def surface_suite(only) -> VerificationReport:
                 group.order,
             )
         )
-        if surface.kind != "sphere":
+        names, pairs = surfaces.cup_pairing(surface)
+        if pairs:
             one, y2 = alg.one(), alg.gen("y2")
-            indices = range(1, surface.count + 1)
-            if surface.kind == "orientable":
-                citation = (
-                    "(1 + a_i + b_i)(1 + a_i)(1 + b_i) = 1 + y2, the unit "
-                    "identity behind the diagonal products"
-                )
-                ok = all(
-                    (one + alg.gen(f"a{i}") + alg.gen(f"b{i}"))
-                    * (one + alg.gen(f"a{i}"))
-                    * (one + alg.gen(f"b{i}"))
-                    == one + y2
-                    for i in indices
-                )
-            else:
-                citation = (
-                    "(1 + a_i)^(-2) = 1 + y2, the unit identity behind the "
-                    "diagonal squares"
-                )
-                ok = all(
-                    surfaces.unit_inverse(one + alg.gen(f"a{i}")) ** 2 == one + y2
-                    for i in indices
-                )
+            inverse = {name: surfaces.unit_inverse(one + alg.gen(name)) for name in names}
+            ok = all(
+                (one + alg.gen(x) + alg.gen(y)) * inverse[x] * inverse[y] == one + y2
+                for x, y in pairs
+            )
             report.add(
                 check(
                     f"surface-ko.unit-identity.{surface.label}",
-                    citation,
+                    "W(L (x) L') W(L)^(-1) W(L')^(-1) = 1 + y2 for each pair of "
+                    "line classes with cup product y2, the unit identity behind "
+                    "the diagonal products",
                     "holds",
                     "holds" if ok else "fails",
                 )
@@ -549,7 +535,7 @@ def surface_suite(only) -> VerificationReport:
             )
         if only is None and surface not in PRODUCT_SURFACES:
             continue
-        report.extend(surfaces.verify_kocom_products(surface))
+        report.extend(surfaces.verify_kocom_products(surface, alg))
         if surface.kind == "sphere":
             continue
         report.add(
@@ -561,9 +547,8 @@ def surface_suite(only) -> VerificationReport:
                 bcom_o2.a2_of_tc_bundle(surfaces.nonstandard_data(alg)),
             )
         )
-        first = surfaces.degree_one_names(alg)[0]
         algebraic = bcom_o2.direct_sum(
-            bcom_o2.line_data(alg.gen(first)), bcom_o2.trivial_data(alg)
+            bcom_o2.line_data(alg.gen(names[0])), bcom_o2.trivial_data(alg)
         )
         report.add(
             check(

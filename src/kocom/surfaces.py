@@ -101,18 +101,26 @@ def nonorientable(crosscaps: int) -> Surface:
     return Surface("nonorientable", crosscaps)
 
 
+def cup_pairing(surface: Surface) -> tuple:
+    """The degree-one generator names, in generator order, and the pairs
+    (x, y) of them whose cup product is the top class y2: (a_i, b_i) for
+    genus, (a_i, a_i) for crosscaps, none for the sphere.  Every other
+    product of two degree-one classes is 0."""
+    indices = range(1, surface.count + 1)
+    if surface.kind == "orientable":
+        names = [f"{c}{i}" for c in "ab" for i in indices]
+        return names, [(f"a{i}", f"b{i}") for i in indices]
+    names = [f"a{i}" for i in indices]
+    return names, [(name, name) for name in names]
+
+
 def surface_algebra(surface: Surface) -> F2Algebra:
     """The mod-2 cohomology ring, with basis {1}, the degree-1 generators,
     and the top class y2; graded dimensions (1, b1, 1).  A product of two
-    degree-one generators is y2 where the cup-product pairing is 1 (a_i b_i
-    for genus, a_i^2 for crosscaps) and 0 otherwise; the cap-2 truncation
-    kills everything of higher degree."""
-    if surface.kind == "orientable":
-        names = [f"{c}{i}" for c in "ab" for i in range(1, surface.count + 1)]
-        paired = {(f"a{i}", f"b{i}") for i in range(1, surface.count + 1)}
-    else:
-        names = [f"a{i}" for i in range(1, surface.count + 1)]
-        paired = {(name, name) for name in names}
+    degree-one generators is y2 on the cup_pairing pairs and 0 otherwise;
+    the cap-2 truncation kills everything of higher degree."""
+    names, pairs = cup_pairing(surface)
+    paired = set(pairs)
     relations = [
         ({x: 1, y: 1} if x != y else {x: 2}, {"y2": 1} if (x, y) in paired else None)
         for x, y in itertools.combinations_with_replacement(names, 2)
@@ -332,18 +340,20 @@ def _data_repr(d: TCBundleData) -> str:
     return f"w1={d.w1}, w2={d.w2}, a2={a2_of_tc_bundle(d)}"
 
 
-def verify_kocom_products(surface: Surface) -> list:
-    """Verify that products with the non-standard stable class vanish.
+def verify_kocom_products(surface: Surface, alg: F2Algebra) -> list:
+    """Verify that products with the non-standard stable class vanish over
+    the surface, whose cohomology algebra is `alg`.
 
     (a) The square of the non-standard class: computed over the sphere via
     the rank-two tensor rule and transported along the collapse pullback;
     its w2 and obstruction bit vanish.  (b) For every line generator L,
     the tensor E (x) L and the sum 2L + E (E the non-standard datum) have
-    identical (w1, w2, a2) data, so their difference, which represents the
-    product (E - 2)(L - 1), is zero.  (c) Together with the additive
-    splitting this pins the ring down as K-theory times a square-zero
-    order-2 ideal.  On the sphere every product vanishes because the
-    sphere is a suspension; that case is recorded, not recomputed.
+    equal data (w1, w2 and twisted w2, hence equal a2), so their
+    difference, which represents the product (E - 2)(L - 1), is zero.
+    (c) Together with the additive splitting this pins the ring down as
+    K-theory times a square-zero order-2 ideal.  On the sphere every
+    product vanishes because the sphere is a suspension; that case is
+    recorded, not recomputed.
     """
     tag = surface.label
     checks = []
@@ -359,7 +369,6 @@ def verify_kocom_products(surface: Surface) -> list:
         )
         return checks
 
-    alg = surface_algebra(surface)
     sphere_alg = surface_algebra(SPHERE)
     pullback = collapse_pullback(sphere_alg, alg)
 
@@ -391,11 +400,6 @@ def verify_kocom_products(surface: Surface) -> list:
         line = line_data(gen.w1)
         tensored = tensor_line(data, line)
         summed = direct_sum(direct_sum(line, line), data)
-        same = (
-            tensored.w1 == summed.w1
-            and tensored.w2 == summed.w2
-            and a2_of_tc_bundle(tensored) == a2_of_tc_bundle(summed)
-        )
         agree_with_twist = a2_of_tc_bundle(tensored) == expected_a2
         checks.append(
             check(
@@ -405,7 +409,7 @@ def verify_kocom_products(surface: Surface) -> list:
                 f"(w1, w2, a2) data, with a2 the twisted top class",
                 "identical, a2=twisted",
                 "identical, a2=twisted"
-                if same and agree_with_twist
+                if tensored == summed and agree_with_twist
                 else f"tensor: {_data_repr(tensored)} vs sum: {_data_repr(summed)}",
             )
         )

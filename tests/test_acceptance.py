@@ -298,7 +298,7 @@ def test_criterion_12_product_structure():
         nonorientable(2),
         nonorientable(3),
     ):
-        checks = verify_kocom_products(surface)
+        checks = verify_kocom_products(surface, surface_algebra(surface))
         ok = ok and all(c.passed for c in checks)
     _report(
         12,

@@ -19,7 +19,7 @@ from kocom.report import VerificationReport, check
 from kocom.suites import DEFAULT_OPTIONS, run_suite
 
 #: SHA-256 of the `kocom verify all --out R` report with default options.
-ALL_REPORT_SHA256 = "10504f47b55b6e2f37279d55b69ecdf1894e934d16afa2d0a3e410b2595989ea"
+ALL_REPORT_SHA256 = "fc891e36521c163c7671c51a8cbf19c174c816041d43bc751128f9f22d955f02"
 
 #: SHA-256 of the cocycle report over the widest window the CLI accepts.
 WIDE_COCYCLE_REPORT_SHA256 = (

@@ -295,6 +295,15 @@ def test_relation_needs_a_non_unit_left_side():
         F2Algebra([("u", 1)], [({"u": 0}, {"u": 1})], cap=4)
 
 
+def test_generator_names_must_be_distinct():
+    # gen() and basis strings look generators up by name, so a repeated name
+    # would make one of them unreachable.
+    with pytest.raises(ValueError):
+        F2Algebra([("x", 1), ("x", 2)], cap=4)
+    with pytest.raises(ValueError):
+        F2Algebra([("x", 1), ("y", 1), ("x", 1)], cap=4)
+
+
 def test_ring_map_strips_in_the_source_layout():
     # Source and target differ in generator count and field width, so a
     # source monomial read in the target's layout would name other factors.

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from kocom import suites, surfaces
 from kocom.bcom_o2 import a2_of_tc_bundle, direct_sum, line_data, trivial_data
 from kocom.integral import AbelianGroup
 from kocom.suites import load_golden
@@ -15,6 +16,7 @@ from kocom.surfaces import (
     SPHERE,
     Surface,
     collapse_pullback,
+    cup_pairing,
     degree_one_names,
     ko_generators,
     ko_presentation,
@@ -329,14 +331,54 @@ def test_verify_kocom_products_all_required_surfaces():
         nonorientable(2),
         nonorientable(3),
     ):
-        checks = verify_kocom_products(surface)
+        checks = verify_kocom_products(surface, surface_algebra(surface))
         assert checks and all(c.passed for c in checks), surface
 
 
 def test_verify_kocom_products_check_count():
-    checks = verify_kocom_products(orientable(2))
+    checks = verify_kocom_products(orientable(2), surface_algebra(orientable(2)))
     # one square check, one per line generator, one conclusion
     assert len(checks) == 1 + 4 + 1
+
+
+def test_cup_pairing_is_the_w_rule_product_unit():
+    # W(L (x) L') W(L)^-1 W(L')^-1 = 1 + x y in the cap-2 ring, so the
+    # product unit reads the pairing off the F2 multiplication: 1 + y2 on
+    # exactly the cup_pairing pairs and 1 on every other pair x <= y.
+    for surface in (
+        SPHERE,
+        *(orientable(g) for g in range(1, 5)),
+        *(nonorientable(n) for n in range(1, 9)),
+    ):
+        alg = surface_algebra(surface)
+        names, pairs = cup_pairing(surface)
+        assert names == degree_one_names(alg)
+        assert len(pairs) == surface.count
+        one, y2 = alg.one(), alg.gen("y2")
+        for x, y in itertools.combinations_with_replacement(names, 2):
+            u = (
+                (one + alg.gen(x) + alg.gen(y))
+                * unit_inverse(one + alg.gen(x))
+                * unit_inverse(one + alg.gen(y))
+            )
+            assert u == (one + y2 if (x, y) in pairs else one), (surface, x, y)
+
+
+def test_surface_suite_reuses_its_algebra(monkeypatch):
+    calls = []
+    original = surfaces.surface_algebra
+
+    def counted(surface):
+        calls.append(surface)
+        return original(surface)
+
+    monkeypatch.setattr(surfaces, "surface_algebra", counted)
+    # the default run builds 10 suite algebras, 8 for the presentations and
+    # one sphere algebra for each of the 6 product surfaces off the sphere
+    for only, builds in ((None, 24), (orientable(4), 2), (nonorientable(80), 2)):
+        calls.clear()
+        assert suites.surface_suite(only).all_passed
+        assert len(calls) == builds, only
 
 
 def test_algebraic_data_has_zero_obstruction():
