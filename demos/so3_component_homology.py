@@ -8,8 +8,20 @@ maps send them, and running Smith normal form on the alternating sums
 yields the second homology of the commuting classifying space.
 """
 
-from kocom import D4Element, boundary_matrix, enumerate_components, face_map, h2_bcom_so3
-from kocom.commuting import classify_component, component_complex, component_homology
+from kocom import boundary_matrix, enumerate_components, face_map, h2_bcom_so3
+from kocom.commuting import ELEMENT_NAMES, classify_component, component_complex, component_homology
+
+I, C1, C2, C3 = range(4)
+
+
+def names(t):
+    return "(" + ",".join(ELEMENT_NAMES[e] for e in t) + ")"
+
+
+def render(label):
+    """A component label as exotic(...) or identity(...), by whether it uses c2."""
+    return ("exotic" if C2 in label else "identity") + names(label)
+
 
 print("component counts by tuple length")
 for n in range(4):
@@ -19,25 +31,23 @@ for n in range(4):
 print()
 print("the seven exotic triple components (canonical representatives)")
 for label in enumerate_components(3):
-    if label.exotic:
-        print(f"  {label}")
+    if C2 in label:
+        print(f"  {render(label)}")
 
 print()
 print("faces of the exotic triples: -> identity-axis or exotic pair component")
-I, C1, C2, C3 = D4Element.I, D4Element.C1, D4Element.C2, D4Element.C3
 for triple in ((C1, C2, C2), (C2, C2, C3), (C1, C2, C3)):
-    name = "(" + ",".join(str(e) for e in triple) + ")"
     images = []
     for i in range(4):
         face = classify_component(face_map(i, triple))
-        images.append("exotic" if face.exotic else "axis")
-    print(f"  {name}: " + " ".join(f"d{i}->{img}" for i, img in enumerate(images)))
+        images.append("exotic" if C2 in face else "axis")
+    print(f"  {names(triple)}: " + " ".join(f"d{i}->{img}" for i, img in enumerate(images)))
 
 print()
 print("boundary rows {column: coefficient} (columns = components, canonical order)")
 for n in (2, 3):
     for row, label in zip(boundary_matrix(n), enumerate_components(n - 1)):
-        print(f"  level {n} -> {n - 1}, row {label}: {row}")
+        print(f"  level {n} -> {n - 1}, row {render(label)}: {row}")
 
 print()
 complex_ = component_complex(6)

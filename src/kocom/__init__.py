@@ -2,8 +2,7 @@
 
 Subpackages by capability:
 
-- o2: exact O(2) and Klein four-group arithmetic, piecewise rotation
-  paths, winding degrees.
+- o2: exact O(2) arithmetic, piecewise rotation paths, winding degrees.
 - cocycles: commutative cocycles on the three-set sphere cover, pointwise
   powers, clutching loops and degrees, and the two-degree invariant.
 - commuting: components of commuting tuples in SO(3) and the homology of
@@ -39,7 +38,6 @@ from .commuting import (
 )
 from .integral import AbelianGroup, IntChainComplex, smith_normal_form
 from .o2 import (
-    D4Element,
     O2Element,
     O2Path,
     commutes,
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroup",
     "CommCocycle",
-    "D4Element",
     "IntChainComplex",
     "O2Element",
     "O2Path",

@@ -7,7 +7,7 @@ a copy of the Klein four-group of diagonal sign matrices; in the latter
 case the component is determined by the tuple up to simultaneous
 relabeling of the three involutions.  Everything about degree-0 homology
 of the commuting-tuple spaces is therefore a finite computation over
-tuples in the four-element group.
+tuples of the ints 0..3, the four-element group under XOR.
 
 The face maps are the usual bar-construction ones (drop the first entry,
 multiply an adjacent pair, drop the last entry); the alternating sums of
@@ -18,59 +18,41 @@ the second homology of the commuting classifying space of SO(3).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .integral import AbelianGroup, IntChainComplex, exact_int
-from .o2 import D4Element
 
-D4Tuple = tuple[D4Element, ...]
-
-_ELEMENTS = tuple(D4Element)
+#: Names of the four-group elements 0..3, whose product is XOR.
+ELEMENT_NAMES = ("I", "c1", "c2", "c3")
 
 #: The constant Z/2 contributed by the fundamental group of SO(3); a
 #: standard input, not recomputed here.
 H1_SO3 = AbelianGroup((2,))
 
 
-class ComponentLabel(NamedTuple):
-    """A connected component of the commuting n-tuples, recorded by the
-    lexicographically least relabeling of a defining four-group tuple; the
-    component of the trivial tuple is the all-identity tuple.  A first-
-    appearance tuple generates a non-cyclic group iff it uses c2, so the
-    exotic labels are exactly those.  Labels order trivial first, then
-    exotic ones by canonical tuple."""
-
-    canonical: D4Tuple
-
-    @property
-    def exotic(self) -> bool:
-        return D4Element.C2 in self.canonical
-
-    def __str__(self) -> str:
-        body = ",".join(str(e) for e in self.canonical)
-        return ("exotic" if self.exotic else "identity") + f"({body})"
-
-
-def canonical_tuple(t: Sequence[int]) -> D4Tuple:
+def canonical_tuple(t: Sequence[int]) -> tuple[int, ...]:
     """Relabel the involutions by first appearance (c1 first, then c2, then
     c3).  Every permutation of c1, c2, c3 is an automorphism, so this is the
-    lexicographically least of the six relabelings.  Entries must be the
-    ints 0..3; anything else raises ValueError (TypeError if unhashable)."""
-    first_seen = {D4Element.I: D4Element.I}
+    lexicographically least of the six relabelings.  Entries must be exact
+    ints: an int outside 0..3 raises ValueError, anything else TypeError."""
+    first_seen = {0: 0}
     for e in t:
+        if type(e) is not int:
+            exact_int(e)
         if e not in first_seen:
-            if e not in _ELEMENTS:
-                raise ValueError(f"{e!r} is not a valid D4Element")
-            first_seen[e] = _ELEMENTS[len(first_seen)]
+            if not 0 < e < 4:
+                raise ValueError(f"{e!r} is not an element of the Klein four-group")
+            first_seen[e] = len(first_seen)
     return tuple(first_seen[e] for e in t)
 
 
-def classify_component(t: Sequence[int]) -> ComponentLabel:
-    label = ComponentLabel(canonical_tuple(t))
-    return label if label.exotic else ComponentLabel((D4Element.I,) * len(label.canonical))
+def classify_component(t: Sequence[int]) -> tuple[int, ...]:
+    """t's component label: canonical_tuple(t) if it uses c2, else all-identity."""
+    label = canonical_tuple(t)
+    return label if 2 in label else (0,) * len(label)
 
 
-def enumerate_components(n: int) -> list[ComponentLabel]:
+def enumerate_components(n: int) -> list[tuple[int, ...]]:
     """All component labels of commuting n-tuples, the trivial-tuple
     component first and the exotic ones in lexicographic order.  The exotic
     labels are the first-appearance tuples that use c2, generated directly
@@ -78,16 +60,14 @@ def enumerate_components(n: int) -> list[ComponentLabel]:
     largest entry before it."""
     if exact_int(n) < 0:
         raise ValueError("tuple length must be non-negative")
-    level = [((), D4Element.I)]  # (prefix, largest entry so far)
+    level = [((), 0)]  # (prefix, largest entry so far)
     for _ in range(n):
         level = [
             (prefix + (e,), max(top, e))
             for prefix, top in level
-            for e in _ELEMENTS[: top + 2]
+            for e in range(min(top + 2, 4))
         ]
-    trivial = ComponentLabel((D4Element.I,) * n)
-    exotic = [ComponentLabel(t) for t, top in level if top >= D4Element.C2]
-    return [trivial] + exotic
+    return [(0,) * n] + [t for t, top in level if top >= 2]
 
 
 def face_map(i: int, t: Sequence[int]) -> tuple[int, ...]:
@@ -108,14 +88,14 @@ def boundary_matrix(n: int) -> list[dict[int, int]]:
     """Sparse rows {column: nonzero coefficient} of the alternating sum of the
     induced face maps, from the free abelian group on the level-n components
     (columns, enumerate_components(n)) to the level-(n-1) ones (rows); each
-    column is computed on the component's canonical tuple."""
+    column is computed on the component's label, itself a canonical tuple."""
     if exact_int(n) < 1:
         raise ValueError("boundary needs level >= 1")
     index = {label: row for row, label in enumerate(enumerate_components(n - 1))}
     rows: list[dict[int, int]] = [{} for _ in index]
     for col, label in enumerate(enumerate_components(n)):
         for i in range(n + 1):
-            row = rows[index[classify_component(face_map(i, label.canonical))]]
+            row = rows[index[classify_component(face_map(i, label))]]
             row[col] = row.get(col, 0) + (-1) ** i
     return [{j: a for j, a in row.items() if a} for row in rows]
 

@@ -28,7 +28,7 @@ def exact_int(x: object) -> int:
 def smith_normal_form(rows: Sequence[Mapping[int, int]]) -> list[int]:
     """Diagonal of the Smith normal form of sparse {column: entry} rows, zero
     entries ignored: positive d1 | d2 | ... | dr (zero diagonal entries are
-    dropped).
+    dropped); entries must be exact ints.
 
     Unimodular row/column operations only: adding an integer multiple of one
     row/column to another, and dropping a pivot's row once the rest of its
@@ -36,7 +36,7 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]]) -> list[int]:
     """
     # Rows that become zero are dropped at once, so every row has a least
     # nonzero entry; a column that is zero is simply absent.
-    work = [nonzero for row in rows if (nonzero := {j: a for j, a in row.items() if a})]
+    work = [nonzero for row in rows if (nonzero := {j: a for j, a in row.items() if exact_int(a)})]
     diag: list[int] = []
     while work:
         pivot = None
@@ -145,7 +145,7 @@ class IntChainComplex:
     outside 1..top raises ValueError; every d_p outside 1..top is zero.
     d_{p-1} d_p = 0 is verified at construction: for each row of d_{p-1},
     the rows of d_p that its entries pick out, weighted by them, must sum
-    to zero.
+    to zero.  Ranks, keys, columns and entries must be exact ints.
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: dict):
@@ -153,13 +153,14 @@ class IntChainComplex:
         if any(r < 0 for r in self.ranks):
             raise ValueError(f"negative rank in {self.ranks}")
         self.boundaries = {}
-        if any(p not in range(1, len(self.ranks)) for p in boundaries):
+        if any(exact_int(p) not in range(1, len(self.ranks)) for p in boundaries):
             raise ValueError(f"boundary keys must lie in 1..{len(self.ranks) - 1}")
         for p in range(1, len(self.ranks)):
             rows, columns = boundaries.get(p, []), range(self.ranks[p])
-            if len(rows) != self.ranks[p - 1] or any(j not in columns for row in rows for j in row):
+            keys = (exact_int(j) for row in rows for j in row)
+            if len(rows) != self.ranks[p - 1] or any(j not in columns for j in keys):
                 raise ValueError(f"boundary {p} is missing or has the wrong shape")
-            self.boundaries[p] = [{j: a for j, a in row.items() if a} for row in rows]
+            self.boundaries[p] = [{j: a for j, a in row.items() if exact_int(a)} for row in rows]
         for p in range(2, len(self.ranks)):
             inner = self.boundaries[p]
             for row in self.boundaries[p - 1]:

@@ -1,4 +1,4 @@
-"""Exact arithmetic in O(2), piecewise rotation paths, and the Klein four-group.
+"""Exact arithmetic in O(2) and piecewise rotation paths.
 
 Every angle is a rational multiple of pi, stored mod 2 (so a value of 1/2
 means the rotation by pi/2).  An element of O(2) is either a rotation R_a
@@ -16,7 +16,6 @@ degree 1; a path's degree is sum(slope * (t1 - t0)) / 2 over its segments.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -314,19 +313,3 @@ def angle_sweep(path: O2Path) -> Rational:
     angle coordinate along the path, in units of pi."""
     return _frac(sum(seg.angle_change() for seg in path.segments))
 
-
-class D4Element(enum.IntEnum):
-    """The Klein four-group as the 2-bit ints 0..3 under XOR: I is the
-    identity, each ci an involution, and the product of two distinct
-    non-identity elements is the third."""
-
-    I = 0  # noqa: E741 - the identity label
-    C1 = 1
-    C2 = 2
-    C3 = 3
-
-    def __mul__(self, other: int) -> "D4Element":
-        return D4Element(self ^ other)
-
-    def __str__(self) -> str:
-        return ("I", "c1", "c2", "c3")[self]

@@ -316,6 +316,10 @@ def ko_presentation(surface: Surface) -> RingPresentation:
 #: whose work differs as failed operations.
 NONSTANDARD_INVARIANT = tc_invariant(standard_cocycle(1))
 
+#: The source of every collapse pullback, whatever the surface: built once,
+#: not once per surface, and at import for the reason NONSTANDARD_INVARIANT is.
+SPHERE_ALGEBRA = surface_algebra(SPHERE)
+
 
 def nonstandard_data(alg: F2Algebra) -> TCBundleData:
     """Data of the trivial plane bundle carrying the k = 1 cocycle structure,
@@ -369,10 +373,9 @@ def verify_kocom_products(surface: Surface, alg: F2Algebra) -> list:
         )
         return checks
 
-    sphere_alg = surface_algebra(SPHERE)
-    pullback = collapse_pullback(sphere_alg, alg)
+    pullback = collapse_pullback(SPHERE_ALGEBRA, alg)
 
-    over_sphere = nonstandard_data(sphere_alg)
+    over_sphere = nonstandard_data(SPHERE_ALGEBRA)
     square_sphere = tensor_rank2(over_sphere, over_sphere)
     pulled_square = square_sphere.map_along(pullback)
     data = nonstandard_data(alg)

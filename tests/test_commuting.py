@@ -2,13 +2,14 @@
 tables, and the homology of the component complex."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from kocom import commuting, suites
 from kocom.commuting import (
-    ComponentLabel,
+    ELEMENT_NAMES,
     boundary_matrix,
     canonical_tuple,
     classify_component,
@@ -19,9 +20,8 @@ from kocom.commuting import (
     h2_bcom_so3,
 )
 from kocom.integral import AbelianGroup, smith_normal_form
-from kocom.o2 import D4Element
 
-I, C1, C2, C3 = D4Element.I, D4Element.C1, D4Element.C2, D4Element.C3
+I, C1, C2, C3 = range(4)
 
 #: The table rows frozen from the face-map computation on the seven listed
 #: exotic triples; (1,0) marks the trivial pair component, (0,1) the exotic
@@ -60,37 +60,32 @@ def brute_force_components(n):
     """Sorted labels of all 4^n tuples: the all-identity tuple if they
     generate a cyclic group, else the least of the six relabelings."""
     labels = set()
-    for t in itertools.product(D4Element, repeat=n):
+    for t in itertools.product(range(4), repeat=n):
         if generates_cyclic(t):
-            labels.add(ComponentLabel((I,) * n))
+            labels.add((I,) * n)
         else:
-            labels.add(ComponentLabel(min(relabel(p, t) for p in RELABELINGS)))
+            labels.add(min(relabel(p, t) for p in RELABELINGS))
     return sorted(labels)
 
 
-d4_tuples = st.lists(st.sampled_from(list(D4Element)), min_size=0, max_size=4).map(
-    tuple
-)
-int_tuples = st.lists(st.integers(0, 3), min_size=0, max_size=5).map(tuple)
+d4_tuples = st.lists(st.integers(0, 3), min_size=0, max_size=4).map(tuple)
 
 
 def test_classify_examples():
-    assert not classify_component((I, C2)).exotic
-    label = classify_component((C1, C2, C2))
-    assert label.exotic and label.canonical == (C1, C2, C2)
-    assert not classify_component((C3, C3, C3)).exotic  # generates one cyclic group
-    assert not classify_component(()).exotic
+    assert classify_component((I, C2)) == (I, I)
+    assert classify_component((C1, C2, C2)) == (C1, C2, C2)
+    assert classify_component((C3, C3, C3)) == (I, I, I)  # generates one cyclic group
+    assert classify_component(()) == ()
 
 
 def test_exotic_is_read_off_the_canonical_tuple():
-    # One field: exotic exactly when two distinct involutions occur, and the
-    # all-identity label is the least one.
-    assert ComponentLabel._fields == ("canonical",)
+    # Exotic exactly when two distinct involutions occur, read as "uses c2";
+    # the all-identity label is the least one.
     for n in range(7):
-        trivial, components = ComponentLabel((I,) * n), set(enumerate_components(n))
-        for t in itertools.product(D4Element, repeat=n):
+        trivial, components = (I,) * n, set(enumerate_components(n))
+        for t in itertools.product(range(4), repeat=n):
             label = classify_component(t)
-            assert label.exotic == (not generates_cyclic(t)), t
+            assert (C2 in label) == (not generates_cyclic(t)), t
             assert label in components and trivial <= label
 
 
@@ -103,7 +98,7 @@ def test_exotic_triple_count_by_brute_force():
     # the six free relabelings
     noncyclic = sum(
         1
-        for t in itertools.product(D4Element, repeat=3)
+        for t in itertools.product(range(4), repeat=3)
         if not generates_cyclic(t)
     )
     assert noncyclic == 42
@@ -112,18 +107,18 @@ def test_exotic_triple_count_by_brute_force():
 
 def test_listed_triples_match_canonical_components():
     listed = {canonical_tuple(t) for t in LISTED_TRIPLES}
-    computed = {c.canonical for c in enumerate_components(3) if c.exotic}
+    computed = {c for c in enumerate_components(3) if C2 in c}
     assert listed == computed
     assert len(listed) == 7
 
 
 def test_face_map_examples():
     assert face_map(0, (C1, C2, C2)) == (C2, C2)
-    assert not classify_component(face_map(0, (C1, C2, C2))).exotic
+    assert classify_component(face_map(0, (C1, C2, C2))) == (I, I)
     assert face_map(1, (C1, C2, C2)) == (C3, C2)
-    assert classify_component(face_map(1, (C1, C2, C2))).exotic
+    assert classify_component(face_map(1, (C1, C2, C2))) == (C1, C2)
     assert face_map(3, (C1, C2, I)) == (C1, C2)
-    assert classify_component(face_map(3, (C1, C2, I))).exotic
+    assert classify_component(face_map(3, (C1, C2, I))) == (C1, C2)
     with pytest.raises(IndexError):
         face_map(4, (C1, C2, C2))
     with pytest.raises(IndexError):
@@ -134,12 +129,12 @@ def test_face_table_all_entries():
     for triple, row in FACE_TABLE.items():
         for i in range(4):
             face = classify_component(face_map(i, triple))
-            assert row[i] == ("(0,1)" if face.exotic else "(1,0)"), (triple, i)
+            assert row[i] == ("(0,1)" if C2 in face else "(1,0)"), (triple, i)
 
 
 def test_simplicial_identities_exhaustive():
     for n in range(2, 5):
-        for t in itertools.product(D4Element, repeat=n):
+        for t in itertools.product(range(4), repeat=n):
             for j in range(n + 1):
                 for i in range(j):
                     assert face_map(i, face_map(j, t)) == face_map(
@@ -164,29 +159,39 @@ def test_first_appearance_matches_relabeling_oracle():
         assert len(enumerate_components(n)) == 1 + (4**n - 3 * 2**n + 2) // 6
 
 
-@pytest.mark.parametrize("bad", [4, -1, 1.5, "c1", None])
+@pytest.mark.parametrize(
+    "bad", [4, -1, 1.5, "c1", None, 1.0, True, pytest.param(Fraction(2), id="Fraction(2)")]
+)
 def test_entries_outside_the_group_are_rejected(bad):
-    with pytest.raises(ValueError):
+    # An exact int outside 0..3 is a ValueError; anything inexact, even one
+    # equal to a group element (1.0, True, Fraction(2)), is a TypeError.
+    error = ValueError if type(bad) is int else TypeError
+    with pytest.raises(error):
         canonical_tuple((C1, bad))
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         classify_component((C1, C2, bad))
+    with pytest.raises(error):
+        canonical_tuple((bad,))
 
 
-@given(int_tuples)
-def test_plain_ints_and_members_agree(t):
-    members = tuple(D4Element(e) for e in t)
-    label = classify_component(t)
-    assert label == classify_component(members)
-    assert all(type(e) is D4Element for e in label.canonical)
-    for i in range(len(t) + 1):
-        assert face_map(i, t) == face_map(i, members)
+def test_labels_are_plain_int_tuples():
+    # Every label is a tuple of exact ints and its own canonical tuple, so
+    # callers can hash, compare and index with it directly.
+    def plain(label):
+        return type(label) is tuple and all(type(e) is int for e in label)
+
+    for n in range(7):
+        for label in enumerate_components(n):
+            assert plain(label) and canonical_tuple(label) == label, label
+    for t in itertools.product(range(4), repeat=4):
+        label = classify_component(t)
+        assert plain(label) and canonical_tuple(label) == label, t
 
 
 def test_rendering_is_pinned():
-    assert str(C1) == f"{C1}" == "c1"
-    assert [str(e) for e in D4Element] == ["I", "c1", "c2", "c3"]
-    assert str(classify_component((1, 2, 2))) == "exotic(c1,c2,c2)"
-    assert str(classify_component((3, 0))) == "identity(I,I)"
+    assert ELEMENT_NAMES == ("I", "c1", "c2", "c3")
+    assert ",".join(ELEMENT_NAMES[e] for e in classify_component((1, 2, 2))) == "c1,c2,c2"
+    assert ",".join(ELEMENT_NAMES[e] for e in classify_component((3, 0))) == "I,I"
 
 
 def to_rows(mat):

@@ -1,6 +1,7 @@
 """Smith normal form against the sympy oracle, and homology of small
 integer complexes."""
 
+import enum
 import random
 
 import pytest
@@ -17,7 +18,6 @@ from kocom.integral import (
     exact_int,
     smith_normal_form,
 )
-from kocom.o2 import D4Element
 
 
 def to_rows(mat):
@@ -254,10 +254,27 @@ def test_sparse_rows_edge_cases():
 
 def test_exact_int_is_the_one_rule():
     assert exact_int(3) == 3 and exact_int(-2) == -2
-    assert exact_int(D4Element.C2) is D4Element.C2  # an int subclass, not a bool
+    class Small(enum.IntEnum):
+        TWO = 2
+
+    assert exact_int(Small.TWO) is Small.TWO  # an int subclass, not a bool
     for bad in (True, False, 2.0, "2", None):
         with pytest.raises(TypeError):
             exact_int(bad)
+
+
+@pytest.mark.parametrize("bad", [2.0, 0.0, True, False])
+def test_matrix_entries_and_keys_are_exact_ints(bad):
+    # Neither a float equal to an int nor a bool passes as an entry, a
+    # column or a boundary key, even where dict lookup would accept it.
+    with pytest.raises(TypeError):
+        smith_normal_form([{0: 1}, {0: bad, 1: 3}])
+    with pytest.raises(TypeError):
+        IntChainComplex([1, 2], {1: [{0: 1, 1: bad}]})
+    with pytest.raises(TypeError):
+        IntChainComplex([1, 2], {1: [{bad: 1}]})
+    with pytest.raises(TypeError):
+        IntChainComplex([1, 2], {bad: [{0: 1}]})
 
 
 @pytest.mark.parametrize("value", [True, 2.0])

@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from kocom.o2 import (
     IDENTITY,
     REFLECTION,
-    D4Element,
     NotALoopError,
     O2Element,
     O2Path,
@@ -388,13 +387,3 @@ def test_reparameterized_domain_is_exact():
     assert third.segments[-1].t1 == Fraction(1, 3)
     assert type(third.segments[-1].t1) is Fraction
     assert third.end == rotation(1)
-
-
-def test_d4_multiplication():
-    assert D4Element.C1 * D4Element.C2 == D4Element.C3
-    assert D4Element.C1 * D4Element.C3 == D4Element.C2
-    assert D4Element.C2 * D4Element.C3 == D4Element.C1
-    assert D4Element.C1 * D4Element.C1 == D4Element.I
-    assert D4Element.I * D4Element.C2 == D4Element.C2
-    for a, b in itertools.product(D4Element, repeat=2):
-        assert a * b == b * a
