@@ -5,7 +5,7 @@
 Suites: cocycles, so3-homology, char-classes, surface-ko, all.  Options:
 --k-range/--n-range as inclusive lo..hi pairs of at most 41 values,
 --surface as sphere | genus:<g> | rp:<n> with b1 <= 80, --degree-cap
-4..32 for the characteristic algebra (ASCII digits only), --out for the
+4..64 for the characteristic algebra (ASCII digits only), --out for the
 structured report.  Exit code 0 when every check passes, 1 when any fails
 or none ran, 2 when argparse rejects an argument or --out is unwritable.
 """
@@ -50,10 +50,10 @@ MAX_SURFACE_B1 = 80
 MAX_RANGE_VALUES = 41
 
 #: Largest --degree-cap; the characteristic algebra grows with the cap, and
-#: at this bound `kocom verify char-classes` takes about a quarter second
-#: from the shell (median 0.23 s over 9 runs, 0.11 s of it in the suite, on
-#: a 2-CPU VM with Python 3.11).
-MAX_DEGREE_CAP = 32
+#: at this bound `kocom verify char-classes` takes about 0.6 s from the
+#: shell (0.58-0.67 s over 5 runs, median 0.61 s, 0.46 s of it in the
+#: suite, on a shared 2-CPU VM with Python 3.11).
+MAX_DEGREE_CAP = 64
 
 
 def parse_surface(text: str) -> Surface:

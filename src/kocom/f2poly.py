@@ -10,27 +10,32 @@ truncated above a degree cap: products simply drop monomials beyond it.
 
 A monomial is one int holding its exponent vector (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007).  Each generator has a field of the same width, and
-generator 0 the most significant one, so int order is the lexicographic
-order of exponent vectors and the unit is 0.  A field holds 2*cap plus the
-largest exponent on a right side, and every exponent in a relation, below
-one guard bit at its top.  A product of two normal monomials is their sum
-and a rewrite is m - lhs + rhs; the cap is tested before any rule, so no
-field overflows, and a monomial given above the cap is zero before it is
-packed.  m is divisible by lhs iff ((m | G) - lhs) & G == G, where G holds
-every guard bit: a field below lhs borrows its guard bit away, and none
-borrows from the next.  Each rule is indexed under the first generator its
-left side uses, so a monomial tries only the rules under its nonzero
-fields, in rule order, and greedy rewriting is the same as over the whole
-list.  A basis is walked one generator at a time, generator 0 first, and a
-prefix of exponents is extended only while no left side divides it.
+vectors", CASC 2007) and, above it, its degree.  Each generator has a field
+of the same width, generator 0 the most significant one, and the degree
+field sits on top, unbounded: a monomial is the sum of e_i * unit_i, where
+unit_i is generator i's field unit plus deg_i in the degree field.  So int
+order is degree order, then the lexicographic order of exponent vectors,
+which is the order a class prints its terms in: __str__ sorts the ints as
+they are.  The unit is 0.  A field holds 2*cap plus the largest exponent on
+a right side, and every exponent in a relation, below one guard bit at its
+top.  A product of two normal monomials is their sum and a rewrite is
+m - lhs + rhs; both keep the degree field exact, as it is linear.  The cap
+is tested, by one shift, before any rule, so no field overflows, and a
+monomial given above the cap is zero before it is packed.  m is divisible by
+lhs iff ((m | G) - lhs) & G == G, where G holds every guard bit: a field
+below lhs borrows its guard bit away, and none borrows from the next, so
+only the exponent fields decide.  Each rule is indexed under the first
+generator its left side uses, so a monomial tries only the rules under its
+nonzero fields, in rule order, and greedy rewriting is the same as over the
+whole list.  A basis is walked one generator at a time, generator 0 first,
+and a prefix of exponents is extended only while no left side divides it.
 
 A ring map keeps its generator images and each source monomial's image
 once it is formed, starting from the unit at the zero monomial.  A new
 monomial's image is the stored image of that monomial with its most
-significant factor removed (one step off the top nonzero field, in the
-source's layout) times that factor's generator image, so a class maps to
-the sum of stored images and no monomial's image is formed twice.
+significant factor removed (one unit off the top nonzero exponent field,
+in the source's layout) times that factor's generator image, so a class
+maps to the sum of stored images and no monomial's image is formed twice.
 The total Steenrod square is such a map: by the Cartan formula it is the
 ring endomorphism determined by the squares of the generators, which are
 checked against the relations when they are set.
@@ -91,10 +96,15 @@ class F2Algebra:
         ]
         top = max((e for pair in sides for v in pair if v for e in v.values()), default=0)
         rhs_top = max((e for _, rhs in sides if rhs for e in rhs.values()), default=0)
-        self._width = max(2 * self.cap + rhs_top, top).bit_length() + 1
+        width = max(2 * self.cap + rhs_top, top).bit_length() + 1
         n = len(self.generators)
-        self._shifts = tuple((n - 1 - i) * self._width for i in range(n))
-        self._guards = sum(1 << s + self._width - 1 for s in self._shifts)
+        shifts = [(n - 1 - i) * width for i in range(n)]
+        self._guards = sum(1 << s + width - 1 for s in shifts)
+        self._dshift = n * width  # the degree field, above the exponent fields
+        self._units = tuple((1 << s) + (d << self._dshift) for s, d in zip(shifts, self._degrees))
+        # (field width, exponent mask, units): how a ring map out of this
+        # algebra finds and strips a factor.
+        self._layout = (width, (1 << self._dshift) - 1, self._units)
         # Rule positions by the first generator of their left side, in rule order.
         self._rule_index: list = [[] for _ in range(n)]
         for p, (lhs, _) in enumerate(sides):
@@ -107,7 +117,7 @@ class F2Algebra:
             for lhs, rhs in sides
         )
         self._reduce_cache: dict = {}
-        # The total square as (field width, generator images, images), as a
+        # The total square as (layout, generator images, images), as a
         # RingMap keeps them; never classes or maps of this algebra,
         # which would refer back to it.
         self._square: tuple | None = None
@@ -125,11 +135,12 @@ class F2Algebra:
 
     def _pack(self, exponents: Iterable[tuple]) -> Monomial:
         """The monomial of (generator index, exponent) pairs."""
-        return sum(e << self._shifts[i] for i, e in exponents)
+        return sum(e * self._units[i] for i, e in exponents)
 
     def _fields(self, mono: Monomial) -> Iterator[tuple]:
         """(generator index, exponent) of each nonzero field, generator 0 first."""
-        width, last = self._width, len(self.generators) - 1
+        width, mask, _ = self._layout
+        last, mono = len(self.generators) - 1, mono & mask
         while mono:
             j = (mono.bit_length() - 1) // width
             e = mono >> j * width
@@ -137,7 +148,7 @@ class F2Algebra:
             yield last - j, e
 
     def monomial_degree(self, mono: Monomial) -> int:
-        return sum(e * self._degrees[i] for i, e in self._fields(mono))
+        return mono >> self._dshift
 
     def monomial_str(self, mono: Monomial) -> str:
         parts = []
@@ -150,7 +161,7 @@ class F2Algebra:
         cached = self._reduce_cache.get(mono)
         if cached is not None:
             return cached
-        if self.monomial_degree(mono) > self.cap:
+        if mono >> self._dshift > self.cap:
             result = _ZERO
         else:
             # The first rule in list order whose left side divides mono: the
@@ -213,15 +224,15 @@ class F2Algebra:
     def _basis_monomials(self, degree: int) -> list:
         if exact_int(degree) > self.cap:  # and its exponents may not fit a field
             return []
-        # (normal monomial, degree left) of each prefix, in int order: a left side
+        # (normal monomial, degree left) of each prefix, in exponent order: a left side
         # dividing a prefix divides its extensions; a zero exponent needs no new test.
         walk = [(0, degree)]
-        for shift, d in zip(self._shifts, self._degrees):
+        for unit, d in zip(self._units, self._degrees):
             walk = [
                 (m, left - e * d)
                 for prefix, left in walk
                 for e in range(left // d + 1)
-                for m in (prefix + (e << shift),)
+                for m in (prefix + e * unit,)
                 if e == 0 or self.reduce_monomial(m) == {m}
             ]
         return [m for m, left in walk if left == 0]
@@ -241,16 +252,17 @@ class F2Algebra:
 
     def _evaluate(
         self,
-        width: int,
+        layout: tuple,
         generator_images: Sequence[frozenset],
         images: dict,
         monomials: Iterable[Monomial],
     ) -> frozenset:
         """Image of a sum of source monomials under the ring map into this
         algebra that sends source generator i to generator_images[i].
-        `width` is the source's field width, `images` holds the map's image
-        of each source monomial formed so far, the unit at 0 at least, and
-        gains those formed here."""
+        `layout` is the source's (field width, exponent mask, units),
+        `images` holds the map's image of each source monomial formed so
+        far, the unit at 0 at least, and gains those formed here."""
+        width, mask, units = layout
         last = len(generator_images) - 1
         acc: set = set()
         for mono in monomials:
@@ -261,9 +273,9 @@ class F2Algebra:
                 # storing each image.
                 stripped, m = [], mono
                 while image is None:
-                    j = (m.bit_length() - 1) // width
-                    stripped.append((m, last - j))
-                    m -= 1 << j * width
+                    i = last - ((m & mask).bit_length() - 1) // width
+                    stripped.append((m, i))
+                    m -= units[i]
                     image = images.get(m)
                 for m, i in reversed(stripped):
                     image = images[m] = self._product(image, generator_images[i])
@@ -276,7 +288,7 @@ class F2Algebra:
         relations (RelationViolationError otherwise, and the old squares
         stay)."""
         square = RingMap(self, self, squares)
-        self._square = (self._width, square.generator_images, square.images)
+        self._square = (self._layout, square.generator_images, square.images)
 
     def __repr__(self) -> str:
         gens = ", ".join(f"{n}:{d}" for n, d in self.generators)
@@ -317,7 +329,8 @@ class F2Class:
         return not self.monomials
 
     def homogeneous_degree(self) -> int:
-        degs = {self.algebra.monomial_degree(m) for m in self.monomials}
+        shift = self.algebra._dshift
+        degs = {m >> shift for m in self.monomials}
         if len(degs) != 1:
             raise ValueError(f"class {self} is not homogeneous")
         return degs.pop()
@@ -333,10 +346,7 @@ class F2Class:
     def __str__(self) -> str:
         if not self.monomials:
             return "0"
-        keyed = sorted(
-            self.monomials, key=lambda m: (self.algebra.monomial_degree(m), m)
-        )
-        return " + ".join(self.algebra.monomial_str(m) for m in keyed)
+        return " + ".join(self.algebra.monomial_str(m) for m in sorted(self.monomials))
 
     __repr__ = __str__
 
@@ -368,7 +378,7 @@ class RingMap:
         self.generator_images = tuple(images[n].monomials for n in names)
         self.images: dict = {0: target.one().monomials}
         self._evaluate = functools.partial(
-            target._evaluate, source._width, self.generator_images, self.images
+            target._evaluate, source._layout, self.generator_images, self.images
         )
         for lhs, rhs in source._rules:
             if self._evaluate((lhs,)) != self._evaluate(() if rhs is None else (rhs,)):
@@ -390,7 +400,7 @@ def elementary_symmetric(classes: Iterable[F2Class], k: int) -> F2Class:
         raise ValueError("need at least one class")
     alg = classes[0].algebra
     acc = alg.zero()
-    for combo in itertools.combinations(classes, k):
+    for combo in itertools.combinations(classes, exact_int(k)):
         term = alg.one()
         for c in combo:
             term = term * c

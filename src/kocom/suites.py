@@ -297,9 +297,10 @@ def generator_products(f, basis: list) -> list:
     as f keeps degree (the pullback) or never lowers it (the square)."""
     alg = basis[0].algebra
     return [
-        f(g * x) == f(g) * f(x)
+        f(g * x) == fg * f(x)
         for name, dg in alg.generators
         for g in (alg.gen(name),)
+        for fg in (f(g),)
         for x in basis
         if dg + x.homogeneous_degree() <= alg.cap
     ]

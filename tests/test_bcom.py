@@ -203,6 +203,33 @@ def test_ring_maps_and_squares_match_product_of_powers(cap):
             assert total_steenrod_square(x) == product_of_powers(x, squares, alg)
 
 
+def test_restrictions_match_product_of_powers_through_cap_12():
+    # Four generators map into one or two, so source and target differ in
+    # field count and width, and a factor is stripped in the source's layout.
+    bcom = bcom_o2_algebra(12)
+    basis = bcom.basis_through(12)
+    for f, target, images in defined_maps(bcom)[1:3]:
+        assert target is not bcom
+        for x in basis:
+            assert f(x) == product_of_powers(x, images, target), x
+
+
+def test_generator_products_maps_each_generator_once():
+    alg = bcom_o2_algebra(12)
+    basis = alg.basis_through(12)
+    phi, calls = inversion_pullback(alg), []
+
+    def counted(x):
+        calls.append(x)
+        return phi(x)
+
+    checks = generator_products(counted, basis)
+    pairs = sum(dg + x.homogeneous_degree() <= 12 for _, dg in alg.generators for x in basis)
+    assert len(checks) == pairs and all(checks)
+    # f(g) once per generator, then f(g * x) and f(x) per pair
+    assert len(alg.generators) == 4 and len(calls) == 2 * pairs + 4
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_fresh_maps_match_product_of_powers_in_any_first_use_order(data):

@@ -179,7 +179,7 @@ def test_surface_size_bound_exit_code_2(capsys):
 
 
 def test_range_and_degree_cap_bounds_exit_code_2(capsys):
-    assert MAX_RANGE_VALUES == 41 and MAX_DEGREE_CAP == 32
+    assert MAX_RANGE_VALUES == 41 and MAX_DEGREE_CAP == 64
     assert parse_range("-20..20") == (-20, 20)
     for option in ("--k-range=-20..21", "--n-range=-1000000..1000000"):
         with pytest.raises(SystemExit) as info:
@@ -187,12 +187,12 @@ def test_range_and_degree_cap_bounds_exit_code_2(capsys):
         assert info.value.code == 2
     assert "limit 41" in capsys.readouterr().err
     assert [build_parser().parse_args(["verify", "all", "--degree-cap", cap]).degree_cap
-            for cap in ("4", "32")] == [4, 32]
-    for cap in ("3", "33", "1_0", "+8", " 8", "\u0668"):
+            for cap in ("4", "32", "64")] == [4, 32, 64]
+    for cap in ("3", "65", "1_0", "+8", " 8", "\u0668"):
         with pytest.raises(SystemExit) as info:
             main(["verify", "char-classes", "--degree-cap", cap])
         assert info.value.code == 2
-        assert "between 4 and 32" in capsys.readouterr().err
+        assert "between 4 and 64" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["cocycles", "so3-homology", "char-classes"])

@@ -196,6 +196,18 @@ def test_elementary_symmetric_against_expansion():
     assert total == esum
 
 
+def test_elementary_symmetric_index_is_an_exact_int():
+    # True used to pass as 1, so e_True(u, v) was u + v.
+    alg = F2Algebra([("u", 1), ("v", 1)], cap=4)
+    u, v = alg.gen("u"), alg.gen("v")
+    assert elementary_symmetric([u, v], 2) == u * v
+    for k in (True, 2.0):
+        with pytest.raises(TypeError):
+            elementary_symmetric([u, v], k)
+    with pytest.raises(ValueError):
+        elementary_symmetric([u, v], -1)
+
+
 def surface_relations(pairs, names):
     """The cup-product rules of a surface, in the order surface_algebra lists them."""
     return [
@@ -232,28 +244,46 @@ REFERENCE_CASES = [
 ]
 
 
-def reference_str(generators, relations, cap, exps):
-    """Normal form on exponent tuples: zero above the cap, else the first
-    rule in list order whose left side divides, until none does."""
+def reference_vector(generators, relations, cap, exps):
+    """Normal form on exponent tuples: None for zero, which it is above the
+    cap, else the first rule in list order whose left side divides, until
+    none does."""
     names = [n for n, _ in generators]
-    degrees = [d for _, d in generators]
 
     def vector(m):
         return tuple(m.get(n, 0) for n in names)
 
     rules = [(vector(lhs), None if rhs is None else vector(rhs)) for lhs, rhs in relations]
     mono = vector(exps)
-    while sum(e * d for e, d in zip(mono, degrees)) <= cap:
+    while reference_degree(generators, mono) <= cap:
         for lhs, rhs in rules:
             if all(m >= l for m, l in zip(mono, lhs)):
                 if rhs is None:
-                    return "0"
+                    return None
                 mono = tuple(m - l + r for m, l, r in zip(mono, lhs, rhs))
                 break
         else:
-            parts = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono) if e]
-            return "*".join(parts) or "1"
-    return "0"
+            return mono
+    return None
+
+
+def reference_degree(generators, vector):
+    return sum(e * d for e, (_, d) in zip(vector, generators))
+
+
+def reference_str(generators, relations, cap, exps):
+    mono = reference_vector(generators, relations, cap, exps)
+    if mono is None:
+        return "0"
+    parts = [n if e == 1 else f"{n}^{e}" for (n, _), e in zip(generators, mono) if e]
+    return "*".join(parts) or "1"
+
+
+def printed_vector(generators, term):
+    """The exponent tuple of a printed monomial such as a1*y2^2."""
+    factors = (f.partition("^") for f in term.split("*") if term != "1")
+    exps = {name: int(e or 1) for name, _, e in factors}
+    return tuple(exps.get(n, 0) for n, _ in generators)
 
 
 @settings(deadline=None)
@@ -263,6 +293,30 @@ def test_packed_reduction_matches_tuple_reference(data):
     names = [n for n, _ in generators]
     exps = data.draw(st.dictionaries(st.sampled_from(names), st.integers(0, 3 * alg.cap)))
     assert str(alg.cls(exps)) == reference_str(generators, relations, alg.cap, exps)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_degrees_ride_in_the_monomial_and_order_the_terms(data):
+    # A class of several monomials, possibly of several degrees: each one's
+    # packed degree is the exponent-tuple degree, and the terms print in
+    # (degree, exponent tuple) order, generator 0 most significant.
+    alg, generators, relations = data.draw(st.sampled_from(REFERENCE_CASES))
+    names = [n for n, _ in generators]
+    exps = st.dictionaries(st.sampled_from(names), st.integers(0, alg.cap))
+    monomials = data.draw(st.lists(exps, max_size=8))
+    expected: set = set()
+    for m in monomials:
+        vector = reference_vector(generators, relations, alg.cap, m)
+        expected ^= set() if vector is None else {vector}
+    x = alg.cls(*monomials)
+    for m in x.monomials:
+        vector = printed_vector(generators, alg.monomial_str(m))
+        assert alg.monomial_degree(m) == reference_degree(generators, vector), vector
+    terms = [] if x.is_zero else str(x).split(" + ")
+    assert [printed_vector(generators, t) for t in terms] == sorted(
+        expected, key=lambda v: (reference_degree(generators, v), v)
+    )
 
 
 def test_ordered_rules_apply_in_list_order():
