@@ -18,7 +18,7 @@ bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .f2poly import F2Algebra, F2Class, RingMap, elementary_symmetric
 from .integral import exact_int
@@ -171,20 +171,18 @@ def splitting_oracle_w2_tensor(case: str) -> F2Class:
 # -- the (w1, w2, twisted w2) calculus -------------------------------------
 
 
-@dataclass(frozen=True)
-class TCBundleData:
+class TCBundleData(namedtuple("TCBundleData", "w1 w2 w2_twisted")):
     """Invariant data of a bundle with a commutative structure: its w1 and
     w2, and the w2 of the pointwise-inverse structure's underlying bundle
     (pointwise inversion fixes w1, so that needs no twisted copy).  For an
     algebraic structure the twisted w2 equals w2."""
 
-    w1: F2Class
-    w2: F2Class
-    w2_twisted: F2Class
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.w1.algebra is not self.w2.algebra or self.w1.algebra is not self.w2_twisted.algebra:
+    def __new__(cls, w1: F2Class, w2: F2Class, w2_twisted: F2Class) -> "TCBundleData":
+        if w1.algebra is not w2.algebra or w1.algebra is not w2_twisted.algebra:
             raise ValueError("all three classes must live in one algebra")
+        return super().__new__(cls, w1, w2, w2_twisted)
 
     @property
     def algebra(self) -> F2Algebra:

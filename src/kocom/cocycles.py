@@ -18,9 +18,9 @@ its pointwise inverse is the invariant this module extracts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .o2 import (
     IDENTITY,
@@ -47,8 +47,7 @@ class InvalidCocycleError(ValueError):
 ARCS = ((1, 2), (1, 3), (2, 3))
 
 
-@dataclass(frozen=True)
-class CommCocycle:
+class CommCocycle(NamedTuple):
     """Transition paths over the three arcs, each parameterized on [0, 1]."""
 
     alpha12: O2Path
@@ -56,15 +55,13 @@ class CommCocycle:
     alpha23: O2Path
 
 
-@dataclass(frozen=True)
-class CocycleFailure:
+class CocycleFailure(NamedTuple):
     point: int
     product: O2Element  # alpha12 * alpha23 at the point
     alpha13: O2Element
 
 
-@dataclass(frozen=True)
-class CommutationFailure:
+class CommutationFailure(NamedTuple):
     point: int
     arc_a: tuple
     arc_b: tuple
@@ -72,8 +69,7 @@ class CommutationFailure:
     value_b: O2Element
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     cocycle_failures: tuple
     commutation_failures: tuple
 
@@ -187,8 +183,7 @@ def clutching_degree(c: CommCocycle) -> int:
     return int(_div(d12 + d23 - d13, 2))
 
 
-@dataclass(frozen=True)
-class TCInvariant:
+class TCInvariant(NamedTuple):
     """Clutching degree of a cocycle (deg_plus) and of its pointwise
     inverse (deg_minus); their mod-2 sum detects structures that are
     invisible to the underlying bundle."""

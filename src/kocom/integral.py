@@ -9,7 +9,7 @@ chain complex checks d_{p-1} d_p = 0 on its rows, with no product matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -89,26 +89,24 @@ def _divisor_chain(values: Iterable[int]) -> list[int]:
     return chain
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "invariant_factors free_rank")):
     """A finitely generated abelian group in invariant-factor form:
     Z^free_rank + Z/d1 + ... + Z/dk with 2 <= d1 | d2 | ... | dk."""
 
-    invariant_factors: tuple = ()
-    free_rank: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        factors = tuple(map(exact_int, self.invariant_factors))
-        object.__setattr__(self, "invariant_factors", factors)
-        exact_int(self.free_rank)
+    def __new__(cls, invariant_factors: tuple = (), free_rank: int = 0) -> "AbelianGroup":
+        factors = tuple(map(exact_int, invariant_factors))
+        exact_int(free_rank)
         for d in factors:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError(f"factors {a}, {b} violate the divisibility chain")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ValueError("negative free rank")
+        return super().__new__(cls, factors, free_rank)
 
     @classmethod
     def from_orders(cls, orders: Iterable[int], free_rank: int = 0) -> "AbelianGroup":

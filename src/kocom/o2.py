@@ -17,7 +17,7 @@ degree 1; a path's degree is sum(slope * (t1 - t0)) / 2 over its segments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -47,8 +47,7 @@ def _div(a: Rational, b: Rational) -> Fraction:
     return Fraction(a, b)
 
 
-@dataclass(frozen=True)
-class O2Element:
+class O2Element(namedtuple("O2Element", "angle reflect")):
     """R_angle if reflect is False, otherwise R_angle * A with A = diag(1, -1).
 
     Multiplication table (all exact, angles mod 2*pi):
@@ -58,12 +57,11 @@ class O2Element:
         (R_a A)(R_b A) = R_{a-b}
     """
 
-    angle: Rational
-    reflect: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, angle: Rational, reflect: bool = False) -> "O2Element":
         # The angle is taken mod 2, in [0, 2), so that equality is exact.
-        object.__setattr__(self, "angle", _frac(self.angle) % 2)
+        return super().__new__(cls, _frac(angle) % 2, reflect)
 
     def __mul__(self, other: "O2Element") -> "O2Element":
         if not self.reflect:
@@ -107,24 +105,20 @@ def commutes(a: O2Element, b: O2Element) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PathSegment:
+class PathSegment(namedtuple("PathSegment", "t0 t1 slope offset reflect")):
     """t |-> R_{(slope*t + offset)*pi} (times A if reflect) for t in [t0, t1]."""
 
-    t0: Rational
-    t1: Rational
-    slope: Rational
-    offset: Rational
-    reflect: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t0", _frac(self.t0))
-        object.__setattr__(self, "t1", _frac(self.t1))
-        object.__setattr__(self, "slope", _frac(self.slope))
+    def __new__(
+        cls, t0: Rational, t1: Rational, slope: Rational, offset: Rational, reflect: bool = False
+    ) -> "PathSegment":
+        t0, t1, slope = _frac(t0), _frac(t1), _frac(slope)
         # The offset only matters mod 2; normalizing makes path equality usable.
-        object.__setattr__(self, "offset", _frac(self.offset) % 2)
-        if self.t0 >= self.t1:
-            raise ValueError(f"empty segment domain [{self.t0}, {self.t1}]")
+        offset = _frac(offset) % 2
+        if t0 >= t1:
+            raise ValueError(f"empty segment domain [{t0}, {t1}]")
+        return super().__new__(cls, t0, t1, slope, offset, reflect)
 
     def value(self, t: Rational) -> O2Element:
         t = _frac(t)

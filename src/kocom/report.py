@@ -5,16 +5,23 @@ being verified and the expected/actual values rendered as strings.  The
 structured report payload is {suite, checks[], summary} with checks sorted
 by id; wall-clock timing is kept outside the payload so that reports are
 byte-identical across runs.
+
+kocom's value records are tuples: a record is a `typing.NamedTuple`, and a
+record that normalises or validates its fields is a `collections.namedtuple`
+subclass whose `__new__` does that before `super().__new__`.  A record
+hashes as the tuple of its fields, so set and dict orders are those of the
+field tuples.  Being a tuple, a record also compares equal to the plain
+tuple of its fields, can be iterated, indexed and ordered, concatenates
+under `+` (and repeats under `n * record`), and refuses assignment with
+AttributeError.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     check_id: str
     citation: str
     expected: str
@@ -42,10 +49,12 @@ def check(check_id: str, citation: str, expected, actual) -> Check:
     return Check(check_id, citation, str(expected), str(actual))
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: list = field(default_factory=list)
+    """A suite's checks, in the order they were added; the one mutable record."""
+
+    def __init__(self, suite: str) -> None:
+        self.suite = suite
+        self.checks: list = []
 
     def add(self, c: Check) -> None:
         self.checks.append(c)
@@ -78,6 +87,8 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def text_lines(self) -> list:

@@ -8,8 +8,8 @@ time-dependent enters the payload.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
-from importlib import resources
 
 from . import bcom_o2, commuting, surfaces
 from .cocycles import (
@@ -473,7 +473,9 @@ def expected_units(surface) -> str:
 
 def load_golden(surface) -> str:
     name = surface.label.replace(":", "")
-    return resources.files("kocom").joinpath(f"golden/{name}.txt").read_text()
+    path = os.path.join(os.path.dirname(__file__), "golden", f"{name}.txt")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def surface_suite(only) -> VerificationReport:

@@ -21,8 +21,9 @@ still available, lazily, as the brute-force reference for tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
+from typing import NamedTuple
 
 from .bcom_o2 import (
     TCBundleData,
@@ -38,23 +39,22 @@ from .integral import AbelianGroup, exact_int
 from .report import check
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(namedtuple("Surface", "kind count")):
     """A closed connected surface: the sphere, the orientable surface of a
     given genus, or the connected sum of a given number of projective
     planes."""
 
-    kind: str
-    count: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("sphere", "orientable", "nonorientable"):
-            raise ValueError(f"unknown surface kind {self.kind!r}")
-        exact_int(self.count)
-        if self.kind == "sphere" and self.count != 0:
+    def __new__(cls, kind: str, count: int = 0) -> "Surface":
+        if kind not in ("sphere", "orientable", "nonorientable"):
+            raise ValueError(f"unknown surface kind {kind!r}")
+        exact_int(count)
+        if kind == "sphere" and count != 0:
             raise ValueError("the sphere carries no count")
-        if self.kind != "sphere" and self.count < 1:
+        if kind != "sphere" and count < 1:
             raise ValueError("genus / crosscap count must be >= 1")
+        return super().__new__(cls, kind, count)
 
     @property
     def b1(self) -> int:
@@ -208,8 +208,7 @@ def units_group(alg: F2Algebra) -> FiniteAbelianGroup:
 # -- KO presentations -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KOGenerator:
+class KOGenerator(NamedTuple):
     """A virtual generator of the reduced K-theory: a line class L - 1 with
     unit 1 + w1(L), or the sphere's rank-two class with unit 1 + y2."""
 
@@ -218,8 +217,7 @@ class KOGenerator:
     w1: F2Class  # w1 of the underlying bundle (zero for the sphere's class)
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(NamedTuple):
     """Generators with additive orders plus quadratic relations.  A relation
     is a tuple of (coefficient, names) terms, names a sorted tuple of one
     or two generator names; coefficients are already reduced into

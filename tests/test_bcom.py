@@ -350,8 +350,13 @@ def test_bundle_data_tensor_rules():
 def test_bundle_data_requires_one_algebra():
     alg = _surface_like_algebra()
     other = line_pair_algebra(4)
-    with pytest.raises(ValueError):
-        TCBundleData(alg.zero(), alg.zero(), other.zero())
+    for mixed in (
+        (alg.zero(), alg.zero(), other.zero()),
+        (alg.zero(), other.zero(), alg.zero()),
+        (other.zero(), alg.zero(), alg.zero()),
+    ):
+        with pytest.raises(ValueError):
+            TCBundleData(*mixed)
 
 
 def _surface_like_algebra():

@@ -3,7 +3,11 @@ determinism, and the structured output format."""
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +104,28 @@ def test_reports_are_byte_identical(tmp_path):
     full = tmp_path / "all.json"
     assert main(["verify", "all", "--out", str(full)]) == 0
     assert hashlib.sha256(full.read_bytes()).hexdigest() == ALL_REPORT_SHA256
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules(tmp_path):
+    """`import kocom.cli` leaves dataclasses, inspect, json and
+    importlib.resources unloaded, and `--out` then loads json on its own.
+    It runs in a `python -S` subprocess because pytest has loaded all four."""
+    out = tmp_path / "all.json"
+    script = (
+        "import sys\n"
+        "import kocom.cli\n"
+        "heavy = ('dataclasses', 'inspect', 'json', 'importlib.resources')\n"
+        "print(sorted(name for name in heavy if name in sys.modules))\n"
+        f"sys.exit(kocom.cli.main(['verify', 'all', '--out', {str(out)!r}]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "[]"
+    assert json.loads(out.read_text())["summary"]["failed"] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ALL_REPORT_SHA256
 
 
 def test_cocycle_report_at_the_range_bound_is_pinned(tmp_path):

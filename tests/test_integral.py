@@ -124,10 +124,11 @@ def test_abelian_group_canonicalization():
 
 
 def test_abelian_group_validation():
-    with pytest.raises(ValueError):
-        AbelianGroup((3, 2))
-    with pytest.raises(ValueError):
-        AbelianGroup((1,))
+    for args in (((3, 2),), ((2, 4, 6),), ((1,),), ((2,), -1)):
+        with pytest.raises(ValueError):
+            AbelianGroup(*args)
+    # The factors are stored as a tuple whatever sequence they came in.
+    assert AbelianGroup([2, 4], 1).invariant_factors == (2, 4)
 
 
 def test_abelian_group_takes_ints_only():

@@ -225,6 +225,15 @@ def test_path_validation():
         )
 
 
+def test_path_segment_normalizes_offset_and_rejects_empty_domain():
+    seg = PathSegment(0, Fraction(2, 2), 1, Fraction(-1, 2))
+    assert seg == (0, 1, 1, Fraction(3, 2), False)
+    assert PathSegment(0, 1, 0, 5).offset == 1
+    for t0, t1 in ((1, 1), (Fraction(1, 2), 0)):
+        with pytest.raises(ValueError):
+            PathSegment(t0, t1, 1, 0)
+
+
 def test_inexact_input_is_rejected():
     for value in (0.1, 2.0, "1/3", True):
         with pytest.raises(TypeError):

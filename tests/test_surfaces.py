@@ -394,6 +394,13 @@ def test_degree_one_names():
     assert degree_one_names(surface_algebra(SPHERE)) == []
 
 
+def test_surface_kind_and_count_are_validated():
+    assert Surface("sphere") == SPHERE and SPHERE.count == 0
+    for args in (("torus", 1), ("sphere", 1), ("orientable", 0), ("nonorientable", -1)):
+        with pytest.raises(ValueError):
+            Surface(*args)
+
+
 def test_surface_count_must_be_an_int():
     for count in (2.5, 2.0, True, "2"):
         with pytest.raises(TypeError):
