@@ -50,8 +50,8 @@ MAX_SURFACE_B1 = 80
 MAX_RANGE_VALUES = 41
 
 #: Largest --degree-cap; the characteristic algebra grows with the cap, and
-#: at this bound `kocom verify char-classes` takes about 0.6 s from the
-#: shell (0.58-0.67 s over 5 runs, median 0.61 s, 0.46 s of it in the
+#: at this bound `kocom verify char-classes` takes about 0.5 s from the
+#: shell (0.51-0.57 s over 5 runs, median 0.54 s, 0.44 s of it in the
 #: suite, on a shared 2-CPU VM with Python 3.11).
 MAX_DEGREE_CAP = 64
 

@@ -26,7 +26,6 @@ from .o2 import (
     IDENTITY,
     O2Element,
     O2Path,
-    _div,
     affine_path,
     angle_sweep,
     commutes,
@@ -180,7 +179,7 @@ def clutching_degree(c: CommCocycle) -> int:
     d12, d13, d23 = (angle_sweep(p) for p in (c.alpha12, c.alpha13, c.alpha23))
     if c.alpha12.segments[0].reflect:
         d23 = -d23
-    return int(_div(d12 + d23 - d13, 2))
+    return int(Fraction(d12 + d23 - d13, 2))
 
 
 class TCInvariant(NamedTuple):

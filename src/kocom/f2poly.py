@@ -27,8 +27,9 @@ below lhs borrows its guard bit away, and none borrows from the next, so
 only the exponent fields decide.  Each rule is indexed under the first
 generator its left side uses, so a monomial tries only the rules under its
 nonzero fields, in rule order, and greedy rewriting is the same as over the
-whole list.  A basis is walked one generator at a time, generator 0 first,
-and a prefix of exponents is extended only while no left side divides it.
+whole list.  One walk lists every basis through a degree: generator 0
+first, a prefix of exponents is extended only while no left side divides
+it, and the sorted ints are in (degree, exponent) order.
 
 A ring map keeps its generator images and each source monomial's image
 once it is formed, starting from the unit at the zero monomial.  A new
@@ -212,21 +213,19 @@ class F2Algebra:
         lexicographic exponent order."""
         return [
             F2Class(self, frozenset({mono}))
-            for mono in self._basis_monomials(degree)
+            for mono in self._normal_monomials(degree)
+            if mono >> self._dshift == degree
         ]
 
     def basis_through(self, top: int) -> list:
-        out = []
-        for d in range(min(exact_int(top), self.cap) + 1):  # empty above the cap
-            out.extend(self.basis(d))
-        return out
+        """basis(0) + basis(1) + ... + basis(top), empty above the cap."""
+        return [F2Class(self, frozenset({mono})) for mono in self._normal_monomials(top)]
 
-    def _basis_monomials(self, degree: int) -> list:
-        if exact_int(degree) > self.cap:  # and its exponents may not fit a field
-            return []
-        # (normal monomial, degree left) of each prefix, in exponent order: a left side
-        # dividing a prefix divides its extensions; a zero exponent needs no new test.
-        walk = [(0, degree)]
+    def _normal_monomials(self, top: int) -> list:
+        # (normal monomial, degree left) of each prefix, bounded by the cap so that every
+        # exponent fits its field: a left side dividing a prefix divides its extensions,
+        # and a zero exponent needs no new test.
+        walk = [(0, min(exact_int(top), self.cap))]
         for unit, d in zip(self._units, self._degrees):
             walk = [
                 (m, left - e * d)
@@ -235,10 +234,10 @@ class F2Algebra:
                 for m in (prefix + e * unit,)
                 if e == 0 or self.reduce_monomial(m) == {m}
             ]
-        return [m for m, left in walk if left == 0]
+        return sorted(m for m, left in walk if left >= 0)
 
     def dimension(self, degree: int) -> int:
-        return len(self._basis_monomials(degree))
+        return sum(m >> self._dshift == degree for m in self._normal_monomials(degree))
 
     # -- products and ring maps on monomial sets ---------------------------
 

@@ -42,11 +42,6 @@ def _frac(x: Rational) -> Rational:
     return exact_int(x)
 
 
-def _div(a: Rational, b: Rational) -> Fraction:
-    # a / b, exact: the one division rule, since int / int is a float.
-    return Fraction(a, b)
-
-
 class O2Element(namedtuple("O2Element", "angle reflect")):
     """R_angle if reflect is False, otherwise R_angle * A with A = diag(1, -1).
 
@@ -227,7 +222,7 @@ class O2Path:
             raise ValueError("scale must be nonzero")
         segs = []
         for seg in self.segments:
-            u0, u1 = _div(seg.t0 - shift, scale), _div(seg.t1 - shift, scale)
+            u0, u1 = Fraction(seg.t0 - shift, scale), Fraction(seg.t1 - shift, scale)
             if scale < 0:
                 u0, u1 = u1, u0
             segs.append(
@@ -299,7 +294,7 @@ def loop_degree(loop: O2Path) -> Fraction:
     """
     if not loop.is_loop:
         raise NotALoopError(f"endpoints differ: {loop.start} vs {loop.end}")
-    return _div(angle_sweep(loop), 2)
+    return Fraction(angle_sweep(loop), 2)
 
 
 def angle_sweep(path: O2Path) -> Rational:

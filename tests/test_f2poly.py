@@ -340,6 +340,7 @@ def test_basis_through_stops_at_the_cap():
     assert alg.basis_through(10**6) == alg.basis_through(6)
     assert len(alg.basis_through(6)) == 25
     assert alg.basis_through(-3) == []
+    assert F2Algebra([], cap=2).basis_through(-1) == []  # the walk has no generator step
 
 
 def test_relation_needs_a_non_unit_left_side():
@@ -420,3 +421,18 @@ def test_basis_walk_matches_brute_force(alg, generators, relations):
     for d in range(-1, alg.cap + 2):
         assert [str(x) for x in alg.basis(d)] == expected.get(d, []), d
         assert alg.dimension(d) == len(expected.get(d, [])), d
+    through = [x for d in sorted(expected) for x in expected[d]]
+    assert [str(x) for x in alg.basis_through(alg.cap)] == through
+
+
+@pytest.mark.parametrize("cap, total", [(32, 545), (64, 2113), (128, 8321)])
+def test_bcom_hilbert_function(cap, total):
+    # The normal monomials are w1^a w2^b, r*w2^b and s*w1^a*w2^b: 2*(d//2) + 1 in degree d.
+    # dimension(d) walks through d, so it is read only at the smallest cap.
+    alg = bcom_o2_algebra(cap)
+    dims = [2 * (d // 2) + 1 for d in range(cap + 1)]
+    basis = alg.basis_through(cap)
+    assert [x.homogeneous_degree() for x in basis] == [d for d in range(cap + 1) for _ in range(dims[d])]
+    assert len(basis) == sum(dims) == total
+    if cap == 32:
+        assert [alg.dimension(d) for d in range(cap + 1)] == dims
