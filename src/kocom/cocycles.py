@@ -18,13 +18,12 @@ its pointwise inverse is the invariant this module extracts.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
 
 from .o2 import (
     IDENTITY,
-    O2Element,
     O2Path,
     affine_path,
     angle_sweep,
@@ -46,31 +45,28 @@ class InvalidCocycleError(ValueError):
 ARCS = ((1, 2), (1, 3), (2, 3))
 
 
-class CommCocycle(NamedTuple):
-    """Transition paths over the three arcs, each parameterized on [0, 1]."""
+class CommCocycle(namedtuple("CommCocycle", "alpha12 alpha13 alpha23")):
+    """Transition O2Paths over the three arcs, each parameterized on [0, 1]."""
 
-    alpha12: O2Path
-    alpha13: O2Path
-    alpha23: O2Path
+    __slots__ = ()
 
 
-class CocycleFailure(NamedTuple):
-    point: int
-    product: O2Element  # alpha12 * alpha23 at the point
-    alpha13: O2Element
+class CocycleFailure(namedtuple("CocycleFailure", "point product alpha13")):
+    """At triple point 0 or 1, product = alpha12 * alpha23 differs from alpha13."""
+
+    __slots__ = ()
 
 
-class CommutationFailure(NamedTuple):
-    point: int
-    arc_a: tuple
-    arc_b: tuple
-    value_a: O2Element
-    value_b: O2Element
+class CommutationFailure(namedtuple("CommutationFailure", "point arc_a arc_b value_a value_b")):
+    """At a triple point, the O(2) values on arcs arc_a and arc_b do not commute."""
+
+    __slots__ = ()
 
 
-class ValidationReport(NamedTuple):
-    cocycle_failures: tuple
-    commutation_failures: tuple
+class ValidationReport(namedtuple("ValidationReport", "cocycle_failures commutation_failures")):
+    """The two tuples of failures validate found; empty when the cocycle is valid."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -182,13 +178,12 @@ def clutching_degree(c: CommCocycle) -> int:
     return int(Fraction(d12 + d23 - d13, 2))
 
 
-class TCInvariant(NamedTuple):
+class TCInvariant(namedtuple("TCInvariant", "deg_plus deg_minus")):
     """Clutching degree of a cocycle (deg_plus) and of its pointwise
     inverse (deg_minus); their mod-2 sum detects structures that are
     invisible to the underlying bundle."""
 
-    deg_plus: int
-    deg_minus: int
+    __slots__ = ()
 
     @property
     def a2(self) -> int:

@@ -18,7 +18,7 @@ the second homology of the commuting classifying space of SO(3).
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .integral import AbelianGroup, IntChainComplex, exact_int
 
@@ -72,11 +72,15 @@ def enumerate_components(n: int) -> list[tuple[int, ...]]:
 
 def face_map(i: int, t: Sequence[int]) -> tuple[int, ...]:
     """d_i on tuples: drop-first for i = 0, multiply (XOR) entries i and i+1
-    for 0 < i < n, drop-last for i = n."""
+    for 0 < i < n, drop-last for i = n.  i must be an exact int, and each
+    entry obeys canonical_tuple's rule."""
     t = tuple(t)
     n = len(t)
-    if not 0 <= i <= n:
+    if not 0 <= exact_int(i) <= n:
         raise IndexError(f"face index {i} out of range for a tuple of length {n}")
+    for e in t:
+        if type(e) is not int or not 0 <= e < 4:
+            canonical_tuple((e,))  # raises the entry rule's TypeError or ValueError
     if i == 0:
         return t[1:]
     if i == n:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .integral import exact_int
 

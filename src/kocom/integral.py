@@ -10,8 +10,8 @@ chain complex checks d_{p-1} d_p = 0 on its rows, with no product matrix.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from math import gcd
-from typing import Iterable, Mapping, Sequence
 
 
 class NotAComplexError(ValueError):

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
 from .integral import exact_int
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 class NotALoopError(ValueError):
@@ -55,6 +55,8 @@ class O2Element(namedtuple("O2Element", "angle reflect")):
     __slots__ = ()
 
     def __new__(cls, angle: Rational, reflect: bool = False) -> "O2Element":
+        if reflect is not True and reflect is not False:
+            raise TypeError(f"reflect must be True or False, got {reflect!r}")
         # The angle is taken mod 2, in [0, 2), so that equality is exact.
         return super().__new__(cls, _frac(angle) % 2, reflect)
 
@@ -113,6 +115,8 @@ class PathSegment(namedtuple("PathSegment", "t0 t1 slope offset reflect")):
         offset = _frac(offset) % 2
         if t0 >= t1:
             raise ValueError(f"empty segment domain [{t0}, {t1}]")
+        if reflect is not True and reflect is not False:
+            raise TypeError(f"reflect must be True or False, got {reflect!r}")
         return super().__new__(cls, t0, t1, slope, offset, reflect)
 
     def value(self, t: Rational) -> O2Element:

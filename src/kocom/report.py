@@ -6,26 +6,23 @@ structured report payload is {suite, checks[], summary} with checks sorted
 by id; wall-clock timing is kept outside the payload so that reports are
 byte-identical across runs.
 
-kocom's value records are tuples: a record is a `typing.NamedTuple`, and a
-record that normalises or validates its fields is a `collections.namedtuple`
-subclass whose `__new__` does that before `super().__new__`.  A record
-hashes as the tuple of its fields, so set and dict orders are those of the
-field tuples.  Being a tuple, a record also compares equal to the plain
-tuple of its fields, can be iterated, indexed and ordered, concatenates
-under `+` (and repeats under `n * record`), and refuses assignment with
-AttributeError.
+kocom's value records have one form: a `collections.namedtuple` subclass
+with `__slots__ = ()`, so no instance has a `__dict__`.  A record that
+normalises or validates its fields does that in `__new__` before
+`super().__new__`.  A record hashes as the tuple of its fields, so set and
+dict orders are those of the field tuples.  Being a tuple, a record also
+compares equal to the plain tuple of its fields, can be iterated, indexed
+and ordered, concatenates under `+` (and repeats under `n * record`), and
+refuses assignment to a field or to any new attribute with AttributeError.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 
-class Check(NamedTuple):
-    check_id: str
-    citation: str
-    expected: str
-    actual: str
+class Check(namedtuple("Check", "check_id citation expected actual")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

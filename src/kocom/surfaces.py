@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .bcom_o2 import (
     TCBundleData,
@@ -208,24 +207,21 @@ def units_group(alg: F2Algebra) -> FiniteAbelianGroup:
 # -- KO presentations -------------------------------------------------------
 
 
-class KOGenerator(NamedTuple):
+class KOGenerator(namedtuple("KOGenerator", "name unit w1")):
     """A virtual generator of the reduced K-theory: a line class L - 1 with
-    unit 1 + w1(L), or the sphere's rank-two class with unit 1 + y2."""
+    unit 1 + w1(L), or the sphere's rank-two class with unit 1 + y2.  w1 is
+    the underlying bundle's (zero for the sphere's class)."""
 
-    name: str
-    unit: F2Class
-    w1: F2Class  # w1 of the underlying bundle (zero for the sphere's class)
+    __slots__ = ()
 
 
-class RingPresentation(NamedTuple):
+class RingPresentation(namedtuple("RingPresentation", "generators additive_orders relations")):
     """Generators with additive orders plus quadratic relations.  A relation
     is a tuple of (coefficient, names) terms, names a sorted tuple of one
     or two generator names; coefficients are already reduced into
     [0, additive order) of the class the term represents."""
 
-    generators: tuple
-    additive_orders: tuple
-    relations: tuple
+    __slots__ = ()
 
     @staticmethod
     def term_str(coeff: int, names: tuple) -> str:

@@ -107,14 +107,15 @@ def test_reports_are_byte_identical(tmp_path):
 
 
 def test_cli_import_loads_no_heavy_stdlib_modules(tmp_path):
-    """`import kocom.cli` leaves dataclasses, inspect, json and
-    importlib.resources unloaded, and `--out` then loads json on its own.
-    It runs in a `python -S` subprocess because pytest has loaded all four."""
+    """`import kocom.cli` leaves dataclasses, inspect, json,
+    importlib.resources and typing unloaded, and `--out` then loads json on
+    its own.  It runs in a `python -S` subprocess because pytest has loaded
+    all five."""
     out = tmp_path / "all.json"
     script = (
         "import sys\n"
         "import kocom.cli\n"
-        "heavy = ('dataclasses', 'inspect', 'json', 'importlib.resources')\n"
+        "heavy = ('dataclasses', 'inspect', 'json', 'importlib.resources', 'typing')\n"
         "print(sorted(name for name in heavy if name in sys.modules))\n"
         f"sys.exit(kocom.cli.main(['verify', 'all', '--out', {str(out)!r}]))\n"
     )

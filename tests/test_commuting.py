@@ -123,6 +123,10 @@ def test_face_map_examples():
         face_map(4, (C1, C2, C2))
     with pytest.raises(IndexError):
         face_map(-1, (C1, C2, C2))
+    # The face index is an exact int: True is not index 1.
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError):
+            face_map(bad, (C1, C2, C2))
 
 
 def test_face_table_all_entries():
@@ -172,6 +176,12 @@ def test_entries_outside_the_group_are_rejected(bad):
         classify_component((C1, C2, bad))
     with pytest.raises(error):
         canonical_tuple((bad,))
+    # face_map applies the same rule to every entry, dropped or multiplied.
+    for i in range(3):
+        with pytest.raises(error):
+            face_map(i, (C1, bad))
+        with pytest.raises(error):
+            face_map(i, (bad, C2))
 
 
 def test_labels_are_plain_int_tuples():

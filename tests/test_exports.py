@@ -32,7 +32,8 @@ def test_star_import():
 def test_records_hash_repr_and_refuse_assignment():
     """Every value record hashes as the tuple of its fields (which keeps set
     and dict orders, and so the report bytes), keeps the
-    Name(field=value, ...) repr, and refuses assignment."""
+    Name(field=value, ...) repr, and refuses assignment to a field or, having
+    no instance __dict__, to a new attribute."""
     alg = surfaces.surface_algebra(surfaces.nonorientable(2))
     failures = cocycles.validate(cocycles.broken_commutation_cocycle())
     records = [
@@ -65,3 +66,5 @@ def test_records_hash_repr_and_refuse_assignment():
         assert repr(record) == f"{type(record).__name__}({body})"
         with pytest.raises(AttributeError):
             setattr(record, names[0], values[0])
+        with pytest.raises(AttributeError):
+            record.note = "new"

@@ -242,6 +242,16 @@ def test_inexact_input_is_rejected():
         loop_degree(affine_path(2.0, 0))
     with pytest.raises(TypeError):
         PathSegment(Fraction(0), 0.5, Fraction(1), Fraction(0))
+    # The reflect flag is a bool: a truthy 2 or 1 would slip past the
+    # flag comparison in pointwise_mul, where (0t+0)A * A must be I.
+    for flag in (2, 1, "no", None):
+        with pytest.raises(TypeError):
+            O2Element(0, flag)
+        with pytest.raises(TypeError):
+            PathSegment(0, 1, 0, 0, flag)
+    p = O2Path([PathSegment(0, 1, 0, 0, True)])
+    assert p.pointwise_mul(constant_path(REFLECTION)).value(0) == p.value(0) * REFLECTION
+    assert p.value(0) * REFLECTION == IDENTITY
 
 
 def test_loop_degree_generator_convention():
