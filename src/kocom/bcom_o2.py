@@ -42,7 +42,6 @@ def bcom_o2_algebra(cap: int) -> F2Algebra:
             ({"s": 2}, None),
         ],
         cap=cap,
-        name="H(BcomO2)",
     )
     alg.set_total_squares(
         {
@@ -57,7 +56,7 @@ def bcom_o2_algebra(cap: int) -> F2Algebra:
 
 def line_pair_algebra(cap: int) -> F2Algebra:
     """F2[u, v], the cohomology of a pair of line bundles, truncated."""
-    alg = F2Algebra([("u", 1), ("v", 1)], cap=cap, name="F2[u,v]")
+    alg = F2Algebra([("u", 1), ("v", 1)], cap=cap)
     alg.set_total_squares(
         {
             "u": alg.cls({"u": 1}, {"u": 2}),
@@ -69,7 +68,7 @@ def line_pair_algebra(cap: int) -> F2Algebra:
 
 def euler_algebra(cap: int) -> F2Algebra:
     """F2[e] on the mod-2 Euler class of the oriented rotation subgroup."""
-    alg = F2Algebra([("e", 2)], cap=cap, name="F2[e]")
+    alg = F2Algebra([("e", 2)], cap=cap)
     alg.set_total_squares({"e": alg.cls({"e": 1}, {"e": 2})})
     return alg
 
@@ -147,9 +146,7 @@ def splitting_oracle_w2_tensor(case: str) -> F2Class:
     what the splitting principle produces; it vanishes in every use site
     here, where w1(E) = 0.)
     """
-    ring = F2Algebra(
-        [("x1", 1), ("x2", 1), ("y1", 1), ("y2", 1), ("z", 1)], cap=4, name="splitting"
-    )
+    ring = F2Algebra([("x1", 1), ("x2", 1), ("y1", 1), ("y2", 1), ("z", 1)], cap=4)
     x1, x2 = ring.gen("x1"), ring.gen("x2")
     y1, y2 = ring.gen("y1"), ring.gen("y2")
     z = ring.gen("z")

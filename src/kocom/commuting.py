@@ -70,22 +70,23 @@ def enumerate_components(n: int) -> list[tuple[int, ...]]:
     return [(0,) * n] + [t for t, top in level if top >= 2]
 
 
-def face_map(i: int, t: Sequence[int]) -> tuple[int, ...]:
-    """d_i on tuples: drop-first for i = 0, multiply (XOR) entries i and i+1
-    for 0 < i < n, drop-last for i = n.  i must be an exact int, and each
-    entry obeys canonical_tuple's rule."""
+def faces(t: Sequence[int]) -> list[tuple[int, ...]]:
+    """[d_0 t, ..., d_n t], listed once per tuple after one entry check
+    (canonical_tuple's rule): d_0 drops the first entry, d_i multiplies
+    (XORs) entries i and i+1 for 0 < i < n, d_n drops the last entry."""
     t = tuple(t)
-    n = len(t)
-    if not 0 <= exact_int(i) <= n:
-        raise IndexError(f"face index {i} out of range for a tuple of length {n}")
-    for e in t:
-        if type(e) is not int or not 0 <= e < 4:
-            canonical_tuple((e,))  # raises the entry rule's TypeError or ValueError
-    if i == 0:
-        return t[1:]
-    if i == n:
-        return t[:-1]
-    return t[: i - 1] + (t[i - 1] ^ t[i],) + t[i + 1 :]
+    canonical_tuple(t)
+    inner = [t[: i - 1] + (t[i - 1] ^ t[i],) + t[i + 1 :] for i in range(1, len(t))]
+    return [t[1:], *inner, t[:-1]] if t else [()]
+
+
+def face_map(i: int, t: Sequence[int]) -> tuple[int, ...]:
+    """d_i on tuples, read off faces(t), which lists every face once after
+    one entry check; i must be an exact int in 0..len(t)."""
+    t = tuple(t)
+    if not 0 <= exact_int(i) <= len(t):
+        raise IndexError(f"face index {i} out of range for a tuple of length {len(t)}")
+    return faces(t)[i]
 
 
 def boundary_matrix(n: int) -> list[dict[int, int]]:
@@ -98,8 +99,8 @@ def boundary_matrix(n: int) -> list[dict[int, int]]:
     index = {label: row for row, label in enumerate(enumerate_components(n - 1))}
     rows: list[dict[int, int]] = [{} for _ in index]
     for col, label in enumerate(enumerate_components(n)):
-        for i in range(n + 1):
-            row = rows[index[classify_component(face_map(i, label))]]
+        for i, face in enumerate(faces(label)):
+            row = rows[index[classify_component(face)]]
             row[col] = row.get(col, 0) + (-1) ** i
     return [{j: a for j, a in row.items() if a} for row in rows]
 

@@ -80,13 +80,11 @@ class F2Algebra:
         relations: Sequence[tuple] = (),
         *,
         cap: int,
-        name: str = "",
     ):
         self.generators = tuple((str(n), exact_int(d)) for n, d in generators)
         self.cap = exact_int(cap)
         if any(d < 1 for _, d in self.generators) or cap < 0:
             raise ValueError("generator degrees must be >= 1 and the cap >= 0")
-        self.name = name
         self._index = {n: i for i, (n, _) in enumerate(self.generators)}
         if len(self._index) != len(self.generators):
             raise ValueError("generator names must be distinct")
@@ -291,7 +289,7 @@ class F2Algebra:
 
     def __repr__(self) -> str:
         gens = ", ".join(f"{n}:{d}" for n, d in self.generators)
-        return f"F2Algebra({self.name or gens}, cap={self.cap})"
+        return f"F2Algebra({gens}, cap={self.cap})"
 
 
 class F2Class:

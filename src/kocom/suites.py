@@ -213,9 +213,8 @@ def so3_suite() -> VerificationReport:
     )
     for triple, expected_row in LISTED_FACE_TABLE.items():
         name = ",".join(commuting.ELEMENT_NAMES[e] for e in triple)
-        for i in range(4):
-            face = commuting.classify_component(commuting.face_map(i, triple))
-            actual = "(0,1)" if C2 in face else "(1,0)"
+        for i, face in enumerate(commuting.faces(triple)):
+            actual = "(0,1)" if C2 in commuting.classify_component(face) else "(1,0)"
             report.add(
                 check(
                     f"so3.face-table.({name}).d{i}",

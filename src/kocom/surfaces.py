@@ -125,7 +125,7 @@ def surface_algebra(surface: Surface) -> F2Algebra:
         for x, y in itertools.combinations_with_replacement(names, 2)
     ]
     gens = [(n, 1) for n in names] + [("y2", 2)]
-    return F2Algebra(gens, relations, cap=2, name=f"H({surface.label.replace(':', '')})")
+    return F2Algebra(gens, relations, cap=2)
 
 
 # -- the unit group ---------------------------------------------------------

@@ -17,6 +17,7 @@ from kocom.commuting import (
     component_homology,
     enumerate_components,
     face_map,
+    faces,
     h2_bcom_so3,
 )
 from kocom.integral import AbelianGroup, smith_normal_form
@@ -136,6 +137,43 @@ def test_face_table_all_entries():
             assert row[i] == ("(0,1)" if C2 in face else "(1,0)"), (triple, i)
 
 
+def branch_face(i, t):
+    """d_i by cases (drop first, XOR a pair, drop last), the reference
+    faces() is compared against."""
+    n = len(t)
+    if i == 0:
+        return t[1:]
+    if i == n:
+        return t[:-1]
+    return t[: i - 1] + (t[i - 1] ^ t[i],) + t[i + 1 :]
+
+
+def test_faces_match_the_three_branch_reference():
+    assert faces(()) == [()] and face_map(0, ()) == ()
+    for n in range(6):
+        for t in itertools.product(range(4), repeat=n):
+            assert faces(t) == [branch_face(i, t) for i in range(n + 1)], t
+            assert faces(list(t)) == faces(t)
+
+
+def test_boundary_matrix_lists_each_labels_faces_once(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return faces(t)
+
+    def forbidden(i, t):
+        raise AssertionError("boundary_matrix must not call face_map")
+
+    monkeypatch.setattr(commuting, "faces", counted)
+    monkeypatch.setattr(commuting, "face_map", forbidden)
+    for n in range(1, 7):
+        calls.clear()
+        boundary_matrix(n)
+        assert calls == enumerate_components(n), n
+
+
 def test_simplicial_identities_exhaustive():
     for n in range(2, 5):
         for t in itertools.product(range(4), repeat=n):
@@ -182,6 +220,10 @@ def test_entries_outside_the_group_are_rejected(bad):
             face_map(i, (C1, bad))
         with pytest.raises(error):
             face_map(i, (bad, C2))
+    # faces checks every entry once, before listing any face.
+    for t in ((C1, bad), (bad, C2), (bad,)):
+        with pytest.raises(error):
+            faces(t)
 
 
 def test_labels_are_plain_int_tuples():

@@ -32,6 +32,7 @@ def test_addition_is_involutive():
 
 def test_truncation_drops_high_degrees():
     alg = F2Algebra([("u", 1)], cap=3)
+    assert repr(alg) == "F2Algebra(u:1, cap=3)"
     u = alg.gen("u")
     assert (u**4).is_zero
     assert not (u**3).is_zero
