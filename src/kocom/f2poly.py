@@ -146,9 +146,6 @@ class F2Algebra:
             mono -= e << j * width
             yield last - j, e
 
-    def monomial_degree(self, mono: Monomial) -> int:
-        return mono >> self._dshift
-
     def monomial_str(self, mono: Monomial) -> str:
         parts = []
         for i, e in self._fields(mono):

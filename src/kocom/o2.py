@@ -79,11 +79,6 @@ IDENTITY = O2Element(0)
 REFLECTION = O2Element(0, reflect=True)
 
 
-def rotation(value: Rational) -> O2Element:
-    """The rotation by value*pi."""
-    return O2Element(value)
-
-
 def reflected_rotation(value: Rational) -> O2Element:
     """The element R_{value*pi} * A."""
     return O2Element(value, reflect=True)

@@ -6,14 +6,16 @@ structured report payload is {suite, checks[], summary} with checks sorted
 by id; wall-clock timing is kept outside the payload so that reports are
 byte-identical across runs.
 
-kocom's value records have one form: a `collections.namedtuple` subclass
-with `__slots__ = ()`, so no instance has a `__dict__`.  A record that
-normalises or validates its fields does that in `__new__` before
-`super().__new__`.  A record hashes as the tuple of its fields, so set and
-dict orders are those of the field tuples.  Being a tuple, a record also
-compares equal to the plain tuple of its fields, can be iterated, indexed
-and ordered, concatenates under `+` (and repeats under `n * record`), and
-refuses assignment to a field or to any new attribute with AttributeError.
+kocom's value records, VerificationReport included, have one form: a
+`collections.namedtuple` subclass with `__slots__ = ()`, so no instance has
+a `__dict__`.  A record that normalises or validates its fields does that in
+`__new__` before `super().__new__`.  A record hashes as the tuple of its
+fields, so set and dict orders are those of the field tuples.  Being a
+tuple, a record also compares equal to the plain tuple of its fields, can be
+iterated, indexed and ordered, concatenates under `+` (and repeats under
+`n * record`), and refuses assignment to a field or to any new attribute
+with AttributeError.  A report is built once, from the checks its suite
+yields, and holds them as a tuple.
 """
 
 from __future__ import annotations
@@ -46,18 +48,13 @@ def check(check_id: str, citation: str, expected, actual) -> Check:
     return Check(check_id, citation, str(expected), str(actual))
 
 
-class VerificationReport:
-    """A suite's checks, in the order they were added; the one mutable record."""
+class VerificationReport(namedtuple("VerificationReport", "suite checks")):
+    """A suite's checks, stored as a tuple in the order they were yielded."""
 
-    def __init__(self, suite: str) -> None:
-        self.suite = suite
-        self.checks: list = []
+    __slots__ = ()
 
-    def add(self, c: Check) -> None:
-        self.checks.append(c)
-
-    def extend(self, checks) -> None:
-        self.checks.extend(checks)
+    def __new__(cls, suite: str, checks):
+        return super().__new__(cls, suite, tuple(checks))
 
     def sorted_checks(self) -> list:
         return sorted(self.checks, key=lambda c: c.check_id)

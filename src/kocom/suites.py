@@ -1,9 +1,10 @@
 """Check suites behind the command-line verifier.
 
-Each suite function recomputes a body of facts from scratch and returns a
-VerificationReport whose payload is deterministic for fixed options: check
-ids are stable strings, values are rendered exactly, and nothing
-time-dependent enters the payload.
+Each suite recomputes a body of facts from scratch: a private generator
+yields its checks, and the public suite function builds one
+VerificationReport from them.  The payload is deterministic for fixed
+options: check ids are stable strings, values are rendered exactly, and
+nothing time-dependent enters the payload.
 """
 
 from __future__ import annotations
@@ -66,7 +67,14 @@ def tally(check_id: str, citation: str, results: list) -> Check:
 
 
 def cocycle_suite(k_range, n_range) -> VerificationReport:
-    report = VerificationReport("cocycles")
+    """Raises ValueError for an empty range, whose checks would compare
+    nothing with nothing."""
+    if k_range[0] > k_range[1] or n_range[0] > n_range[1]:
+        raise ValueError(f"empty range: k {k_range}, n {n_range}")
+    return VerificationReport("cocycles", _cocycle_checks(k_range, n_range))
+
+
+def _cocycle_checks(k_range, n_range):
     ks = range(k_range[0], k_range[1] + 1)
     ns = range(n_range[0], n_range[1] + 1)
     valid = 0
@@ -82,58 +90,48 @@ def cocycle_suite(k_range, n_range) -> VerificationReport:
                 actual = str(exc)
             else:
                 valid += 1
-            report.add(
-                check(
-                    f"cocycles.degree.k={k}.n={n}",
-                    "the bundle clutched by the n-th pointwise power of the "
-                    "k-th standard cocycle has class nk/2 for even n and "
-                    "(n-1)k/2 for odd n",
-                    degree_formula(k, n),
-                    actual,
-                )
+            yield check(
+                f"cocycles.degree.k={k}.n={n}",
+                "the bundle clutched by the n-th pointwise power of the "
+                "k-th standard cocycle has class nk/2 for even n and "
+                "(n-1)k/2 for odd n",
+                degree_formula(k, n),
+                actual,
             )
     for k in range(-10, 11):
-        report.add(
-            check(
-                f"cocycles.nullclutch.k={k}",
-                "the standard cocycles themselves clutch the trivial bundle: "
-                "the loop retracts once composed into the full structure group",
-                0,
-                clutching_degree(standard_cocycle(k)),
-            )
+        yield check(
+            f"cocycles.nullclutch.k={k}",
+            "the standard cocycles themselves clutch the trivial bundle: "
+            "the loop retracts once composed into the full structure group",
+            0,
+            clutching_degree(standard_cocycle(k)),
         )
-    report.add(
-        check(
-            "cocycles.validity.power-family",
-            "pointwise powers of commutative cocycles stay commutative "
-            "cocycles",
-            f"{len(ks) * len(ns)} valid",
-            f"{valid} valid",
-        )
+    yield check(
+        "cocycles.validity.power-family",
+        "pointwise powers of commutative cocycles stay commutative "
+        "cocycles",
+        f"{len(ks) * len(ns)} valid",
+        f"{valid} valid",
     )
     fixture = validate(broken_commutation_cocycle())
-    report.add(
-        check(
-            "cocycles.fixture.commutation",
-            "replacing the constant reflection by a non-central one breaks "
-            "both commutativity and the cocycle condition at the triple points",
-            "both failure kinds",
-            "both failure kinds"
-            if fixture.cocycle_failures and fixture.commutation_failures
-            else fixture.summary(),
-        )
+    yield check(
+        "cocycles.fixture.commutation",
+        "replacing the constant reflection by a non-central one breaks "
+        "both commutativity and the cocycle condition at the triple points",
+        "both failure kinds",
+        "both failure kinds"
+        if fixture.cocycle_failures and fixture.commutation_failures
+        else fixture.summary(),
     )
     fixture = validate(broken_cocycle_condition())
-    report.add(
-        check(
-            "cocycles.fixture.cocycle-only",
-            "freezing one transition path breaks the cocycle condition while "
-            "all values still commute",
-            "cocycle failures only",
-            "cocycle failures only"
-            if fixture.cocycle_failures and not fixture.commutation_failures
-            else fixture.summary(),
-        )
+    yield check(
+        "cocycles.fixture.cocycle-only",
+        "freezing one transition path breaks the cocycle condition while "
+        "all values still commute",
+        "cocycle failures only",
+        "cocycle failures only"
+        if fixture.cocycle_failures and not fixture.commutation_failures
+        else fixture.summary(),
     )
     oriented = {m: oriented_invariant(m) for m in range(-4, 5)}
     for m in range(-3, 4):
@@ -141,149 +139,124 @@ def cocycle_suite(k_range, n_range) -> VerificationReport:
             (inv.deg_plus, inv.deg_minus)
             for inv in (tc_sum(tc[k], oriented[m]) for k in ks)
         }
-        report.add(
-            check(
-                f"cocycles.tc-distinct.m={m}",
-                "adding the k-th cocycle structure to the oriented bundle of "
-                "Euler number m yields pairwise distinct invariant pairs "
-                "(m, -k-m) over k",
-                f"{len(ks)} distinct",
-                f"{len(invariants)} distinct",
-            )
+        yield check(
+            f"cocycles.tc-distinct.m={m}",
+            "adding the k-th cocycle structure to the oriented bundle of "
+            "Euler number m yields pairwise distinct invariant pairs "
+            "(m, -k-m) over k",
+            f"{len(ks)} distinct",
+            f"{len(invariants)} distinct",
         )
     for k in ks:
-        report.add(
-            check(
-                f"cocycles.a2.k={k}",
-                "the obstruction bit of the k-th cocycle structure is k mod 2 "
-                "(computable shadow of its stable non-triviality for odd k)",
-                k % 2,
-                tc[k].a2,
-            )
+        yield check(
+            f"cocycles.a2.k={k}",
+            "the obstruction bit of the k-th cocycle structure is k mod 2 "
+            "(computable shadow of its stable non-triviality for odd k)",
+            k % 2,
+            tc[k].a2,
         )
     composed = power_cocycle(power_cocycle(standard_cocycle(3), 2), 3)
     direct = power_cocycle(standard_cocycle(3), 6)
-    report.add(
-        check(
-            "cocycles.power-composition",
-            "iterated pointwise powers compose multiplicatively on path data",
-            "equal",
-            "equal" if composed == direct else "different",
-        )
+    yield check(
+        "cocycles.power-composition",
+        "iterated pointwise powers compose multiplicatively on path data",
+        "equal",
+        "equal" if composed == direct else "different",
     )
     negated = all(
         inv == tc_sum(oriented[0], inv) and inv.deg_minus == -inv.deg_plus
         for inv in oriented.values()
     )
-    report.add(
-        check(
-            "cocycles.so2-negation",
-            "for rotation-valued cocycles the inverse structure negates the "
-            "degree, so the obstruction bit vanishes",
-            "deg- = -deg+",
-            "deg- = -deg+" if negated else "violated",
-        )
+    yield check(
+        "cocycles.so2-negation",
+        "for rotation-valued cocycles the inverse structure negates the "
+        "degree, so the obstruction bit vanishes",
+        "deg- = -deg+",
+        "deg- = -deg+" if negated else "violated",
     )
-    return report
 
 
 def so3_suite() -> VerificationReport:
-    report = VerificationReport("so3-homology")
+    return VerificationReport("so3-homology", _so3_checks())
+
+
+def _so3_checks():
     complex_ = commuting.component_complex(3)
     for n, count in enumerate((1, 1, 2, 8)):
-        report.add(
-            check(
-                f"so3.components.n={n}",
-                "number of connected components of commuting n-tuples in the "
-                "rotation group of 3-space",
-                count,
-                complex_.ranks[n],
-            )
+        yield check(
+            f"so3.components.n={n}",
+            "number of connected components of commuting n-tuples in the "
+            "rotation group of 3-space",
+            count,
+            complex_.ranks[n],
         )
     listed = {commuting.canonical_tuple(t) for t in LISTED_FACE_TABLE}
     computed = {label for label in commuting.enumerate_components(3) if C2 in label}
-    report.add(
-        check(
-            "so3.exotic-representatives",
-            "the seven exotic components of commuting triples match the "
-            "listed representatives up to relabeling the three involutions",
-            "same 7 components",
-            "same 7 components" if listed == computed else f"{len(listed & computed)} shared",
-        )
+    yield check(
+        "so3.exotic-representatives",
+        "the seven exotic components of commuting triples match the "
+        "listed representatives up to relabeling the three involutions",
+        "same 7 components",
+        "same 7 components" if listed == computed else f"{len(listed & computed)} shared",
     )
     for triple, expected_row in LISTED_FACE_TABLE.items():
         name = ",".join(commuting.ELEMENT_NAMES[e] for e in triple)
         for i, face in enumerate(commuting.faces(triple)):
             actual = "(0,1)" if C2 in commuting.classify_component(face) else "(1,0)"
-            report.add(
-                check(
-                    f"so3.face-table.({name}).d{i}",
-                    "component hit by the i-th face of the listed exotic triple",
-                    expected_row[i],
-                    actual,
-                )
+            yield check(
+                f"so3.face-table.({name}).d{i}",
+                "component hit by the i-th face of the listed exotic triple",
+                expected_row[i],
+                actual,
             )
-    report.add(
-        check(
-            "so3.boundary.level2",
-            "both pair components map to the single 1-tuple component with "
-            "alternating sum one, so the kernel is generated by (-1, 1)",
-            "[[1, 1]]",
-            str([[row.get(j, 0) for j in range(complex_.ranks[2])]
-                 for row in complex_.boundaries[2]]),
-        )
+    yield check(
+        "so3.boundary.level2",
+        "both pair components map to the single 1-tuple component with "
+        "alternating sum one, so the kernel is generated by (-1, 1)",
+        "[[1, 1]]",
+        str([[row.get(j, 0) for j in range(complex_.ranks[2])]
+             for row in complex_.boundaries[2]]),
     )
     d3 = complex_.boundaries[3]
     zero_cols = complex_.ranks[3] - len({j for row in d3 for j in row})
-    report.add(
-        check(
-            "so3.boundary.level3",
-            "the level-3 boundary has six zero columns and image generated "
-            "by (-2, 2)",
-            "6 zero columns, factors [2]",
-            f"{zero_cols} zero columns, factors {smith_normal_form(d3)}",
-        )
+    yield check(
+        "so3.boundary.level3",
+        "the level-3 boundary has six zero columns and image generated "
+        "by (-2, 2)",
+        "6 zero columns, factors [2]",
+        f"{zero_cols} zero columns, factors {smith_normal_form(d3)}",
     )
-    report.add(
-        check(
-            "so3.homology.e2-term",
-            "degree-2 homology of the component complex: kernel (-1,1) "
-            "modulo image (-2,2)",
-            "Z/2",
-            complex_.homology(2),
-        )
+    yield check(
+        "so3.homology.e2-term",
+        "degree-2 homology of the component complex: kernel (-1,1) "
+        "modulo image (-2,2)",
+        "Z/2",
+        complex_.homology(2),
     )
     h2 = commuting.h2_bcom_so3()
-    report.add(
-        check(
-            "so3.homology.h2",
-            "second integral homology of the commuting classifying space of "
-            "the rotation group: the component term plus the fundamental "
-            "group's Z/2 (computable shadow of the degree-two homotopy "
-            "group statement)",
-            "Z/2 + Z/2",
-            h2,
-        )
+    yield check(
+        "so3.homology.h2",
+        "second integral homology of the commuting classifying space of "
+        "the rotation group: the component term plus the fundamental "
+        "group's Z/2 (computable shadow of the degree-two homotopy "
+        "group statement)",
+        "Z/2 + Z/2",
+        h2,
     )
-    report.add(
-        check(
-            "so3.homology.q2-row-vanishes",
-            "the degree-2 homology row starts from a point in level 0, so "
-            "its contribution vanishes",
-            "0",
-            "0",
-        )
+    yield check(
+        "so3.homology.q2-row-vanishes",
+        "the degree-2 homology row starts from a point in level 0, so "
+        "its contribution vanishes",
+        "0",
+        "0",
     )
-    report.add(
-        check(
-            "so3.homology.full-orthogonal",
-            "the full 3x3 orthogonal case gives the same group via the "
-            "product splitting off the center (standing structural input)",
-            h2,
-            h2,
-        )
+    yield check(
+        "so3.homology.full-orthogonal",
+        "the full 3x3 orthogonal case gives the same group via the "
+        "product splitting off the center (standing structural input)",
+        h2,
+        h2,
     )
-    return report
 
 
 def generator_products(f, basis: list) -> list:
@@ -306,126 +279,103 @@ def generator_products(f, basis: list) -> list:
 
 
 def char_class_suite(cap: int) -> VerificationReport:
-    report = VerificationReport("char-classes")
+    return VerificationReport("char-classes", _char_class_checks(cap))
+
+
+def _char_class_checks(cap: int):
     alg = bcom_o2.bcom_o2_algebra(cap)
     phi = bcom_o2.inversion_pullback(alg)
     kmap = bcom_o2.line_pair_restriction(alg)
-    report.add(
-        check(
-            "char.dim.degree2",
-            "the degree-2 part of the commutative-structure algebra has rank 3",
-            3,
-            alg.dimension(2),
-        )
+    yield check(
+        "char.dim.degree2",
+        "the degree-2 part of the commutative-structure algebra has rank 3",
+        3,
+        alg.dimension(2),
     )
-    report.add(
-        check(
-            "char.phi-images",
-            "the inversion pullback fixes w1, r, s and shifts w2 by r",
-            ", ".join(
-                str(img)
-                for img in (
-                    alg.gen("w1"),
-                    alg.gen("w2") + alg.gen("r"),
-                    alg.gen("r"),
-                    alg.gen("s"),
-                )
-            ),
-            ", ".join(str(phi(alg.gen(g))) for g in ("w1", "w2", "r", "s")),
-        )
+    yield check(
+        "char.phi-images",
+        "the inversion pullback fixes w1, r, s and shifts w2 by r",
+        ", ".join(
+            str(img)
+            for img in (
+                alg.gen("w1"),
+                alg.gen("w2") + alg.gen("r"),
+                alg.gen("r"),
+                alg.gen("s"),
+            )
+        ),
+        ", ".join(str(phi(alg.gen(g))) for g in ("w1", "w2", "r", "s")),
     )
     basis = alg.basis_through(cap)
     phis = [phi(x) for x in basis]
-    report.add(
-        tally(
-            "char.involution",
-            "the inversion pullback is an involution on the full basis "
-            "through the degree cap",
-            [phi(px) == x for x, px in zip(basis, phis)],
-        )
+    yield tally(
+        "char.involution",
+        "the inversion pullback is an involution on the full basis "
+        "through the degree cap",
+        [phi(px) == x for x, px in zip(basis, phis)],
     )
-    report.add(
-        tally(
-            "char.ring-map",
-            "the inversion pullback is multiplicative on generator-basis "
-            "pairs through the degree cap, hence on all pairs",
-            generator_products(phi, basis),
-        )
+    yield tally(
+        "char.ring-map",
+        "the inversion pullback is multiplicative on generator-basis "
+        "pairs through the degree cap, hence on all pairs",
+        generator_products(phi, basis),
     )
-    report.add(
-        tally(
-            "char.kstar-compat",
-            "restriction to a pair of line bundles absorbs the inversion "
-            "pullback (inversion is the identity on the line pair)",
-            [kmap(px) == kmap(x) for x, px in zip(basis, phis)],
-        )
+    yield tally(
+        "char.kstar-compat",
+        "restriction to a pair of line bundles absorbs the inversion "
+        "pullback (inversion is the identity on the line pair)",
+        [kmap(px) == kmap(x) for x, px in zip(basis, phis)],
     )
     a2 = bcom_o2.a2_class(alg)
-    report.add(
-        check(
-            "char.a2-is-r",
-            "the obstruction class w2 + (inverted w2) equals r",
-            str(alg.gen("r")),
-            str(a2),
-        )
+    yield check(
+        "char.a2-is-r",
+        "the obstruction class w2 + (inverted w2) equals r",
+        str(alg.gen("r")),
+        str(a2),
     )
-    report.add(
-        check(
-            "char.a2-sq",
-            "the total Steenrod square fixes the obstruction class",
-            str(a2),
-            str(total_steenrod_square(a2)),
-        )
+    yield check(
+        "char.a2-sq",
+        "the total Steenrod square fixes the obstruction class",
+        str(a2),
+        str(total_steenrod_square(a2)),
     )
-    report.add(
-        check(
-            "char.a2-line-pair",
-            "the obstruction class restricts to zero on a pair of line "
-            "bundles (its structure there is algebraic)",
-            "0",
-            str(kmap(a2)),
-        )
+    yield check(
+        "char.a2-line-pair",
+        "the obstruction class restricts to zero on a pair of line "
+        "bundles (its structure there is algebraic)",
+        "0",
+        str(kmap(a2)),
     )
-    report.add(
-        check(
-            "char.a2-so2",
-            "the obstruction class restricts to zero on oriented plane "
-            "bundles (it reduces twice the Euler class mod 2)",
-            "0",
-            str(bcom_o2.so2_restriction(alg)(a2)),
-        )
+    yield check(
+        "char.a2-so2",
+        "the obstruction class restricts to zero on oriented plane "
+        "bundles (it reduces twice the Euler class mod 2)",
+        "0",
+        str(bcom_o2.so2_restriction(alg)(a2)),
     )
-    report.add(
-        check(
-            "char.sq-r",
-            "the total Steenrod square fixes r",
-            str(alg.gen("r")),
-            str(total_steenrod_square(alg.gen("r"))),
-        )
+    yield check(
+        "char.sq-r",
+        "the total Steenrod square fixes r",
+        str(alg.gen("r")),
+        str(total_steenrod_square(alg.gen("r"))),
     )
-    report.add(
-        check(
-            "char.sq-s",
-            "the total Steenrod square of s is s + w2*r + w1^2*s",
-            str(alg.cls({"s": 1}, {"w2": 1, "r": 1}, {"w1": 2, "s": 1})),
-            str(total_steenrod_square(alg.gen("s"))),
-        )
+    yield check(
+        "char.sq-s",
+        "the total Steenrod square of s is s + w2*r + w1^2*s",
+        str(alg.cls({"s": 1}, {"w2": 1, "r": 1}, {"w1": 2, "s": 1})),
+        str(total_steenrod_square(alg.gen("s"))),
     )
-    report.add(
-        tally(
-            "char.sq-cartan",
-            "the total square is multiplicative (Cartan formula) on "
-            "generator-basis pairs through the degree cap, hence on all pairs",
-            generator_products(total_steenrod_square, basis),
-        )
+    yield tally(
+        "char.sq-cartan",
+        "the total square is multiplicative (Cartan formula) on "
+        "generator-basis pairs through the degree cap, hence on all pairs",
+        generator_products(total_steenrod_square, basis),
     )
-    report.add(
-        tally(
-            "char.sq-naturality",
-            "the total square commutes with restriction to the line pair on "
-            "the basis through the degree cap",
-            [kmap(total_steenrod_square(x)) == total_steenrod_square(kmap(x)) for x in basis],
-        )
+    yield tally(
+        "char.sq-naturality",
+        "the total square commutes with restriction to the line pair on "
+        "the basis through the degree cap",
+        [kmap(total_steenrod_square(x)) == total_steenrod_square(kmap(x)) for x in basis],
     )
     for case in (bcom_o2.RANK2_RANK2, bcom_o2.RANK2_LINE):
         try:
@@ -433,17 +383,14 @@ def char_class_suite(cap: int) -> VerificationReport:
             actual = "identity holds"
         except bcom_o2.IdentityFailsError as exc:  # pragma: no cover
             actual = str(exc)
-        report.add(
-            check(
-                f"char.splitting.{case}",
-                "the closed w2 formula for the tensor product agrees with the "
-                "elementary-symmetric expansion of the splitting classes, as "
-                "exact polynomials",
-                "identity holds",
-                actual,
-            )
+        yield check(
+            f"char.splitting.{case}",
+            "the closed w2 formula for the tensor product agrees with the "
+            "elementary-symmetric expansion of the splitting classes, as "
+            "exact polynomials",
+            "identity holds",
+            actual,
         )
-    return report
 
 
 UNITS_SURFACES = (
@@ -484,26 +431,25 @@ def surface_suite(only) -> VerificationReport:
     compared when the surface is in PRESENTATION_SURFACES, the surfaces with
     a golden file; the product and obstruction checks run on a selected
     surface and on PRODUCT_SURFACES."""
-    report = VerificationReport("surface-ko")
+    return VerificationReport("surface-ko", _surface_checks(only))
+
+
+def _surface_checks(only):
     for surface in UNITS_SURFACES if only is None else (only,):
         alg = surfaces.surface_algebra(surface)
         group = surfaces.units_group(alg)
-        report.add(
-            check(
-                f"surface-ko.units.{surface.label}",
-                "multiplicative units 1 + x1 + x2 of the surface cohomology, "
-                "as an abstract group from order statistics",
-                expected_units(surface),
-                group.invariant_factors(),
-            )
+        yield check(
+            f"surface-ko.units.{surface.label}",
+            "multiplicative units 1 + x1 + x2 of the surface cohomology, "
+            "as an abstract group from order statistics",
+            expected_units(surface),
+            group.invariant_factors(),
         )
-        report.add(
-            check(
-                f"surface-ko.units-count.{surface.label}",
-                "the unit group has exactly 2^(b1 + 1) elements",
-                2 ** (surface.b1 + 1),
-                group.order,
-            )
+        yield check(
+            f"surface-ko.units-count.{surface.label}",
+            "the unit group has exactly 2^(b1 + 1) elements",
+            2 ** (surface.b1 + 1),
+            group.order,
         )
         names, pairs = surfaces.cup_pairing(surface)
         if pairs:
@@ -513,54 +459,45 @@ def surface_suite(only) -> VerificationReport:
                 (one + alg.gen(x) + alg.gen(y)) * inverse[x] * inverse[y] == one + y2
                 for x, y in pairs
             )
-            report.add(
-                check(
-                    f"surface-ko.unit-identity.{surface.label}",
-                    "W(L (x) L') W(L)^(-1) W(L')^(-1) = 1 + y2 for each pair of "
-                    "line classes with cup product y2, the unit identity behind "
-                    "the diagonal products",
-                    "holds",
-                    "holds" if ok else "fails",
-                )
+            yield check(
+                f"surface-ko.unit-identity.{surface.label}",
+                "W(L (x) L') W(L)^(-1) W(L')^(-1) = 1 + y2 for each pair of "
+                "line classes with cup product y2, the unit identity behind "
+                "the diagonal products",
+                "holds",
+                "holds" if ok else "fails",
             )
         if surface in PRESENTATION_SURFACES:
             text = surfaces.ko_presentation(surface).to_text()
-            report.add(
-                check(
-                    f"surface-ko.presentation.{surface.label}",
-                    "the derived K-theory ring presentation matches the recorded "
-                    "presentation term for term",
-                    "matches golden",
-                    "matches golden" if text == load_golden(surface) else "differs",
-                )
+            yield check(
+                f"surface-ko.presentation.{surface.label}",
+                "the derived K-theory ring presentation matches the recorded "
+                "presentation term for term",
+                "matches golden",
+                "matches golden" if text == load_golden(surface) else "differs",
             )
         if only is None and surface not in PRODUCT_SURFACES:
             continue
-        report.extend(surfaces.verify_kocom_products(surface, alg))
+        yield from surfaces.verify_kocom_products(surface, alg)
         if surface.kind == "sphere":
             continue
-        report.add(
-            check(
-                f"surface-ko.a2.nonstandard.{surface.label}",
-                "the pulled-back non-standard structure has obstruction bit 1 "
-                "(its twisted w2 is the top class)",
-                1,
-                bcom_o2.a2_of_tc_bundle(surfaces.nonstandard_data(alg)),
-            )
+        yield check(
+            f"surface-ko.a2.nonstandard.{surface.label}",
+            "the pulled-back non-standard structure has obstruction bit 1 "
+            "(its twisted w2 is the top class)",
+            1,
+            bcom_o2.a2_of_tc_bundle(surfaces.nonstandard_data(alg)),
         )
         algebraic = bcom_o2.direct_sum(
             bcom_o2.line_data(alg.gen(names[0])), bcom_o2.trivial_data(alg)
         )
-        report.add(
-            check(
-                f"surface-ko.a2.algebraic.{surface.label}",
-                "algebraic structures (line-bundle sums) have obstruction "
-                "bit 0: their twisted w2 equals w2",
-                0,
-                bcom_o2.a2_of_tc_bundle(algebraic),
-            )
+        yield check(
+            f"surface-ko.a2.algebraic.{surface.label}",
+            "algebraic structures (line-bundle sums) have obstruction "
+            "bit 0: their twisted w2 equals w2",
+            0,
+            bcom_o2.a2_of_tc_bundle(algebraic),
         )
-    return report
 
 
 def run_suite(name: str, options: dict | None = None) -> VerificationReport:
@@ -574,8 +511,6 @@ def run_suite(name: str, options: dict | None = None) -> VerificationReport:
     if name == "surface-ko":
         return surface_suite(options["surface"])
     if name == "all":
-        combined = VerificationReport("all")
-        for sub in (s for s in SUITES if s != "all"):
-            combined.extend(run_suite(sub, options).checks)
-        return combined
+        subs = (run_suite(sub, options) for sub in SUITES if sub != "all")
+        return VerificationReport("all", (c for report in subs for c in report.checks))
     raise ValueError(f"unknown suite {name!r}")

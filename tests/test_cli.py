@@ -30,6 +30,13 @@ WIDE_COCYCLE_REPORT_SHA256 = (
     "6e2da11311c41d595157e0bfc32d63eb70eeb4e0498019a94a6226ae62be8043"
 )
 
+#: SHA-256 of the `kocom verify surface-ko --surface S --out R` report at the
+#: largest selectors the CLI accepts.
+SELECTED_SURFACE_REPORT_SHA256 = {
+    "genus:40": "be45e7cea57d1ed875fc83abd51f849052f227a3c92ca82f269f054f15bd734a",
+    "rp:80": "acced674a1b02cd9650e6542c57813f3bf0ac51a222ea4b4db7b7dbfc7e953da",
+}
+
 
 def test_parse_range():
     assert parse_range("-5..5") == (-5, 5)
@@ -127,6 +134,23 @@ def test_cli_import_loads_no_heavy_stdlib_modules(tmp_path):
     assert result.stdout.splitlines()[0] == "[]"
     assert json.loads(out.read_text())["summary"]["failed"] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ALL_REPORT_SHA256
+
+
+@pytest.mark.parametrize("selector", sorted(SELECTED_SURFACE_REPORT_SHA256))
+def test_selected_surface_reports_are_pinned(tmp_path, selector):
+    out = tmp_path / "surface.json"
+    assert main(["verify", "surface-ko", "--surface", selector, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SELECTED_SURFACE_REPORT_SHA256[selector]
+
+
+def test_empty_cocycle_range_raises():
+    """An empty range would compare nothing with nothing ("0 valid" against
+    "0 valid"), so the Python API refuses it as the command line does."""
+    for k_range, n_range in (((3, 1), (2, 0)), ((3, 1), (-1, 1)), ((-1, 1), (2, 0))):
+        with pytest.raises(ValueError, match="empty range"):
+            run_suite("cocycles", {"k_range": k_range, "n_range": n_range})
+    assert run_suite("cocycles", {"k_range": (1, 1), "n_range": (0, 0)}).all_passed
 
 
 def test_cocycle_report_at_the_range_bound_is_pinned(tmp_path):
@@ -234,8 +258,8 @@ def test_ignored_surface_warns_on_stderr(tmp_path, capsys, suite):
 
 
 def test_failing_report_exit_code():
-    report = VerificationReport("demo")
-    report.add(check("demo.one", "a deliberately failing check", 1, 2))
+    failing = check("demo.one", "a deliberately failing check", 1, 2)
+    report = VerificationReport("demo", (failing,))
     assert not report.all_passed
     assert report.summary == {"total": 1, "passed": 0, "failed": 1}
     lines = report.text_lines()
@@ -243,10 +267,10 @@ def test_failing_report_exit_code():
 
 
 def test_empty_report_does_not_pass():
-    report = VerificationReport("empty")
+    report = VerificationReport("empty", ())
     assert not report.all_passed
     assert report.summary == {"total": 0, "passed": 0, "failed": 0}
-    report.add(check("demo.one", "a passing check", 1, 1))
+    report = VerificationReport("empty", (check("demo.one", "a passing check", 1, 1),))
     assert report.all_passed
 
 

@@ -34,7 +34,6 @@ from kocom.o2 import (
     constant_path,
     loop_degree,
     reflected_rotation,
-    rotation,
 )
 
 
@@ -137,7 +136,7 @@ def test_power_cocycle_square_values():
     for t in (Fraction(0), Fraction(1, 4), Fraction(1)):
         assert sq.alpha23.value(t) == IDENTITY
         assert sq.alpha13.value(t) == IDENTITY
-        assert sq.alpha12.value(t) == rotation(Fraction(6) * t)
+        assert sq.alpha12.value(t) == O2Element(Fraction(6) * t)
 
 
 @given(st.integers(-4, 4), st.integers(-3, 3), st.integers(-3, 3))

@@ -9,7 +9,7 @@ from kocom import cocycles, surfaces
 from kocom.bcom_o2 import line_data
 from kocom.integral import AbelianGroup
 from kocom.o2 import O2Element, PathSegment
-from kocom.report import check
+from kocom.report import VerificationReport, check
 
 
 def test_every_exported_name_resolves():
@@ -56,8 +56,9 @@ def test_records_hash_repr_and_refuse_assignment():
             ("generators", "additive_orders", "relations"),
         ),
         (check("x.y", "a fact", 1, 2), ("check_id", "citation", "expected", "actual")),
+        (VerificationReport("demo", [check("x.y", "a fact", 1, 1)]), ("suite", "checks")),
     ]
-    assert len({type(record) for record, _ in records}) == 13
+    assert len({type(record) for record, _ in records}) == 14
     for record, names in records:
         values = tuple(getattr(record, name) for name in names)
         assert hash(record) == hash(values)

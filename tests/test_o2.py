@@ -22,7 +22,6 @@ from kocom.o2 import (
     constant_path,
     loop_degree,
     reflected_rotation,
-    rotation,
 )
 
 # -- independent 2x2 matrix oracle ------------------------------------------
@@ -125,7 +124,7 @@ def test_angle_normalization():
     integral = O2Element(Fraction(6, 2)).angle
     assert integral == 1 and type(integral) is int
     assert O2Element(Fraction(-4)) == IDENTITY
-    assert str(rotation(Fraction(5, 2))) == "R(1/2*pi)"
+    assert str(O2Element(Fraction(5, 2))) == "R(1/2*pi)"
     assert str(reflected_rotation(2)) == "I*A"
 
 
@@ -134,9 +133,9 @@ def test_multiplication_table_cases():
     assert REFLECTION * REFLECTION == IDENTITY
     # conjugating a rotation by the reflection inverts it: for angle pi/3,
     # A R A = R_{-pi/3} = R_{5pi/3}
-    third = rotation(Fraction(1, 3))
-    assert REFLECTION * third * REFLECTION == rotation(Fraction(5, 3))
-    assert rotation(Fraction(1, 2)) * rotation(Fraction(1, 2)) == rotation(1)
+    third = O2Element(Fraction(1, 3))
+    assert REFLECTION * third * REFLECTION == O2Element(Fraction(5, 3))
+    assert O2Element(Fraction(1, 2)) * O2Element(Fraction(1, 2)) == O2Element(1)
 
 
 def test_powers_of_reflected_elements():
@@ -146,14 +145,14 @@ def test_powers_of_reflected_elements():
     assert o2_pow(g, -1) == g
     assert o2_pow(g, -4) == IDENTITY
     assert o2_pow(g, 0) == IDENTITY
-    assert o2_pow(rotation(Fraction(1, 3)), 0) == IDENTITY
+    assert o2_pow(O2Element(Fraction(1, 3)), 0) == IDENTITY
 
 
 def test_power_additivity_small_range():
     samples = [
-        rotation(Fraction(2, 5)),
+        O2Element(Fraction(2, 5)),
         reflected_rotation(Fraction(1, 6)),
-        rotation(Fraction(7, 4)),
+        O2Element(Fraction(7, 4)),
     ]
     for a in samples:
         for n in range(-6, 7):
@@ -162,9 +161,9 @@ def test_power_additivity_small_range():
 
 
 def test_commutes_examples():
-    assert commutes(rotation(Fraction(1, 3)), rotation(Fraction(4, 7)))
-    assert commutes(rotation(1), REFLECTION)  # R_pi is central
-    assert not commutes(rotation(Fraction(1, 2)), REFLECTION)
+    assert commutes(O2Element(Fraction(1, 3)), O2Element(Fraction(4, 7)))
+    assert commutes(O2Element(1), REFLECTION)  # R_pi is central
+    assert not commutes(O2Element(Fraction(1, 2)), REFLECTION)
 
 
 def test_commutes_closed_form_matches_products_exhaustively():
@@ -237,7 +236,7 @@ def test_path_segment_normalizes_offset_and_rejects_empty_domain():
 def test_inexact_input_is_rejected():
     for value in (0.1, 2.0, "1/3", True):
         with pytest.raises(TypeError):
-            rotation(value)
+            O2Element(value)
     with pytest.raises(TypeError):
         loop_degree(affine_path(2.0, 0))
     with pytest.raises(TypeError):
@@ -405,4 +404,4 @@ def test_reparameterized_domain_is_exact():
     third = affine_path(1, 0).reparameterized(3, 0)
     assert third.segments[-1].t1 == Fraction(1, 3)
     assert type(third.segments[-1].t1) is Fraction
-    assert third.end == rotation(1)
+    assert third.end == O2Element(1)
