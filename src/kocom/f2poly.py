@@ -217,18 +217,17 @@ class F2Algebra:
         return [F2Class(self, frozenset({mono})) for mono in self._normal_monomials(top)]
 
     def _normal_monomials(self, top: int) -> list:
-        # (normal monomial, degree left) of each prefix, bounded by the cap so that every
-        # exponent fits its field: a left side dividing a prefix divides its extensions,
-        # and a zero exponent needs no new test.
+        # (normal monomial, degree left) of each prefix, bounded by the cap so every exponent
+        # fits its field; a left side dividing a prefix divides all its extensions.
         walk = [(0, min(exact_int(top), self.cap))]
         for unit, d in zip(self._units, self._degrees):
-            walk = [
-                (m, left - e * d)
-                for prefix, left in walk
-                for e in range(left // d + 1)
-                for m in (prefix + e * unit,)
-                if e == 0 or self.reduce_monomial(m) == {m}
-            ]
+            longer = []
+            for m, left in walk:
+                longer.append((m, left))
+                while left >= d and self.reduce_monomial(m + unit) == {m + unit}:
+                    m, left = m + unit, left - d
+                    longer.append((m, left))
+            walk = longer
         return sorted(m for m, left in walk if left >= 0)
 
     def dimension(self, degree: int) -> int:

@@ -501,6 +501,8 @@ def _surface_checks(only):
 
 
 def run_suite(name: str, options: dict | None = None) -> VerificationReport:
+    if options and (unknown := options.keys() - DEFAULT_OPTIONS):
+        raise ValueError(f"unknown option(s) {', '.join(sorted(unknown))}")
     options = {**DEFAULT_OPTIONS, **(options or {})}
     if name == "cocycles":
         return cocycle_suite(options["k_range"], options["n_range"])

@@ -14,8 +14,12 @@ read off those computations, in a fixed canonical normalization.
 None of this walks the 2^(b1 + 1) units.  The group's shape follows from
 the b1 squares of the degree-one generators, and the presentation needs
 only products and squares of the generator units, because the line units
-together with 1 + y2 generate the whole group.  The full unit list is
-still available, lazily, as the brute-force reference for tests.
+together with 1 + y2 generate the whole group.  It multiplies them on the
+cup form and builds no algebra: a unit 1 + x + t*y2 is the pair (x, t), x a
+bitmask over the cup_pairing names (bit k for name k) and t a bit.  At cap
+2, x*x' = B(x, x')*y2 with B(x, x') the parity of the cup_pairing pairs
+the masks hit, so (x, t)(x', t') = (x ^ x', t ^ t' ^ B(x, x')).  The full
+unit list is still available, lazily, as the brute-force reference for tests.
 """
 
 from __future__ import annotations
@@ -57,12 +61,8 @@ class Surface(namedtuple("Surface", "kind count")):
 
     @property
     def b1(self) -> int:
-        """First mod-2 Betti number."""
-        if self.kind == "orientable":
-            return 2 * self.count
-        if self.kind == "nonorientable":
-            return self.count
-        return 0
+        """First mod-2 Betti number (the sphere's count is 0)."""
+        return 2 * self.count if self.kind == "orientable" else self.count
 
     @property
     def label(self) -> str:
@@ -137,28 +137,21 @@ def degree_one_names(alg: F2Algebra) -> list:
 
 def units(alg: F2Algebra) -> list:
     """All 2^(b1 + 1) units 1 + x1 + x2, in a fixed enumeration order."""
-    names = degree_one_names(alg)
-    one, y2 = alg.one(), alg.gen("y2")
+    gens = [alg.gen(name) for name in degree_one_names(alg)]
+    y2 = alg.gen("y2")
     out = []
-    for bits in itertools.product((0, 1), repeat=len(names)):
-        x1 = alg.zero()
-        for bit, name in zip(bits, names):
-            if bit:
-                x1 = x1 + alg.gen(name)
-        for top in (0, 1):
-            out.append(one + x1 + (y2 if top else alg.zero()))
+    for bits in itertools.product((0, 1), repeat=len(gens)):
+        unit = sum((g for bit, g in zip(bits, gens) if bit), alg.one())
+        out += [unit, unit + y2]
     return out
 
 
 def unit_order(u: F2Class) -> int:
-    one = u.algebra.one()
-    if u == one:
-        return 1
-    square = u * u
-    if square == one:
-        return 2
-    if square * square == one:
-        return 4
+    one, power = u.algebra.one(), u
+    for order in (1, 2, 4):
+        if power == one:
+            return order
+        power = power * power
     raise ValueError(f"unit {u} has order > 4; not a surface unit group")
 
 
@@ -231,17 +224,11 @@ class RingPresentation(namedtuple("RingPresentation", "generators additive_order
             body = "*".join(names)
         return body if coeff == 1 else f"{coeff}*{body}"
 
-    def relation_strings(self) -> list:
-        out = []
-        for order, name in zip(self.additive_orders, self.generators):
-            out.append(self.term_str(order, (name,)))
-        for rel in self.relations:
-            out.append(" + ".join(self.term_str(c, names) for c, names in rel))
-        return out
-
     def to_text(self) -> str:
+        term = self.term_str
         lines = ["generators: " + " ".join(self.generators)]
-        lines.extend(self.relation_strings())
+        lines += [term(n, (name,)) for n, name in zip(self.additive_orders, self.generators)]
+        lines += [" + ".join([term(c, names) for c, names in rel]) for rel in self.relations]
         return "\n".join(lines) + "\n"
 
 
@@ -266,18 +253,30 @@ def ko_presentation(surface: Surface) -> RingPresentation:
     W(L (x) L') = 1 + w1(L) + w1(L').  The sphere's one generator is a
     rank-two class, but it has w1 = 0 and unit u with u^2 = 1, so the
     rank-two rule and the line rule both give its square the unit 1.
+    Units are (mask, bit) pairs, as in the module docstring, and a unit's
+    mask is its w1: the line of name k is (1 << k, 0), the sphere's class (0, 1).
     """
-    alg = surface_algebra(surface)
-    gens = ko_generators(surface, alg)
-    names = tuple(g.name for g in gens)
-    one = alg.one()
+    names, pairs = cup_pairing(surface)
+    # cup_pairing lists each name's partner `shift` places on (b_i genus places
+    # after a_i, a crosscap a_i on itself), so x's partner bits are x << shift | x >> shift.
+    shift = names.index(pairs[0][1]) if pairs else 0
+
+    def times(u, v):
+        (x, t), (y, s) = u, v
+        return x ^ y, t ^ s ^ ((x << shift | x >> shift) & y).bit_count() & 1
+
+    if surface.kind == "sphere":
+        names, gens = ("e1",), [(0, 1)]
+    else:
+        names, gens = tuple(f"l_{name}" for name in names), [(1 << k, 0) for k in range(len(names))]
+    one = (0, 0)
     # Every generator unit u has u^4 = 1, so its square gives its order
-    # and its doubling key.
-    squares = [g.unit * g.unit for g in gens]
+    # and keys its doubling term 2 x_k.
+    squares = [times(u, u) for u in gens]
     orders = tuple(2 if square == one else 4 for square in squares)
     doublings: dict = {}
-    for k, square in enumerate(squares):
-        doublings.setdefault(square, []).append(k)
+    for name, order, square in zip(names, orders, squares):
+        doublings.setdefault(square, []).append((2 % order, (name,)))
     relations = []
     leftovers: dict = {}
     # The units stand in for their inverses: a genus unit and the sphere's
@@ -286,12 +285,12 @@ def ko_presentation(surface: Surface) -> RingPresentation:
     # u_i^-1 u_j^-1 = (1 + y2)^2 u_i u_j = u_i u_j.
     for i in range(len(gens)):
         for j in range(i, len(gens)):
-            u = (one + gens[i].w1 + gens[j].w1) * gens[i].unit * gens[j].unit
+            u = times(times((gens[i][0] ^ gens[j][0], 0), gens[i]), gens[j])
             pair = (names[i], names[j])
             if u == one:
                 relations.append(((1, pair),))
             elif u in doublings:
-                relations.extend(((1, pair), (2 % orders[k], (names[k],))) for k in doublings[u])
+                relations += [((1, pair), term) for term in doublings[u]]
             else:
                 leftovers.setdefault(u, []).append(pair)
     for pairs in leftovers.values():
@@ -354,9 +353,8 @@ def verify_kocom_products(surface: Surface, alg: F2Algebra) -> list:
     recorded, not recomputed.
     """
     tag = surface.label
-    checks = []
     if surface.kind == "sphere":
-        checks.append(
+        return [
             check(
                 f"surface-ko.products.{tag}.suspension",
                 "every product in the reduced theory of a suspension vanishes; "
@@ -364,9 +362,9 @@ def verify_kocom_products(surface: Surface, alg: F2Algebra) -> list:
                 "0",
                 "0",
             )
-        )
-        return checks
+        ]
 
+    checks = []
     pullback = collapse_pullback(SPHERE_ALGEBRA, alg)
 
     over_sphere = nonstandard_data(SPHERE_ALGEBRA)

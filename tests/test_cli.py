@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from kocom import suites
 from kocom.cli import (
     MAX_DEGREE_CAP,
     MAX_RANGE_VALUES,
@@ -300,6 +301,15 @@ def test_parser_defaults_are_the_suite_defaults():
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError):
         run_suite("bogus")
+
+
+def test_run_suite_rejects_unknown_option_keys(monkeypatch):
+    # a misspelt key used to run the defaults and pass
+    monkeypatch.setattr(suites, "cocycle_suite", None)  # no suite may start
+    with pytest.raises(ValueError, match="krange"):
+        run_suite("cocycles", {"krange": (3, 1)})
+    with pytest.raises(ValueError, match="cap, krange"):
+        run_suite("all", {"krange": (3, 1), "cap": 4, "surface": None})
 
 
 def test_default_cocycle_suite_has_121_degree_checks():

@@ -14,6 +14,7 @@ from kocom.suites import load_golden
 from kocom.surfaces import (
     NONSTANDARD_INVARIANT,
     SPHERE,
+    RingPresentation,
     Surface,
     collapse_pullback,
     cup_pairing,
@@ -276,10 +277,51 @@ def expected_presentation(surface):
 def test_presentations_match_closed_form():
     for surface in (
         SPHERE,
-        *(orientable(g) for g in range(1, 7)),
-        *(nonorientable(n) for n in range(1, 13)),
+        *(orientable(g) for g in range(1, 41)),
+        *(nonorientable(n) for n in range(1, 81)),
     ):
         assert ko_presentation(surface).to_text() == expected_presentation(surface), surface
+
+
+def f2_unit_presentation(surface):
+    """ko_presentation's algorithm run on units of surface_algebra: the
+    F2-class reference for the (mask, bit) products on the cup form."""
+    alg = surface_algebra(surface)
+    gens = ko_generators(surface, alg)
+    names = tuple(g.name for g in gens)
+    one = alg.one()
+    squares = [g.unit * g.unit for g in gens]
+    orders = tuple(2 if square == one else 4 for square in squares)
+    doublings = {}
+    for k, square in enumerate(squares):
+        doublings.setdefault(square, []).append(k)
+    relations = []
+    leftovers = {}
+    for i in range(len(gens)):
+        for j in range(i, len(gens)):
+            u = (one + gens[i].w1 + gens[j].w1) * gens[i].unit * gens[j].unit
+            pair = (names[i], names[j])
+            if u == one:
+                relations.append(((1, pair),))
+            elif u in doublings:
+                relations.extend(
+                    ((1, pair), (2 % orders[k], (names[k],))) for k in doublings[u]
+                )
+            else:
+                leftovers.setdefault(u, []).append(pair)
+    for pairs in leftovers.values():
+        for p, q in itertools.combinations(pairs, 2):
+            relations.append(((1, p), (1, q)))
+    return RingPresentation(names, orders, tuple(relations))
+
+
+def test_presentations_match_f2_unit_products():
+    for surface in (
+        SPHERE,
+        *(orientable(g) for g in range(1, 13)),
+        *(nonorientable(n) for n in range(1, 25)),
+    ):
+        assert ko_presentation(surface) == f2_unit_presentation(surface), surface
 
 
 def test_presentation_relation_counts():
@@ -373,9 +415,9 @@ def test_surface_suite_reuses_its_algebra(monkeypatch):
         return original(surface)
 
     monkeypatch.setattr(surfaces, "surface_algebra", counted)
-    # the default run builds 10 suite algebras and 8 for the presentations;
-    # the products read the one sphere algebra built at import
-    for only, builds in ((None, 18), (orientable(4), 1), (nonorientable(80), 1)):
+    # the default run builds its 10 suite algebras and none for the
+    # presentations; the products read the one sphere algebra built at import
+    for only, builds in ((None, 10), (orientable(4), 1), (nonorientable(80), 1)):
         calls.clear()
         assert suites.surface_suite(only).all_passed
         assert len(calls) == builds, only
