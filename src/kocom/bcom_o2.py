@@ -35,12 +35,7 @@ def bcom_o2_algebra(cap: int) -> F2Algebra:
         raise ValueError("cap must be at least 4")
     alg = F2Algebra(
         generators=[("w1", 1), ("w2", 2), ("r", 2), ("s", 3)],
-        relations=[
-            ({"w1": 1, "r": 1}, None),
-            ({"r": 2}, None),
-            ({"r": 1, "s": 1}, None),
-            ({"s": 2}, None),
-        ],
+        relations=[{"w1": 1, "r": 1}, {"r": 2}, {"r": 1, "s": 1}, {"s": 2}],
         cap=cap,
     )
     alg.set_total_squares(
@@ -172,7 +167,9 @@ class TCBundleData(namedtuple("TCBundleData", "w1 w2 w2_twisted")):
     """Invariant data of a bundle with a commutative structure: its w1 and
     w2, and the w2 of the pointwise-inverse structure's underlying bundle
     (pointwise inversion fixes w1, so that needs no twisted copy).  For an
-    algebraic structure the twisted w2 equals w2."""
+    algebraic structure the twisted w2 equals w2.  The calculus needs only
+    +, *, is_zero, .algebra and the ring's zero(), so the classes may be
+    F2Class elements or the surface ring's classes."""
 
     __slots__ = ()
 
@@ -185,7 +182,8 @@ class TCBundleData(namedtuple("TCBundleData", "w1 w2 w2_twisted")):
     def algebra(self) -> F2Algebra:
         return self.w1.algebra
 
-    def map_along(self, f: RingMap) -> "TCBundleData":
+    def map_along(self, f) -> "TCBundleData":
+        """The data pulled back along f, a callable on classes (a RingMap, say)."""
         return TCBundleData(f(self.w1), f(self.w2), f(self.w2_twisted))
 
 

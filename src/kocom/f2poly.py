@@ -1,11 +1,10 @@
 """Finite-dimensional quotients of polynomial algebras over the two-element
-field, with monomial rewrite rules, ring maps, and total Steenrod squares.
+field by monomial relations, with ring maps and total Steenrod squares.
 
 A class is a set of normal-form monomials (coefficients live in F2, so
-addition is symmetric difference).  Relations are rewrite rules sending a
-forbidden monomial to one monomial or to zero, applied greedily; the rule
-sets used in this package are tiny and terminating, and confluence is
-exercised by the exhaustive associativity tests.  Every algebra is
+addition is symmetric difference).  A relation is a forbidden monomial: a
+monomial is zero when some relation divides it, and normal otherwise, so
+reduction needs no rule order and no rewriting.  Every algebra is
 truncated above a degree cap: products simply drop monomials beyond it.
 
 A monomial is one int holding its exponent vector (Monagan and Pearce,
@@ -16,20 +15,17 @@ field sits on top, unbounded: a monomial is the sum of e_i * unit_i, where
 unit_i is generator i's field unit plus deg_i in the degree field.  So int
 order is degree order, then the lexicographic order of exponent vectors,
 which is the order a class prints its terms in: __str__ sorts the ints as
-they are.  The unit is 0.  A field holds 2*cap plus the largest exponent on
-a right side, and every exponent in a relation, below one guard bit at its
-top.  A product of two normal monomials is their sum and a rewrite is
-m - lhs + rhs; both keep the degree field exact, as it is linear.  The cap
-is tested, by one shift, before any rule, so no field overflows, and a
-monomial given above the cap is zero before it is packed.  m is divisible by
-lhs iff ((m | G) - lhs) & G == G, where G holds every guard bit: a field
-below lhs borrows its guard bit away, and none borrows from the next, so
-only the exponent fields decide.  Each rule is indexed under the first
-generator its left side uses, so a monomial tries only the rules under its
-nonzero fields, in rule order, and greedy rewriting is the same as over the
-whole list.  One walk lists every basis through a degree: generator 0
-first, a prefix of exponents is extended only while no left side divides
-it, and the sorted ints are in (degree, exponent) order.
+they are.  The unit is 0.  A field holds 2*cap, and every exponent in a
+relation, below one guard bit at its top.  A product of two normal
+monomials is their sum, which keeps the degree field exact, as it is
+linear.  The cap is tested, by one shift, before any relation, so no field
+overflows, and a monomial given above the cap is zero before it is packed.
+m is divisible by a relation r iff ((m | G) - r) & G == G, where G holds
+every guard bit: a field below r's borrows its guard bit away, and none
+borrows from the next, so only the exponent fields decide.  One walk lists
+every basis through a degree: generator 0 first, a prefix of exponents is
+extended only while no relation divides it, and the sorted ints are in
+(degree, exponent) order.
 
 A ring map keeps its generator images and each source monomial's image
 once it is formed, starting from the unit at the zero monomial.  A new
@@ -46,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .integral import exact_int
 
@@ -62,22 +58,22 @@ class RelationViolationError(ValueError):
 
 
 class F2Algebra:
-    """Graded-commutative F2 algebra on named generators with rewrite rules.
+    """Graded-commutative F2 algebra on named generators modulo monomials.
 
     generators: sequence of (name, degree) pairs, the names distinct.
-    relations: sequence of (lhs, rhs) pairs, lhs a {name: exponent} mapping
-        for the forbidden monomial and rhs one such mapping for the monomial
-        it rewrites to, or None if it is zero.  Exponents are non-negative
+    relations: sequence of forbidden monomials, each a {name: exponent}
+        mapping; their order does not matter.  Exponents are non-negative
         ints: TypeError for any other type, bools too, ValueError below 0.
-        A left side must use some generator (ValueError otherwise): each
-        rule is indexed under its first one.
-    cap: top degree kept by the truncation.
+        A relation must use some generator (ValueError otherwise), since
+        the unit would kill the whole algebra.
+    cap: top degree kept by the truncation.  The field width comes from
+        2*cap and the relation exponents.
     """
 
     def __init__(
         self,
         generators: Sequence[tuple],
-        relations: Sequence[tuple] = (),
+        relations: Sequence[Mapping[str, int]] = (),
         *,
         cap: int,
     ):
@@ -89,13 +85,11 @@ class F2Algebra:
         if len(self._index) != len(self.generators):
             raise ValueError("generator names must be distinct")
         self._degrees = tuple(d for _, d in self.generators)
-        sides = [
-            (self._exponents(lhs), None if rhs is None else self._exponents(rhs))
-            for lhs, rhs in relations
-        ]
-        top = max((e for pair in sides for v in pair if v for e in v.values()), default=0)
-        rhs_top = max((e for _, rhs in sides if rhs for e in rhs.values()), default=0)
-        width = max(2 * self.cap + rhs_top, top).bit_length() + 1
+        relations = [self._exponents(m) for m in relations]
+        if not all(any(m.values()) for m in relations):
+            raise ValueError("a relation must not be the unit")
+        top = max((e for m in relations for e in m.values()), default=0)
+        width = max(2 * self.cap, top).bit_length() + 1
         n = len(self.generators)
         shifts = [(n - 1 - i) * width for i in range(n)]
         self._guards = sum(1 << s + width - 1 for s in shifts)
@@ -104,17 +98,7 @@ class F2Algebra:
         # (field width, exponent mask, units): how a ring map out of this
         # algebra finds and strips a factor.
         self._layout = (width, (1 << self._dshift) - 1, self._units)
-        # Rule positions by the first generator of their left side, in rule order.
-        self._rule_index: list = [[] for _ in range(n)]
-        for p, (lhs, _) in enumerate(sides):
-            first = min((i for i, e in lhs.items() if e), default=None)
-            if first is None:
-                raise ValueError("the left side of a relation must not be the unit")
-            self._rule_index[first].append(p)
-        self._rules = tuple(
-            (self._pack(lhs.items()), None if rhs is None else self._pack(rhs.items()))
-            for lhs, rhs in sides
-        )
+        self._relations = tuple(self._pack(m.items()) for m in relations)
         self._reduce_cache: dict = {}
         # The total square as (layout, generator images, images), as a
         # RingMap keeps them; never classes or maps of this algebra,
@@ -136,20 +120,15 @@ class F2Algebra:
         """The monomial of (generator index, exponent) pairs."""
         return sum(e * self._units[i] for i, e in exponents)
 
-    def _fields(self, mono: Monomial) -> Iterator[tuple]:
-        """(generator index, exponent) of each nonzero field, generator 0 first."""
+    def monomial_str(self, mono: Monomial) -> str:
+        """Its nonzero fields as name^exponent factors, generator 0 first."""
         width, mask, _ = self._layout
-        last, mono = len(self.generators) - 1, mono & mask
+        parts, last, mono = [], len(self.generators) - 1, mono & mask
         while mono:
             j = (mono.bit_length() - 1) // width
             e = mono >> j * width
             mono -= e << j * width
-            yield last - j, e
-
-    def monomial_str(self, mono: Monomial) -> str:
-        parts = []
-        for i, e in self._fields(mono):
-            name = self.generators[i][0]
+            name = self.generators[last - j][0]
             parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts) if parts else "1"
 
@@ -157,25 +136,14 @@ class F2Algebra:
         cached = self._reduce_cache.get(mono)
         if cached is not None:
             return cached
-        if mono >> self._dshift > self.cap:
-            result = _ZERO
-        else:
-            # The first rule in list order whose left side divides mono: the
-            # first match under each nonzero field, the least of those.
-            rules, guards = self._rules, self._guards
-            first = len(rules)
-            for i, _ in self._fields(mono):
-                for p in self._rule_index[i]:
-                    if p >= first:
-                        break
-                    if ((mono | guards) - rules[p][0]) & guards == guards:
-                        first = p
-                        break
-            if first == len(rules):
-                result = frozenset({mono})
+        result = _ZERO
+        if mono >> self._dshift <= self.cap:
+            guards = self._guards
+            for relation in self._relations:
+                if ((mono | guards) - relation) & guards == guards:
+                    break
             else:
-                lhs, rhs = rules[first]
-                result = _ZERO if rhs is None else self.reduce_monomial(mono - lhs + rhs)
+                result = frozenset({mono})
         self._reduce_cache[mono] = result
         return result
 
@@ -218,13 +186,13 @@ class F2Algebra:
 
     def _normal_monomials(self, top: int) -> list:
         # (normal monomial, degree left) of each prefix, bounded by the cap so every exponent
-        # fits its field; a left side dividing a prefix divides all its extensions.
+        # fits its field; a relation dividing a prefix divides all its extensions.
         walk = [(0, min(exact_int(top), self.cap))]
         for unit, d in zip(self._units, self._degrees):
             longer = []
             for m, left in walk:
                 longer.append((m, left))
-                while left >= d and self.reduce_monomial(m + unit) == {m + unit}:
+                while left >= d and self.reduce_monomial(m + unit):
                     m, left = m + unit, left - d
                     longer.append((m, left))
             walk = longer
@@ -357,8 +325,8 @@ class RingMap:
     """An algebra map determined by generator images.  It keeps the image
     of each source generator and, in `images`, of each source monomial once
     it is formed; a new monomial's image is one stored image times one
-    generator image.  The source relations are verified to be preserved at
-    construction time."""
+    generator image.  Each forbidden source monomial must map to 0, which is
+    checked at construction time."""
 
     def __init__(self, source: F2Algebra, target: F2Algebra, images: Mapping[str, F2Class]):
         self.source = source
@@ -373,12 +341,9 @@ class RingMap:
         self._evaluate = functools.partial(
             target._evaluate, source._layout, self.generator_images, self.images
         )
-        for lhs, rhs in source._rules:
-            if self._evaluate((lhs,)) != self._evaluate(() if rhs is None else (rhs,)):
-                raise RelationViolationError(
-                    f"relation {source.monomial_str(lhs)} -> "
-                    f"{'0' if rhs is None else source.monomial_str(rhs)} not preserved"
-                )
+        for relation in source._relations:
+            if self._evaluate((relation,)):
+                raise RelationViolationError(f"relation {source.monomial_str(relation)} = 0 not preserved")
 
     def __call__(self, x: F2Class) -> F2Class:
         if x.algebra is not self.source:

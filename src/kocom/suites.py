@@ -504,6 +504,14 @@ def run_suite(name: str, options: dict | None = None) -> VerificationReport:
     if options and (unknown := options.keys() - DEFAULT_OPTIONS):
         raise ValueError(f"unknown option(s) {', '.join(sorted(unknown))}")
     options = {**DEFAULT_OPTIONS, **(options or {})}
+    for key in ("k_range", "n_range"):
+        pair = options[key]
+        if type(pair) is not tuple or len(pair) != 2 or not all(type(v) is int for v in pair):
+            raise TypeError(f"option {key} must be a tuple of two ints, got {pair!r}")
+    if type(options["degree_cap"]) is not int:
+        raise TypeError(f"option degree_cap must be an int, got {options['degree_cap']!r}")
+    if not (options["surface"] is None or isinstance(options["surface"], surfaces.Surface)):
+        raise TypeError(f"option surface must be None or a Surface, got {options['surface']!r}")
     if name == "cocycles":
         return cocycle_suite(options["k_range"], options["n_range"])
     if name == "so3-homology":

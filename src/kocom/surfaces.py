@@ -11,15 +11,13 @@ W and the line tensor rule W(L (x) L') = 1 + w1(L) + w1(L').  The ring
 presentation emitted here is the generators-and-relations description
 read off those computations, in a fixed canonical normalization.
 
-None of this walks the 2^(b1 + 1) units.  The group's shape follows from
-the b1 squares of the degree-one generators, and the presentation needs
-only products and squares of the generator units, because the line units
-together with 1 + y2 generate the whole group.  It multiplies them on the
-cup form and builds no algebra: a unit 1 + x + t*y2 is the pair (x, t), x a
-bitmask over the cup_pairing names (bit k for name k) and t a bit.  At cap
-2, x*x' = B(x, x')*y2 with B(x, x') the parity of the cup_pairing pairs
-the masks hit, so (x, t)(x', t') = (x ^ x', t ^ t' ^ B(x, x')).  The full
-unit list is still available, lazily, as the brute-force reference for tests.
+At cap 2 the ring is its cup form on H^1, and every unit, product and
+pullback here is one form of class: c + x + t*y2 is a unit bit c, a
+bitmask x over the cup_pairing names (bit k for name k) and a top bit t,
+and x*x' = B(x, x')*y2 with B(x, x') the parity of the cup_pairing pairs
+the masks hit.  Nothing walks the 2^(b1 + 1) units but the tests' reference
+list: the group's shape follows from which names pair with themselves, and
+the line units and 1 + y2, which generate the group, give the presentation.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from .bcom_o2 import (
     tensor_rank2,
 )
 from .cocycles import standard_cocycle, tc_invariant
-from .f2poly import F2Algebra, F2Class, RingMap
 from .integral import AbelianGroup, exact_int
 from .report import check
 
@@ -113,87 +110,125 @@ def cup_pairing(surface: Surface) -> tuple:
     return names, [(name, name) for name in names]
 
 
-def surface_algebra(surface: Surface) -> F2Algebra:
-    """The mod-2 cohomology ring, with basis {1}, the degree-1 generators,
-    and the top class y2; graded dimensions (1, b1, 1).  A product of two
-    degree-one generators is y2 on the cup_pairing pairs and 0 otherwise;
-    the cap-2 truncation kills everything of higher degree."""
-    names, pairs = cup_pairing(surface)
-    paired = set(pairs)
-    relations = [
-        ({x: 1, y: 1} if x != y else {x: 2}, {"y2": 1} if (x, y) in paired else None)
-        for x, y in itertools.combinations_with_replacement(names, 2)
-    ]
-    gens = [(n, 1) for n in names] + [("y2", 2)]
-    return F2Algebra(gens, relations, cap=2)
+class SurfaceRing:
+    """The mod-2 cohomology ring of a surface, with basis {1}, the degree-1
+    generators and the top class y2; graded dimensions (1, b1, 1).  A
+    product of two degree-one generators is y2 on the cup_pairing pairs and
+    0 otherwise; the cap-2 truncation kills everything of higher degree."""
+
+    def __init__(self, surface: Surface):
+        self.names, self.pairs = cup_pairing(surface)
+        # cup_pairing lists each name's partner `shift` places on (b_i genus places
+        # after a_i, a crosscap a_i on itself), so x's partner bits are x << shift | x >> shift.
+        self.shift = self.names.index(self.pairs[0][1]) if self.pairs else 0
+        self._gens = {**{name: (0, 1 << k, 0) for k, name in enumerate(self.names)}, "y2": (0, 0, 1)}
+
+    def one(self) -> "SurfaceClass":
+        return SurfaceClass(self, 1, 0, 0)
+
+    def zero(self) -> "SurfaceClass":
+        return SurfaceClass(self, 0, 0, 0)
+
+    def gen(self, name: str) -> "SurfaceClass":
+        return SurfaceClass(self, *self._gens[name])
+
+
+class SurfaceClass(namedtuple("SurfaceClass", "algebra unit mask top")):
+    """The class unit*1 + mask + top*y2 of a SurfaceRing, each of unit and
+    top a bit.  (c, x, t)(c', x', t') = (cc', cx' + c'x, ct' + c't + B(x, x'))."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
+        alg, c, x, t = self
+        ring, c2, x2, t2 = other
+        if ring is not alg:
+            raise ValueError("classes live in different algebras")
+        return tuple.__new__(SurfaceClass, (alg, c ^ c2, x ^ x2, t ^ t2))
+
+    def __mul__(self, other: "SurfaceClass") -> "SurfaceClass":
+        alg, c, x, t = self
+        ring, c2, x2, t2 = other
+        if ring is not alg:
+            raise ValueError("classes live in different algebras")
+        s = alg.shift
+        top = c * t2 ^ c2 * t ^ ((x << s | x >> s) & x2).bit_count() & 1
+        # tuple.__new__ skips namedtuple's keyword handling: this is the hot path.
+        return tuple.__new__(SurfaceClass, (alg, c & c2, c * x2 ^ c2 * x, top))
+
+    def __pow__(self, n: int) -> "SurfaceClass":
+        if exact_int(n) < 0:
+            raise ValueError("negative powers are not defined here")
+        power, square = self.algebra.one(), self
+        while n:
+            power = power * square if n & 1 else power
+            square, n = square * square, n >> 1
+        return power
+
+    @property
+    def is_zero(self) -> bool:
+        return not (self.unit or self.mask or self.top)
+
+    def __str__(self) -> str:
+        """The terms in F2Class order: 1, the names last to first, y2."""
+        names = [name for k, name in enumerate(self.algebra.names) if self.mask >> k & 1]
+        return " + ".join(["1"] * self.unit + names[::-1] + ["y2"] * self.top) or "0"
+
+    __repr__ = __str__
+
+
+def surface_algebra(surface: Surface) -> SurfaceRing:
+    return SurfaceRing(surface)
 
 
 # -- the unit group ---------------------------------------------------------
 
 
-def degree_one_names(alg: F2Algebra) -> list:
-    return [name for name, d in alg.generators if d == 1]
+def unit_order(u: SurfaceClass) -> int:
+    """1, 2 or 4: a unit 1 + x1 + x2 squares to 1 + x1^2, which squares to 1."""
+    if not u.unit:
+        raise ValueError(f"{u} is not a unit")
+    one = u.algebra.one()
+    return 1 if u == one else 2 if u * u == one else 4
 
 
-def units(alg: F2Algebra) -> list:
-    """All 2^(b1 + 1) units 1 + x1 + x2, in a fixed enumeration order."""
-    gens = [alg.gen(name) for name in degree_one_names(alg)]
-    y2 = alg.gen("y2")
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(gens)):
-        unit = sum((g for bit, g in zip(bits, gens) if bit), alg.one())
-        out += [unit, unit + y2]
-    return out
-
-
-def unit_order(u: F2Class) -> int:
-    one, power = u.algebra.one(), u
-    for order in (1, 2, 4):
-        if power == one:
-            return order
-        power = power * power
-    raise ValueError(f"unit {u} has order > 4; not a surface unit group")
-
-
-def unit_inverse(u: F2Class) -> F2Class:
+def unit_inverse(u: SurfaceClass) -> SurfaceClass:
     return u ** (unit_order(u) - 1)
 
 
 class FiniteAbelianGroup:
-    """The unit group 1 + x1 + x2 of a surface cohomology ring, read off the
-    algebra without listing its elements.
+    """The unit group 1 + x1 + x2 of a surface cohomology ring, read off its
+    cup form without listing its elements.
 
     It has 2^(b1 + 1) elements and exponent <= 4, so its invariant factors
     follow from the count of elements of order <= 2, which pins down the
-    number of Z/4 and Z/2 factors.  In the cap-2 ring
-    (1 + x1 + x2)^2 = 1 + x1^2 and squaring is linear on H^1, so that count
-    is 2^(b1 + 1 - r) with r the F2-rank of x -> x^2 from H^1 to H^2.  H^2
-    is one-dimensional, so r is 1 exactly when some degree-one generator
-    squares to a nonzero class.  The element list is built only on demand.
+    number of Z/4 and Z/2 factors.  (1 + x1 + x2)^2 = 1 + x1^2 and squaring
+    is linear on H^1, so that count is 2^(b1 + 1 - r) with r the F2-rank of
+    x -> x^2 into the one-dimensional H^2: 1 exactly when some name pairs
+    with itself.  The element list is built only on demand.
     """
 
-    def __init__(self, alg: F2Algebra):
+    def __init__(self, alg: SurfaceRing):
         self.algebra = alg
-        self.degree_one = degree_one_names(alg)
         # An int, not just __len__: len() must fit a C ssize_t, so it
         # overflows once b1 >= 62.
-        self.order = 2 ** (len(self.degree_one) + 1)
+        self.order = 2 ** (len(alg.names) + 1)
 
     @cached_property
     def elements(self) -> list:
-        return units(self.algebra)
+        """All 2^(b1 + 1) units 1 + x1 + x2: the tests' brute-force reference."""
+        return [SurfaceClass(self.algebra, 1, x, t) for x in range(self.order // 2) for t in (0, 1)]
 
     def __len__(self) -> int:
         return self.order
 
     def invariant_factors(self) -> AbelianGroup:
-        gens = (self.algebra.gen(name) for name in self.degree_one)
-        r = 0 if all((x * x).is_zero for x in gens) else 1
-        b1 = len(self.degree_one)
+        r = int(any(x == y for x, y in self.algebra.pairs))
+        b1 = len(self.algebra.names)
         return AbelianGroup.from_orders([2] * (b1 + 1 - 2 * r) + [4] * r)
 
 
-def units_group(alg: F2Algebra) -> FiniteAbelianGroup:
+def units_group(alg: SurfaceRing) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(alg)
 
 
@@ -232,12 +267,12 @@ class RingPresentation(namedtuple("RingPresentation", "generators additive_order
         return "\n".join(lines) + "\n"
 
 
-def ko_generators(surface: Surface, alg: F2Algebra) -> list:
+def ko_generators(surface: Surface, alg: SurfaceRing) -> list:
     if surface.kind == "sphere":
         return [KOGenerator("e1", alg.one() + alg.gen("y2"), alg.zero())]
     return [
         KOGenerator(f"l_{name}", alg.one() + alg.gen(name), alg.gen(name))
-        for name in degree_one_names(alg)
+        for name in alg.names
     ]
 
 
@@ -253,26 +288,14 @@ def ko_presentation(surface: Surface) -> RingPresentation:
     W(L (x) L') = 1 + w1(L) + w1(L').  The sphere's one generator is a
     rank-two class, but it has w1 = 0 and unit u with u^2 = 1, so the
     rank-two rule and the line rule both give its square the unit 1.
-    Units are (mask, bit) pairs, as in the module docstring, and a unit's
-    mask is its w1: the line of name k is (1 << k, 0), the sphere's class (0, 1).
     """
-    names, pairs = cup_pairing(surface)
-    # cup_pairing lists each name's partner `shift` places on (b_i genus places
-    # after a_i, a crosscap a_i on itself), so x's partner bits are x << shift | x >> shift.
-    shift = names.index(pairs[0][1]) if pairs else 0
-
-    def times(u, v):
-        (x, t), (y, s) = u, v
-        return x ^ y, t ^ s ^ ((x << shift | x >> shift) & y).bit_count() & 1
-
-    if surface.kind == "sphere":
-        names, gens = ("e1",), [(0, 1)]
-    else:
-        names, gens = tuple(f"l_{name}" for name in names), [(1 << k, 0) for k in range(len(names))]
-    one = (0, 0)
+    alg = surface_algebra(surface)
+    gens = ko_generators(surface, alg)
+    names = tuple(g.name for g in gens)
+    one = alg.one()
     # Every generator unit u has u^4 = 1, so its square gives its order
     # and keys its doubling term 2 x_k.
-    squares = [times(u, u) for u in gens]
+    squares = [g.unit * g.unit for g in gens]
     orders = tuple(2 if square == one else 4 for square in squares)
     doublings: dict = {}
     for name, order, square in zip(names, orders, squares):
@@ -283,9 +306,11 @@ def ko_presentation(surface: Surface) -> RingPresentation:
     # 1 + y2 are their own inverses, and every crosscap square is 1 + y2
     # with (1 + y2)^2 = 1 at cap 2, so
     # u_i^-1 u_j^-1 = (1 + y2)^2 u_i u_j = u_i u_j.
-    for i in range(len(gens)):
+    for i, g in enumerate(gens):
+        tensor = one + g.w1
         for j in range(i, len(gens)):
-            u = times(times((gens[i][0] ^ gens[j][0], 0), gens[i]), gens[j])
+            h = gens[j]
+            u = (tensor + h.w1) * g.unit * h.unit
             pair = (names[i], names[j])
             if u == one:
                 relations.append(((1, pair),))
@@ -314,7 +339,7 @@ NONSTANDARD_INVARIANT = tc_invariant(standard_cocycle(1))
 SPHERE_ALGEBRA = surface_algebra(SPHERE)
 
 
-def nonstandard_data(alg: F2Algebra) -> TCBundleData:
+def nonstandard_data(alg: SurfaceRing) -> TCBundleData:
     """Data of the trivial plane bundle carrying the k = 1 cocycle structure,
     pulled back over the surface: the clutching degrees of the cocycle and
     its pointwise inverse (NONSTANDARD_INVARIANT) feed w2 and the twisted
@@ -327,17 +352,21 @@ def nonstandard_data(alg: F2Algebra) -> TCBundleData:
     )
 
 
-def collapse_pullback(sphere_alg: F2Algebra, target: F2Algebra) -> RingMap:
+def collapse_pullback(sphere_alg: SurfaceRing, target: SurfaceRing):
     """Pullback along the degree-one collapse map onto the sphere: the top
-    class goes to the top class."""
-    return RingMap(sphere_alg, target, {"y2": target.gen("y2")})
+    class goes to the top class, so c + t*y2 goes to c + t*y2."""
+    def pull(u: SurfaceClass) -> SurfaceClass:
+        if u.algebra is not sphere_alg:
+            raise ValueError("class does not live in the source algebra")
+        return SurfaceClass(target, u.unit, 0, u.top)
+    return pull
 
 
 def _data_repr(d: TCBundleData) -> str:
     return f"w1={d.w1}, w2={d.w2}, a2={a2_of_tc_bundle(d)}"
 
 
-def verify_kocom_products(surface: Surface, alg: F2Algebra) -> list:
+def verify_kocom_products(surface: Surface, alg: SurfaceRing) -> list:
     """Verify that products with the non-standard stable class vanish over
     the surface, whose cohomology algebra is `alg`.
 

@@ -38,6 +38,15 @@ SELECTED_SURFACE_REPORT_SHA256 = {
     "rp:80": "acced674a1b02cd9650e6542c57813f3bf0ac51a222ea4b4db7b7dbfc7e953da",
 }
 
+#: SHA-256 of the `kocom verify char-classes --degree-cap N --out R` report.
+#: Cap 6 is pinned inside the `verify all` report, and cap 64 (0.55 s) is
+#: compared across hash seeds and `python -S` in CI.
+CHAR_CLASSES_REPORT_SHA256 = {
+    4: "c7bf17e1f87591be7f03740c2deba01137de7a26d8880ec7c8cc3aaea116f1d0",
+    13: "ef6de7f08edb6279607563c9133de1cc2102041eaae2323dc6becef92da4c650",
+    32: "fbd6c75506a3676d3dad41e3db93703a7c7996c695e5bc4af3043586c23122f1",
+}
+
 
 def test_parse_range():
     assert parse_range("-5..5") == (-5, 5)
@@ -143,6 +152,13 @@ def test_selected_surface_reports_are_pinned(tmp_path, selector):
     assert main(["verify", "surface-ko", "--surface", selector, "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == SELECTED_SURFACE_REPORT_SHA256[selector]
+
+
+@pytest.mark.parametrize("cap", sorted(CHAR_CLASSES_REPORT_SHA256))
+def test_char_classes_reports_are_pinned(tmp_path, cap):
+    out = tmp_path / "char.json"
+    assert main(["verify", "char-classes", "--degree-cap", str(cap), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CHAR_CLASSES_REPORT_SHA256[cap]
 
 
 def test_empty_cocycle_range_raises():
@@ -310,6 +326,23 @@ def test_run_suite_rejects_unknown_option_keys(monkeypatch):
         run_suite("cocycles", {"krange": (3, 1)})
     with pytest.raises(ValueError, match="cap, krange"):
         run_suite("all", {"krange": (3, 1), "cap": 4, "surface": None})
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"k_range": (1, 2.0)}, {"n_range": (-1, True)}, {"degree_cap": True}, {"surface": "rp:3"}],
+    ids=["k_range", "n_range", "degree_cap", "surface"],
+)
+def test_run_suite_rejects_option_types_before_any_suite(monkeypatch, options):
+    # {"surface": "rp:3"} used to fail deep inside the surface suite
+    def ran(*args):
+        raise AssertionError("a suite ran")
+
+    for suite in ("cocycle_suite", "so3_suite", "char_class_suite", "surface_suite"):
+        monkeypatch.setattr(suites, suite, ran)
+    (key,) = options
+    with pytest.raises(TypeError, match=f"option {key} must be"):
+        run_suite("all", options)
 
 
 def test_default_cocycle_suite_has_121_degree_checks():

@@ -14,7 +14,6 @@ from kocom.f2poly import (
     RingMap,
     elementary_symmetric,
 )
-from kocom.surfaces import nonorientable, orientable, surface_algebra
 
 
 def test_polynomial_squares_are_frobenius():
@@ -57,26 +56,6 @@ def test_bcom_basis_dimensions():
     assert deg2 == {"w1^2", "w2", "r"}
 
 
-def test_surface_style_rewrite_to_nonzero_normal_form():
-    alg = F2Algebra(
-        [("a", 1), ("b", 1), ("y", 2)],
-        [
-            ({"a": 2}, None),
-            ({"b": 2}, None),
-            ({"a": 1, "b": 1}, {"y": 1}),
-            ({"a": 1, "y": 1}, None),
-            ({"b": 1, "y": 1}, None),
-            ({"y": 2}, None),
-        ],
-        cap=2,
-    )
-    a, b, y = alg.gen("a"), alg.gen("b"), alg.gen("y")
-    assert a * b == y
-    assert (a * b) * a == alg.zero()
-    assert (a + b) * (a + b) == alg.zero()
-    assert (alg.one() + a) * (alg.one() + b) == alg.one() + a + b + y
-
-
 @pytest.mark.parametrize(
     "exponent, error",
     [(-1, ValueError), (1.5, TypeError), ("2", TypeError), (True, TypeError)],
@@ -87,9 +66,7 @@ def test_exponents_must_be_non_negative_ints(exponent, error):
     with pytest.raises(error):
         alg.cls({"w1": exponent})
     with pytest.raises(error):
-        F2Algebra([("u", 1)], [({"u": exponent}, None)], cap=4)
-    with pytest.raises(error):
-        F2Algebra([("u", 1)], [({"u": 2}, {"u": exponent})], cap=4)
+        F2Algebra([("u", 1)], [{"u": exponent}], cap=4)
 
 
 @pytest.mark.parametrize(
@@ -165,19 +142,6 @@ def test_ring_map_validates_relations():
         )
 
 
-def test_ring_map_checks_relations_with_a_monomial_right_side():
-    # In genus 2, a1*b1 and a2*b2 rewrite to y2: swapping each pair keeps
-    # both rules, and sending a1 and b1 both to b1 breaks a1*b1 -> y2.
-    alg = surface_algebra(orientable(2))
-    g = {name: alg.gen(name) for name, _ in alg.generators}
-    swap = RingMap(
-        alg, alg, {"a1": g["b1"], "b1": g["a1"], "a2": g["b2"], "b2": g["a2"], "y2": g["y2"]}
-    )
-    assert swap(g["a1"] * g["b1"] + g["a1"]) == g["y2"] + g["b1"]
-    with pytest.raises(RelationViolationError):
-        RingMap(alg, alg, {**g, "a1": g["b1"]})
-
-
 def test_ring_map_requires_all_images():
     alg = F2Algebra([("u", 1), ("v", 1)], cap=4)
     with pytest.raises(ValueError):
@@ -210,63 +174,31 @@ def test_elementary_symmetric_index_is_an_exact_int():
         elementary_symmetric([u, v], -1)
 
 
-def surface_relations(pairs, names):
-    """The cup-product rules of a surface, in the order surface_algebra lists them."""
-    return [
-        ({x: 1, y: 1} if x != y else {x: 2}, {"y2": 1} if (x, y) in pairs else None)
-        for x, y in itertools.combinations_with_replacement(names, 2)
-    ]
-
-
-#: An algebra that lists a rule on a later generator first: x*y*z has two
-#: rules that apply, and the one listed first sends it to x^4 = 0 where the
-#: other gives z^2.
-ORDERED_GENERATORS = [("x", 1), ("y", 1), ("z", 2)]
-ORDERED_RULES = [({"y": 1, "z": 1}, {"x": 3}), ({"x": 1, "y": 1}, {"z": 1}), ({"x": 4}, None)]
-ORDERED = F2Algebra(ORDERED_GENERATORS, ORDERED_RULES, cap=8)
+#: A monomial algebra that is not bcom: one relation on three generators,
+#: and z^33 above the cap.  That exponent sets the field width: in a field
+#: sized by 2*cap alone (4 bits and a guard bit) z^33 would pack as y*z.
+MONOMIAL_GENERATORS = [("x", 1), ("y", 1), ("z", 2)]
+MONOMIAL_RELATIONS = [{"x": 1, "y": 1, "z": 1}, {"y": 3}, {"x": 2, "z": 2}, {"z": 33}]
 
 #: (algebra, generators, relations), with the relations restated here.
 REFERENCE_CASES = [
     (
         bcom_o2_algebra(6),
         [("w1", 1), ("w2", 2), ("r", 2), ("s", 3)],
-        [({"w1": 1, "r": 1}, None), ({"r": 2}, None), ({"r": 1, "s": 1}, None), ({"s": 2}, None)],
+        [{"w1": 1, "r": 1}, {"r": 2}, {"r": 1, "s": 1}, {"s": 2}],
     ),
-    (
-        surface_algebra(nonorientable(3)),
-        [("a1", 1), ("a2", 1), ("a3", 1), ("y2", 2)],
-        surface_relations({("a1", "a1"), ("a2", "a2"), ("a3", "a3")}, ["a1", "a2", "a3"]),
-    ),
-    (
-        surface_algebra(orientable(2)),
-        [("a1", 1), ("a2", 1), ("b1", 1), ("b2", 1), ("y2", 2)],
-        surface_relations({("a1", "b1"), ("a2", "b2")}, ["a1", "a2", "b1", "b2"]),
-    ),
-    (ORDERED, ORDERED_GENERATORS, ORDERED_RULES),
+    (F2Algebra(MONOMIAL_GENERATORS, MONOMIAL_RELATIONS, cap=6), MONOMIAL_GENERATORS, MONOMIAL_RELATIONS),
 ]
 
 
 def reference_vector(generators, relations, cap, exps):
     """Normal form on exponent tuples: None for zero, which it is above the
-    cap, else the first rule in list order whose left side divides, until
-    none does."""
-    names = [n for n, _ in generators]
-
-    def vector(m):
-        return tuple(m.get(n, 0) for n in names)
-
-    rules = [(vector(lhs), None if rhs is None else vector(rhs)) for lhs, rhs in relations]
-    mono = vector(exps)
-    while reference_degree(generators, mono) <= cap:
-        for lhs, rhs in rules:
-            if all(m >= l for m, l in zip(mono, lhs)):
-                if rhs is None:
-                    return None
-                mono = tuple(m - l + r for m, l, r in zip(mono, lhs, rhs))
-                break
-        else:
-            return mono
-    return None
+    cap or when some relation divides it, else the tuple itself."""
+    mono = tuple(exps.get(n, 0) for n, _ in generators)
+    divides = (all(m >= lhs.get(n, 0) for m, (n, _) in zip(mono, generators)) for lhs in relations)
+    if reference_degree(generators, mono) > cap or any(divides):
+        return None
+    return mono
 
 
 def reference_degree(generators, vector):
@@ -323,12 +255,6 @@ def test_degrees_ride_in_the_monomial_and_order_the_terms(data):
     )
 
 
-def test_ordered_rules_apply_in_list_order():
-    assert ORDERED.cls({"x": 1, "y": 1, "z": 1}).is_zero
-    assert str(ORDERED.cls({"x": 1, "y": 1})) == "z"
-    assert str(ORDERED.cls({"y": 1, "z": 1})) == "x^3"
-
-
 def test_monomials_above_the_cap_are_zero_before_packing():
     # At cap 6 a field is 4 bits under its guard bit, and an exponent of 32
     # carries into the next field: packed as it is, w2^32 reads w1.
@@ -349,9 +275,9 @@ def test_basis_through_stops_at_the_cap():
 
 def test_relation_needs_a_non_unit_left_side():
     with pytest.raises(ValueError):
-        F2Algebra([("u", 1)], [({}, None)], cap=4)
+        F2Algebra([("u", 1)], [{}], cap=4)
     with pytest.raises(ValueError):
-        F2Algebra([("u", 1)], [({"u": 0}, {"u": 1})], cap=4)
+        F2Algebra([("u", 1)], [{"u": 0}], cap=4)
 
 
 def test_generator_names_must_be_distinct():
@@ -366,11 +292,14 @@ def test_generator_names_must_be_distinct():
 def test_ring_map_strips_in_the_source_layout():
     # Source and target differ in generator count and field width, so a
     # source monomial read in the target's layout would name other factors.
-    source = F2Algebra([("x", 1), ("y", 1), ("z", 2)], [({"z": 2}, {"x": 4})], cap=12)
-    target = F2Algebra([("u", 1), ("v", 2)], cap=5)
+    # The forbidden y*z^2 maps to (u + v)*u^4 = u^5, which u^5 = 0 kills.
+    source = F2Algebra([("x", 1), ("y", 1), ("z", 2)], [{"y": 1, "z": 2}], cap=12)
+    target = F2Algebra([("u", 1), ("v", 2)], [{"u": 5}], cap=5)
     u, v = target.gen("u"), target.gen("v")
     images = {"x": u, "y": u + v, "z": u * u}
     f = RingMap(source, target, images)
+    with pytest.raises(RelationViolationError):
+        RingMap(source, target, {**images, "z": v})
     for x in source.basis_through(source.cap):
         expected = target.zero()
         for term in str(x).split(" + "):
@@ -407,7 +336,7 @@ def brute_force_basis(generators, relations, cap):
         exps = dict(zip(names, vector))
         degree = sum(e * d for e, (_, d) in zip(vector, generators))
         if degree <= cap and not any(
-            all(exps[n] >= e for n, e in lhs.items()) for lhs, _ in relations
+            all(exps[n] >= e for n, e in lhs.items()) for lhs in relations
         ):
             parts = [n if e == 1 else f"{n}^{e}" for n, e in exps.items() if e]
             out.setdefault(degree, []).append("*".join(parts) or "1")
@@ -418,7 +347,7 @@ def brute_force_basis(generators, relations, cap):
     "alg, generators, relations",
     [(bcom_o2_algebra(cap), BCOM_GENERATORS, BCOM_RULES) for cap in range(4, 13)]
     + REFERENCE_CASES[1:],
-    ids=[f"bcom-{cap}" for cap in range(4, 13)] + ["rp3", "genus2", "ordered"],
+    ids=[f"bcom-{cap}" for cap in range(4, 13)] + ["monomial"],
 )
 def test_basis_walk_matches_brute_force(alg, generators, relations):
     expected = brute_force_basis(generators, relations, alg.cap)

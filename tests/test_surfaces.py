@@ -2,10 +2,12 @@
 calculus, K-theory presentations against the golden files, and the
 product checks for the commutative ring structure."""
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kocom import suites, surfaces
 from kocom.bcom_o2 import a2_of_tc_bundle, direct_sum, line_data, trivial_data
@@ -18,7 +20,6 @@ from kocom.surfaces import (
     Surface,
     collapse_pullback,
     cup_pairing,
-    degree_one_names,
     ko_generators,
     ko_presentation,
     nonorientable,
@@ -27,7 +28,6 @@ from kocom.surfaces import (
     surface_algebra,
     unit_inverse,
     unit_order,
-    units,
     units_group,
     verify_kocom_products,
 )
@@ -70,7 +70,7 @@ def brute_force_factors(alg):
     """Invariant factors of the unit group from its listed elements: with
     exponent <= 4, the count of units with u^2 = 1 fixes the number of Z/4
     and Z/2 factors."""
-    elements = units(alg)
+    elements = units_group(alg).elements
     one = alg.one()
     n_small = sum(1 for u in elements if u * u == one)
     log_total = len(elements).bit_length() - 1
@@ -93,11 +93,17 @@ def test_surface_parsing_and_labels():
 
 
 def test_algebra_graded_dimensions():
+    # Dimensions (1, b1, 1): the sums of the subsets of 1, the b1 degree-one
+    # generators and y2 are all distinct, and degree-one products span {0, y2}.
     for surface in ALL_SURFACES:
         alg = surface_algebra(surface)
-        assert alg.dimension(0) == 1
-        assert alg.dimension(1) == surface.b1
-        assert alg.dimension(2) == 1
+        gens = [alg.gen(name) for name in alg.names]
+        basis = [alg.one(), *gens, alg.gen("y2")]
+        assert len(gens) == surface.b1
+        subsets = itertools.product((0, 1), repeat=len(basis))
+        sums = {sum((b for bit, b in zip(bits, basis) if bit), alg.zero()) for bits in subsets}
+        assert len(sums) == 2 ** len(basis)
+        assert {x * y for x in gens for y in gens} <= {alg.zero(), alg.gen("y2")}
 
 
 def test_algebra_products_orientable():
@@ -127,7 +133,7 @@ def test_algebra_sphere():
 
 def test_unit_count():
     for surface in ALL_SURFACES:
-        assert len(units(surface_algebra(surface))) == 2 ** (surface.b1 + 1)
+        assert len(units_group(surface_algebra(surface)).elements) == 2 ** (surface.b1 + 1)
 
 
 def test_unit_group_structures():
@@ -156,7 +162,7 @@ def test_unit_group_shape_matches_brute_force():
     ):
         alg = surface_algebra(surface)
         group = units_group(alg)
-        assert len(group) == len(units(alg)), surface
+        assert len(group) == len(units_group(alg).elements), surface
         assert group.invariant_factors() == brute_force_factors(alg), surface
         assert group.order == len(group), surface
 
@@ -213,9 +219,9 @@ def test_total_sw_hits_every_unit():
     # ko_presentation needs no membership check on product units
     for surface in (orientable(1), orientable(2), orientable(3), nonorientable(1), nonorientable(2), nonorientable(3)):
         alg = surface_algebra(surface)
-        gens = [alg.one() + alg.gen(name) for name in degree_one_names(alg)]
+        gens = [alg.one() + alg.gen(name) for name in alg.names]
         gens.append(alg.one() + alg.gen("y2"))
-        assert closure(gens, alg.one()) == set(units(alg))
+        assert closure(gens, alg.one()) == set(units_group(alg).elements)
 
 
 def test_total_sw_is_multiplicative():
@@ -283,23 +289,83 @@ def test_presentations_match_closed_form():
         assert ko_presentation(surface).to_text() == expected_presentation(surface), surface
 
 
+def model_pairing(surface):
+    """B(x, y) for two sets of degree-one names, read from cup_pairing's pair
+    list rather than the ring's shift: the parity of the products p*q = y2
+    with p in x and q in y, where (a, b) gives a*b and, for a != b, b*a."""
+    _, pairs = cup_pairing(surface)
+
+    def pairing(x, y):
+        return sum((a in x and b in y) + (a != b and b in x and a in y) for a, b in pairs) % 2
+
+    return pairing
+
+
+def model_mul(pairing, u, v):
+    """The product of two model classes (c, set of names, t), which stand for
+    c + sum of the names + t*y2."""
+    (c, x, t), (d, y, s) = u, v
+    none = frozenset()
+    return c & d, (y if c else none) ^ (x if d else none), (c & s) ^ (d & t) ^ pairing(x, y)
+
+
+def model_order(pairing, u):
+    one, power, order = (1, frozenset(), 0), u, 1
+    while power != one:
+        power, order = model_mul(pairing, power, u), order + 1
+    return order
+
+
+def to_ring(alg, u):
+    c, x, t = u
+    out = alg.one() if c else alg.zero()
+    for name in x:
+        out = out + alg.gen(name)
+    return out + alg.gen("y2") if t else out
+
+
+MODEL_SURFACES = [SPHERE, *(orientable(g) for g in range(1, 7)), *(nonorientable(n) for n in range(1, 13))]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_ring_matches_the_pair_list_model(data):
+    surface = data.draw(st.sampled_from(MODEL_SURFACES))
+    alg, pairing = surface_algebra(surface), model_pairing(surface)
+    names, _ = cup_pairing(surface)
+    subsets = st.frozensets(st.sampled_from(names)) if names else st.just(frozenset())
+    u, v, w = (data.draw(st.tuples(st.integers(0, 1), subsets, st.integers(0, 1))) for _ in range(3))
+    a, b, c = (to_ring(alg, z) for z in (u, v, w))
+    assert a + b == to_ring(alg, tuple(p ^ q for p, q in zip(u, v)))
+    assert a * b == to_ring(alg, model_mul(pairing, u, v))
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    unit = (1, *u[1:])
+    assert unit_order(to_ring(alg, unit)) == model_order(pairing, unit)
+
+
 def f2_unit_presentation(surface):
-    """ko_presentation's algorithm run on units of surface_algebra: the
-    F2-class reference for the (mask, bit) products on the cup form."""
-    alg = surface_algebra(surface)
-    gens = ko_generators(surface, alg)
-    names = tuple(g.name for g in gens)
-    one = alg.one()
-    squares = [g.unit * g.unit for g in gens]
+    """ko_presentation's algorithm run on units of the pair-list model: the
+    independent reference for the products on the ring's cup form."""
+    times = functools.partial(model_mul, model_pairing(surface))
+    none, one = frozenset(), (1, frozenset(), 0)
+    if surface.kind == "sphere":
+        names, gens = ("e1",), [((1, none, 1), none)]  # (unit, w1)
+    else:
+        degree_one, _ = cup_pairing(surface)
+        names = tuple(f"l_{name}" for name in degree_one)
+        gens = [((1, frozenset({name}), 0), frozenset({name})) for name in degree_one]
+    squares = [times(unit, unit) for unit, _ in gens]
     orders = tuple(2 if square == one else 4 for square in squares)
     doublings = {}
     for k, square in enumerate(squares):
         doublings.setdefault(square, []).append(k)
     relations = []
     leftovers = {}
-    for i in range(len(gens)):
+    for i, (unit_i, w1_i) in enumerate(gens):
         for j in range(i, len(gens)):
-            u = (one + gens[i].w1 + gens[j].w1) * gens[i].unit * gens[j].unit
+            unit_j, w1_j = gens[j]
+            u = times(times((1, w1_i ^ w1_j, 0), unit_i), unit_j)
             pair = (names[i], names[j])
             if u == one:
                 relations.append(((1, pair),))
@@ -394,7 +460,6 @@ def test_cup_pairing_is_the_w_rule_product_unit():
     ):
         alg = surface_algebra(surface)
         names, pairs = cup_pairing(surface)
-        assert names == degree_one_names(alg)
         assert len(pairs) == surface.count
         one, y2 = alg.one(), alg.gen("y2")
         for x, y in itertools.combinations_with_replacement(names, 2):
@@ -415,9 +480,10 @@ def test_surface_suite_reuses_its_algebra(monkeypatch):
         return original(surface)
 
     monkeypatch.setattr(surfaces, "surface_algebra", counted)
-    # the default run builds its 10 suite algebras and none for the
-    # presentations; the products read the one sphere algebra built at import
-    for only, builds in ((None, 10), (orientable(4), 1), (nonorientable(80), 1)):
+    # the default run builds its 10 suite rings and one for each of the 8
+    # presentations, which cost no rule list; the products read the one
+    # sphere ring built at import
+    for only, builds in ((None, 18), (orientable(4), 1), (nonorientable(80), 1)):
         calls.clear()
         assert suites.surface_suite(only).all_passed
         assert len(calls) == builds, only
@@ -432,8 +498,8 @@ def test_algebraic_data_has_zero_obstruction():
 
 
 def test_degree_one_names():
-    assert degree_one_names(surface_algebra(orientable(2))) == ["a1", "a2", "b1", "b2"]
-    assert degree_one_names(surface_algebra(SPHERE)) == []
+    assert surface_algebra(orientable(2)).names == ["a1", "a2", "b1", "b2"]
+    assert surface_algebra(SPHERE).names == []
 
 
 def test_surface_kind_and_count_are_validated():
