@@ -18,10 +18,10 @@ class NotAComplexError(ValueError):
     """Raised when consecutive boundary maps fail to compose to zero."""
 
 
-def exact_int(x: object) -> int:
+def exact_int(x: object, rule: str = "expected an int") -> int:
     """x if it is an int and not a bool, else TypeError: kocom's one exact-integer rule."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"expected an int, got {x!r}")
+        raise TypeError(f"{rule}, got {x!r}")
     return x
 
 

@@ -26,7 +26,7 @@ from .cocycles import (
     validate,
 )
 from .f2poly import total_steenrod_square
-from .integral import AbelianGroup, smith_normal_form
+from .integral import AbelianGroup, exact_int, smith_normal_form
 from .report import Check, VerificationReport, check
 
 SUITES = ("cocycles", "so3-homology", "char-classes", "surface-ko", "all")
@@ -505,11 +505,12 @@ def run_suite(name: str, options: dict | None = None) -> VerificationReport:
         raise ValueError(f"unknown option(s) {', '.join(sorted(unknown))}")
     options = {**DEFAULT_OPTIONS, **(options or {})}
     for key in ("k_range", "n_range"):
-        pair = options[key]
-        if type(pair) is not tuple or len(pair) != 2 or not all(type(v) is int for v in pair):
-            raise TypeError(f"option {key} must be a tuple of two ints, got {pair!r}")
-    if type(options["degree_cap"]) is not int:
-        raise TypeError(f"option degree_cap must be an int, got {options['degree_cap']!r}")
+        pair, rule = options[key], f"option {key} must be a tuple of two ints"
+        if type(pair) is not tuple or len(pair) != 2:
+            raise TypeError(f"{rule}, got {pair!r}")
+        for v in pair:
+            exact_int(v, rule)
+    exact_int(options["degree_cap"], "option degree_cap must be an int")
     if not (options["surface"] is None or isinstance(options["surface"], surfaces.Surface)):
         raise TypeError(f"option surface must be None or a Surface, got {options['surface']!r}")
     if name == "cocycles":

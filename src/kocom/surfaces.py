@@ -224,8 +224,7 @@ class FiniteAbelianGroup:
 
     def invariant_factors(self) -> AbelianGroup:
         r = int(any(x == y for x, y in self.algebra.pairs))
-        b1 = len(self.algebra.names)
-        return AbelianGroup.from_orders([2] * (b1 + 1 - 2 * r) + [4] * r)
+        return AbelianGroup.from_orders([2] * (len(self.algebra.names) + 1 - 2 * r) + [4] * r)
 
 
 def units_group(alg: SurfaceRing) -> FiniteAbelianGroup:
@@ -305,12 +304,12 @@ def ko_presentation(surface: Surface) -> RingPresentation:
     # The units stand in for their inverses: a genus unit and the sphere's
     # 1 + y2 are their own inverses, and every crosscap square is 1 + y2
     # with (1 + y2)^2 = 1 at cap 2, so
-    # u_i^-1 u_j^-1 = (1 + y2)^2 u_i u_j = u_i u_j.
+    # u_i^-1 u_j^-1 = (1 + y2)^2 u_i u_j = u_i u_j.  With a, b the w1's and each u^2
+    # 1 or 1 + y2, (1 + a + b) u_i u_j = u_i^2 u_j^2 + ab = u_i^2 + (u_j^2 + 1) + ab.
+    tops = [square + one for square in squares]
     for i, g in enumerate(gens):
-        tensor = one + g.w1
         for j in range(i, len(gens)):
-            h = gens[j]
-            u = (tensor + h.w1) * g.unit * h.unit
+            u = squares[i] + tops[j] + g.w1 * gens[j].w1
             pair = (names[i], names[j])
             if u == one:
                 relations.append(((1, pair),))

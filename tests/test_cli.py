@@ -1,6 +1,7 @@
 """The command-line verifier: argument handling, exit codes, report
 determinism, and the structured output format."""
 
+import enum
 import hashlib
 import json
 import os
@@ -343,6 +344,18 @@ def test_run_suite_rejects_option_types_before_any_suite(monkeypatch, options):
     (key,) = options
     with pytest.raises(TypeError, match=f"option {key} must be"):
         run_suite("all", options)
+
+
+def test_run_suite_takes_int_subclass_options(monkeypatch):
+    # the same exact-integer rule as every other kocom entry point
+    class Cap(enum.IntEnum):
+        FOUR = 4
+
+    seen = []
+    for suite in ("cocycle_suite", "so3_suite", "char_class_suite", "surface_suite"):
+        monkeypatch.setattr(suites, suite, lambda *args: seen.append(args) or VerificationReport("x", ()))
+    run_suite("all", {"k_range": (Cap.FOUR, 5), "n_range": (-1, Cap.FOUR), "degree_cap": Cap.FOUR})
+    assert ((Cap.FOUR, 5), (-1, Cap.FOUR)) in seen and (Cap.FOUR,) in seen
 
 
 def test_default_cocycle_suite_has_121_degree_checks():
