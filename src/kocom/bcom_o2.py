@@ -23,6 +23,8 @@ from collections import namedtuple
 from .f2poly import F2Algebra, F2Class, RingMap, elementary_symmetric
 from .integral import exact_int
 
+#: Lowest cap bcom_o2_algebra takes: the floor of the degree_cap option.
+MIN_CAP = 4
 
 class IdentityFailsError(AssertionError):
     """Raised when a splitting-principle identity fails to hold (it must not)."""
@@ -31,8 +33,8 @@ class IdentityFailsError(AssertionError):
 def bcom_o2_algebra(cap: int) -> F2Algebra:
     """F2[w1, w2, r, s] / (w1*r, r^2, r*s, s^2), truncated at the cap,
     with the total Steenrod squares of the generators attached."""
-    if exact_int(cap) < 4:
-        raise ValueError("cap must be at least 4")
+    if exact_int(cap) < MIN_CAP:
+        raise ValueError(f"cap must be at least {MIN_CAP}")
     alg = F2Algebra(
         generators=[("w1", 1), ("w2", 2), ("r", 2), ("s", 3)],
         relations=[{"w1": 1, "r": 1}, {"r": 2}, {"r": 1, "s": 1}, {"s": 2}],

@@ -2,12 +2,13 @@
 
     kocom verify <suite> [options]
 
-Suites: cocycles, so3-homology, char-classes, surface-ko, all.  Options:
---k-range/--n-range as inclusive lo..hi pairs of at most 41 values,
---surface as sphere | genus:<g> | rp:<n> with b1 <= 80, --degree-cap
-4..64 for the characteristic algebra (ASCII digits only), --out for the
-structured report.  Exit code 0 when every check passes, 1 when any fails
-or none ran, 2 when argparse rejects an argument or --out is unwritable.
+Suites: cocycles, so3-homology, char-classes, surface-ko, all.  Options,
+checked by suites.check_option: --k-range/--n-range as lo..hi of at most
+41 values (MAX_RANGE_VALUES, 0.09 s), --surface sphere | genus:<g> |
+rp:<n> with b1 at most 320 (MAX_SURFACE_B1, 0.04 s), --degree-cap 4..64 in
+ASCII digits (MAX_DEGREE_CAP, 0.54 s), --out for the report; each time is
+at the bound.  Exit code 0 when every check passes, 1 when any fails or
+none ran, 2 when argparse rejects an argument or --out is unwritable.
 """
 
 from __future__ import annotations
@@ -19,59 +20,39 @@ import time
 from contextlib import nullcontext
 
 from .report import VerificationReport
-from .suites import DEFAULT_OPTIONS, SUITES, run_suite
+from .suites import DEFAULT_OPTIONS, SUITES, check_option, run_suite
+from .suites import MAX_DEGREE_CAP, MAX_RANGE_VALUES  # noqa: F401  (re-exported)
 from .surfaces import Surface
 
 
-def parse_range(text: str) -> tuple:
+def checked(key: str, parse):
+    """The argparse type of option `key`: parse(text), then suites.check_option.
+    A TypeError or ValueError from either is argparse's error: exit 2, usage line."""
+
+    def convert(text: str):
+        try:
+            return check_option(key, parse(text))
+        except (TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+def read_range(text: str) -> tuple:
     match = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", text)
     if not match:
-        raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}")
-    lo, hi = int(match.group(1)), int(match.group(2))
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    if hi - lo + 1 > MAX_RANGE_VALUES:
-        raise argparse.ArgumentTypeError(
-            f"range {text!r} has {hi - lo + 1} values, above the limit {MAX_RANGE_VALUES}"
-        )
-    return lo, hi
+        raise ValueError(f"expected lo..hi, got {text!r}")
+    return int(match[1]), int(match[2])
 
 
-#: Largest first Betti number --surface accepts (genus 40, rp:80).  The
-#: per-surface checks grow with b1; at this bound `kocom verify surface-ko`
-#: reports 0.03-0.04 s elapsed (7 runs each of rp:80 and genus:40, medians
-#: 0.037 and 0.037 s, on a 2-CPU VM with Python 3.11).
-MAX_SURFACE_B1 = 80
-
-#: Most values --k-range and --n-range may each span (-20..20).  The cocycle
-#: suite checks every (k, n) pair; at this bound it takes 0.06-0.11 s in
-#: process on a shared 2-CPU VM with Python 3.11 (11 fresh processes,
-#: median 0.09 s).
-MAX_RANGE_VALUES = 41
-
-#: Largest --degree-cap; the characteristic algebra grows with the cap, and
-#: at this bound `kocom verify char-classes` takes about 0.5 s from the
-#: shell (0.51-0.57 s over 5 runs, median 0.54 s, 0.44 s of it in the
-#: suite, on a shared 2-CPU VM with Python 3.11).
-MAX_DEGREE_CAP = 64
+def read_degree_cap(text: str):
+    # ASCII digits only; other text stays text, which check_option rejects as no int.
+    return int(text) if re.fullmatch(r"[0-9]+", text) else text
 
 
-def parse_surface(text: str) -> Surface:
-    try:
-        surface = Surface.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if surface.b1 > MAX_SURFACE_B1:
-        raise argparse.ArgumentTypeError(
-            f"surface {text!r} has b1 = {surface.b1}, above the limit {MAX_SURFACE_B1}"
-        )
-    return surface
-
-
-def parse_degree_cap(text: str) -> int:
-    if re.fullmatch(r"[0-9]+", text) and 4 <= int(text) <= MAX_DEGREE_CAP:
-        return int(text)
-    raise argparse.ArgumentTypeError(f"expected an int between 4 and {MAX_DEGREE_CAP}, got {text!r}")
+parse_range = checked("k_range", read_range)
+parse_surface = checked("surface", Surface.parse)
+parse_degree_cap = checked("degree_cap", read_degree_cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,36 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
     # Let bare range tokens like -5..5 through the option scanner.
     verify._negative_number_matcher = re.compile(r"^-\d")
     verify.add_argument("suite", choices=SUITES)
-    k_lo, k_hi = DEFAULT_OPTIONS["k_range"]
-    n_lo, n_hi = DEFAULT_OPTIONS["n_range"]
-    verify.add_argument(
-        "--k-range",
-        type=parse_range,
-        default=DEFAULT_OPTIONS["k_range"],
-        metavar="LO..HI",
-        help=f"cocycle index range (default {k_lo}..{k_hi})",
-    )
-    verify.add_argument(
-        "--n-range",
-        type=parse_range,
-        default=DEFAULT_OPTIONS["n_range"],
-        metavar="LO..HI",
-        help=f"power range (default {n_lo}..{n_hi})",
-    )
-    verify.add_argument(
-        "--surface",
-        type=parse_surface,
-        default=DEFAULT_OPTIONS["surface"],
-        metavar="SEL",
-        help="restrict surface checks: sphere | genus:<g> | rp:<n>",
-    )
-    verify.add_argument(
-        "--degree-cap",
-        type=parse_degree_cap,
-        default=DEFAULT_OPTIONS["degree_cap"],
-        metavar="D",
-        help=f"degree cap for the characteristic algebra (default {DEFAULT_OPTIONS['degree_cap']})",
-    )
+    (k_lo, k_hi), (n_lo, n_hi) = DEFAULT_OPTIONS["k_range"], DEFAULT_OPTIONS["n_range"]
+    cap = DEFAULT_OPTIONS["degree_cap"]
+    for key, parse, metavar, text in (
+        ("k_range", parse_range, "LO..HI", f"cocycle index range (default {k_lo}..{k_hi})"),
+        ("n_range", checked("n_range", read_range), "LO..HI", f"power range (default {n_lo}..{n_hi})"),
+        ("surface", parse_surface, "SEL", "restrict surface checks: sphere | genus:<g> | rp:<n>"),
+        ("degree_cap", parse_degree_cap, "D", f"degree cap for the characteristic algebra (default {cap})"),
+    ):
+        flag = "--" + key.replace("_", "-")
+        verify.add_argument(flag, type=parse, default=DEFAULT_OPTIONS[key], metavar=metavar, help=text)
     verify.add_argument(
         "--out", default=None, metavar="PATH", help="write the structured report here"
     )

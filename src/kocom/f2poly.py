@@ -325,8 +325,10 @@ class RingMap:
     """An algebra map determined by generator images.  It keeps the image
     of each source generator and, in `images`, of each source monomial once
     it is formed; a new monomial's image is one stored image times one
-    generator image.  Each forbidden source monomial must map to 0, which is
-    checked at construction time."""
+    generator image.  Construction raises RelationViolationError unless each
+    forbidden source monomial through the source cap maps to 0, target.cap <=
+    source.cap, and no image term is below its generator's degree; the last
+    two send every monomial above the source cap to 0."""
 
     def __init__(self, source: F2Algebra, target: F2Algebra, images: Mapping[str, F2Class]):
         self.source = source
@@ -341,8 +343,11 @@ class RingMap:
         self._evaluate = functools.partial(
             target._evaluate, source._layout, self.generator_images, self.images
         )
+        shift, degrees = target._dshift, zip(self.generator_images, source._degrees)
+        if target.cap > source.cap or any(m >> shift < d for image, d in degrees for m in image):
+            raise RelationViolationError(f"the truncation above degree {source.cap} is not kept")
         for relation in source._relations:
-            if self._evaluate((relation,)):
+            if relation >> source._dshift <= source.cap and self._evaluate((relation,)):
                 raise RelationViolationError(f"relation {source.monomial_str(relation)} = 0 not preserved")
 
     def __call__(self, x: F2Class) -> F2Class:

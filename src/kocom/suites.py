@@ -36,6 +36,25 @@ SUITES = ("cocycles", "so3-homology", "char-classes", "surface-ko", "all")
 #: at cap 6, and no surface selected.
 DEFAULT_OPTIONS = {"k_range": (-5, 5), "n_range": (-5, 5), "degree_cap": 6, "surface": None}
 
+#: Most values k_range and n_range may each span (-20..20).  The cocycle
+#: suite checks every (k, n) pair; at this bound it takes 0.06-0.11 s in
+#: process on a shared 2-CPU VM with Python 3.11 (11 fresh processes,
+#: median 0.09 s).
+MAX_RANGE_VALUES = 41
+
+#: Largest first Betti number of the selected surface (genus 160, rp:320).
+#: The per-surface checks grow with b1; at this bound `kocom verify
+#: surface-ko` reports 0.02-0.04 s elapsed, 0.09 s from the shell (7 runs
+#: each of rp:320 and genus:160, medians 0.023 and 0.022 s, on a shared
+#: 2-CPU VM with Python 3.11).
+MAX_SURFACE_B1 = 320
+
+#: Largest degree_cap; the characteristic algebra grows with the cap, and
+#: at this bound `kocom verify char-classes` takes about 0.5 s from the
+#: shell (0.51-0.57 s over 5 runs, median 0.54 s, 0.44 s of it in the
+#: suite, on a shared 2-CPU VM with Python 3.11).
+MAX_DEGREE_CAP = 64
+
 I, C1, C2, C3 = range(4)
 
 #: The seven exotic commuting triples in their textbook listing (an
@@ -60,17 +79,24 @@ def degree_formula(k: int, n: int) -> Fraction:
 
 
 def tally(check_id: str, citation: str, results: list) -> Check:
-    """A counted check: all N results hold, rendered N/N against sum/N."""
+    """A counted check: all N > 0 results hold, rendered N/N against sum/N."""
+    if not results:
+        raise ValueError(f"{check_id} counts no results")
     return check(
         check_id, citation, f"{len(results)}/{len(results)}", f"{sum(results)}/{len(results)}"
     )
 
 
+def nonempty_range(key: str, pair: tuple) -> tuple:
+    """pair, or ValueError if lo > hi: its checks would count nothing."""
+    if pair[0] > pair[1]:
+        raise ValueError(f"option {key} is an empty range, got {pair!r}")
+    return pair
+
+
 def cocycle_suite(k_range, n_range) -> VerificationReport:
-    """Raises ValueError for an empty range, whose checks would compare
-    nothing with nothing."""
-    if k_range[0] > k_range[1] or n_range[0] > n_range[1]:
-        raise ValueError(f"empty range: k {k_range}, n {n_range}")
+    """Raises ValueError for an empty range; the option bounds are run_suite's."""
+    k_range, n_range = nonempty_range("k_range", k_range), nonempty_range("n_range", n_range)
     return VerificationReport("cocycles", _cocycle_checks(k_range, n_range))
 
 
@@ -500,19 +526,36 @@ def _surface_checks(only):
         )
 
 
+def check_option(key: str, value):
+    """value, or an error naming option `key`: TypeError unless a range is a
+    tuple of two exact ints, degree_cap an exact int and surface None or a
+    Surface; ValueError for an empty range or one over MAX_RANGE_VALUES values,
+    a cap outside bcom_o2.MIN_CAP..MAX_DEGREE_CAP, b1 over MAX_SURFACE_B1, or a
+    key outside DEFAULT_OPTIONS."""
+    if key in ("k_range", "n_range"):
+        rule = f"option {key} must be a tuple of two ints"
+        if type(value) is not tuple or len(value) != 2:
+            raise TypeError(f"{rule}, got {value!r}")
+        lo, hi = nonempty_range(key, tuple(exact_int(v, rule) for v in value))
+        if hi - lo + 1 > MAX_RANGE_VALUES:
+            raise ValueError(f"option {key} has {hi - lo + 1} values, above the limit {MAX_RANGE_VALUES}")
+    elif key == "degree_cap":
+        rule = f"option degree_cap must be an int between {bcom_o2.MIN_CAP} and {MAX_DEGREE_CAP}"
+        if not bcom_o2.MIN_CAP <= exact_int(value, rule) <= MAX_DEGREE_CAP:
+            raise ValueError(f"{rule}, got {value!r}")
+    elif key != "surface":
+        raise ValueError(f"unknown option {key!r}")
+    elif not (value is None or isinstance(value, surfaces.Surface)):
+        raise TypeError(f"option surface must be None or a Surface, got {value!r}")
+    elif value is not None and value.b1 > MAX_SURFACE_B1:
+        raise ValueError(f"option surface has b1 = {value.b1}, above the limit {MAX_SURFACE_B1}")
+    return value
+
+
 def run_suite(name: str, options: dict | None = None) -> VerificationReport:
     if options and (unknown := options.keys() - DEFAULT_OPTIONS):
         raise ValueError(f"unknown option(s) {', '.join(sorted(unknown))}")
-    options = {**DEFAULT_OPTIONS, **(options or {})}
-    for key in ("k_range", "n_range"):
-        pair, rule = options[key], f"option {key} must be a tuple of two ints"
-        if type(pair) is not tuple or len(pair) != 2:
-            raise TypeError(f"{rule}, got {pair!r}")
-        for v in pair:
-            exact_int(v, rule)
-    exact_int(options["degree_cap"], "option degree_cap must be an int")
-    if not (options["surface"] is None or isinstance(options["surface"], surfaces.Surface)):
-        raise TypeError(f"option surface must be None or a Surface, got {options['surface']!r}")
+    options = {k: check_option(k, v) for k, v in {**DEFAULT_OPTIONS, **(options or {})}.items()}
     if name == "cocycles":
         return cocycle_suite(options["k_range"], options["n_range"])
     if name == "so3-homology":

@@ -22,7 +22,8 @@ from kocom.cli import (
     parse_surface,
 )
 from kocom.report import VerificationReport, check
-from kocom.suites import DEFAULT_OPTIONS, run_suite
+from kocom.suites import DEFAULT_OPTIONS, check_option, run_suite
+from kocom.surfaces import nonorientable, orientable
 
 #: SHA-256 of the `kocom verify all --out R` report with default options.
 ALL_REPORT_SHA256 = "fc891e36521c163c7671c51a8cbf19c174c816041d43bc751128f9f22d955f02"
@@ -32,11 +33,14 @@ WIDE_COCYCLE_REPORT_SHA256 = (
     "6e2da11311c41d595157e0bfc32d63eb70eeb4e0498019a94a6226ae62be8043"
 )
 
-#: SHA-256 of the `kocom verify surface-ko --surface S --out R` report at the
-#: largest selectors the CLI accepts.
+#: SHA-256 of the `kocom verify surface-ko --surface S --out R` report at
+#: genus:160 and rp:320, the largest selectors the CLI accepts, and at
+#: genus:40 and rp:80.
 SELECTED_SURFACE_REPORT_SHA256 = {
     "genus:40": "be45e7cea57d1ed875fc83abd51f849052f227a3c92ca82f269f054f15bd734a",
     "rp:80": "acced674a1b02cd9650e6542c57813f3bf0ac51a222ea4b4db7b7dbfc7e953da",
+    "genus:160": "cb1f3af102c68e0256e1287ae545647c163a4fdcb55514bac6e5cfdca8e50fa1",
+    "rp:320": "33dd2e37aedbae466ea8389b5cfd81a52c1956f0084e30e3f20e83bef549bbc4",
 }
 
 #: SHA-256 of the `kocom verify char-classes --degree-cap N --out R` report.
@@ -240,11 +244,11 @@ def test_surface_selection_runs_its_check_families(selector, families, total):
 
 
 def test_surface_size_bound_exit_code_2(capsys):
-    for selector in ("genus:41", "rp:81"):
+    for selector in ("genus:161", "rp:321"):
         with pytest.raises(SystemExit) as info:
             main(["verify", "surface-ko", "--surface", selector])
         assert info.value.code == 2
-    assert "limit 80" in capsys.readouterr().err
+    assert "limit 320" in capsys.readouterr().err
 
 
 def test_range_and_degree_cap_bounds_exit_code_2(capsys):
@@ -344,6 +348,51 @@ def test_run_suite_rejects_option_types_before_any_suite(monkeypatch, options):
     (key,) = options
     with pytest.raises(TypeError, match=f"option {key} must be"):
         run_suite("all", options)
+
+
+@pytest.mark.parametrize(
+    "name, options",
+    [
+        ("cocycles", {"k_range": (-30, 30)}),
+        ("cocycles", {"n_range": (2, 0)}),
+        ("surface-ko", {"surface": nonorientable(321)}),
+        ("char-classes", {"degree_cap": 65}),
+        ("all", {"degree_cap": 3}),
+    ],
+    ids=["k_range-wide", "n_range-empty", "surface-b1", "degree_cap-high", "all-degree_cap-low"],
+)
+def test_run_suite_rejects_option_values_before_any_suite(monkeypatch, name, options):
+    # each of these used to run (or, at cap 3, run the cocycle suite first)
+    def ran(*args):
+        raise AssertionError("a suite ran")
+
+    for suite in ("cocycle_suite", "so3_suite", "char_class_suite", "surface_suite"):
+        monkeypatch.setattr(suites, suite, ran)
+    (key,) = options
+    with pytest.raises(ValueError, match=f"option {key} "):
+        run_suite(name, options)
+
+
+def test_check_option_takes_values_at_the_bounds():
+    for key, value in (
+        ("k_range", (-20, 20)),
+        ("n_range", (3, 3)),
+        ("degree_cap", 4),
+        ("degree_cap", 64),
+        ("surface", nonorientable(320)),
+        ("surface", orientable(160)),
+        ("surface", None),
+    ):
+        assert check_option(key, value) is value
+    with pytest.raises(ValueError, match="unknown option 'cap'"):
+        check_option("cap", 4)
+
+
+def test_tally_refuses_no_results():
+    # it used to render "0/0" against "0/0" and pass
+    with pytest.raises(ValueError, match="char.demo"):
+        suites.tally("char.demo", "a count over nothing", [])
+    assert suites.tally("char.demo", "a count over two", [True, True]).passed
 
 
 def test_run_suite_takes_int_subclass_options(monkeypatch):

@@ -289,6 +289,21 @@ def test_generator_names_must_be_distinct():
         F2Algebra([("x", 1), ("y", 1), ("x", 1)], cap=4)
 
 
+def test_ring_map_keeps_the_truncation():
+    # z^4 has degree 8, above the source cap, so it is 0 there; sent to u, or
+    # into a target with a higher cap, it would map to u^4 or u^8, not 0.
+    source = F2Algebra([("z", 2)], cap=6)
+    wide, narrow = F2Algebra([("u", 1)], cap=100), F2Algebra([("u", 1)], cap=6)
+    for target, image in ((wide, wide.gen("u")), (wide, wide.gen("u") ** 2), (narrow, narrow.gen("u"))):
+        with pytest.raises(RelationViolationError, match="truncation"):
+            RingMap(source, target, {"z": image})
+    square = RingMap(source, narrow, {"z": narrow.gen("u") ** 2})
+    assert square(source.gen("z") ** 3) == narrow.gen("u") ** 6
+    # A relation above the source cap is left unevaluated: the truncation kills it.
+    f = RingMap(F2Algebra([("z", 2)], [{"z": 33}], cap=6), narrow, {"z": narrow.gen("u") ** 2})
+    assert list(f.images) == [0]
+
+
 def test_ring_map_strips_in_the_source_layout():
     # Source and target differ in generator count and field width, so a
     # source monomial read in the target's layout would name other factors.

@@ -1,26 +1,31 @@
 """Compare kocom's output bytes at a git revision with the working tree's.
 
-    python tools/same_bytes.py REV
+    python tools/same_bytes.py REV [--expect CASE]...
 
 REV's `src/` is extracted with `git archive` into a temporary directory,
 and one fixed grid of cases runs in fresh processes against both trees,
 under PYTHONHASHSEED=0, PYTHONHASHSEED=1 and `python -S`:
 
 - the `--out` reports of `verify all`, `so3-homology`, `cocycles` over
-  -20..20, `char-classes` at caps 4, 13, 32 and 64, and `surface-ko` with
-  no selector and for the sphere, genus:40 and rp:80;
+  -20..20, `char-classes` at caps 4, 6, 13, 32 and 64, and `surface-ko`
+  with no selector and for the sphere, genus:40, rp:80, genus:160 and
+  rp:320;
 - `ko_presentation(S).to_text()` for the sphere, genus 1..40 and rp 1..80,
   one process per tree;
 - the stdout of each script in `demos/` (the working tree's scripts, run
   on either tree's package).
 
-For each case whose exit code or bytes differ it prints the first
-differing line, and it exits 1 if any case differs.  Only local git is
-used.
+Each `--expect CASE` names a case, as the output prints it (for example
+`--expect "verify surface-ko --surface rp:320"`), that must differ from REV
+in every mode; every other case must match.  For each run that breaks
+this rule it prints the first differing line (or that an expected case
+matched), and it exits 1 if any run does, 2 for an unknown case or
+revision.  Only local git is used.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -34,9 +39,9 @@ REPORTS = [
     ["all"],
     ["so3-homology"],
     ["cocycles", "--k-range=-20..20", "--n-range=-20..20"],
-    *(["char-classes", "--degree-cap", str(cap)] for cap in (4, 13, 32, 64)),
+    *(["char-classes", "--degree-cap", str(cap)] for cap in (4, 6, 13, 32, 64)),
     ["surface-ko"],
-    *(["surface-ko", "--surface", label] for label in ("sphere", "genus:40", "rp:80")),
+    *(["surface-ko", "--surface", label] for label in ("sphere", "genus:40", "rp:80", "genus:160", "rp:320")),
 ]
 
 PRESENTATIONS = """\
@@ -109,10 +114,15 @@ def compare(old_src: Path, new_src: Path) -> list:
 
 
 def main(argv: list) -> int:
-    if len(argv) != 1:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    rev = argv[0]
+    parser = argparse.ArgumentParser(prog="same_bytes.py", description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", metavar="REV")
+    parser.add_argument("--expect", action="append", default=[], metavar="CASE",
+                        help="a case that must differ from REV (repeatable)")
+    args = parser.parse_args(argv)
+    expected = set(args.expect)
+    if unknown := expected - {name for name, _, _ in cases()}:
+        parser.error(f"unknown case(s): {', '.join(sorted(unknown))}")
+    rev = args.rev
     with tempfile.TemporaryDirectory() as tmp:
         archive = Path(tmp) / "src.tar"
         git = ["git", "archive", "--format=tar", "-o", str(archive), rev, "src"]
@@ -121,11 +131,20 @@ def main(argv: list) -> int:
             return 2
         subprocess.run(["tar", "-xf", str(archive), "-C", tmp], check=True)
         results = compare(Path(tmp) / "src", ROOT / "src")
-    differing = [(name, mode, diff) for name, mode, diff in results if diff]
-    for name, mode, diff in differing:
-        print(f"DIFFERS {name} [{mode}]: {diff}")
-    print(f"same_bytes: {len(results) - len(differing)} of {len(results)} runs identical to {rev}")
-    return 1 if differing else 0
+    wrong = 0
+    for name, mode, diff in results:
+        if name in expected:
+            print(f"EXPECTED {name} [{mode}]: {diff}" if diff else f"SAME {name} [{mode}]: expected to differ")
+        elif diff:
+            print(f"DIFFERS {name} [{mode}]: {diff}")
+        wrong += (name in expected) == (diff is None)
+    others = [diff for name, _, diff in results if name not in expected]
+    summary = f"same_bytes: {others.count(None)} of {len(others)} runs identical to {rev}"
+    if expected:
+        differing = sum(diff is not None for name, _, diff in results if name in expected)
+        summary += f", {differing} of {len(results) - len(others)} expected runs differ"
+    print(summary)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
