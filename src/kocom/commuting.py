@@ -19,6 +19,7 @@ the second homology of the commuting classifying space of SO(3).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import permutations
 
 from .integral import AbelianGroup, IntChainComplex, exact_int
 
@@ -28,6 +29,9 @@ ELEMENT_NAMES = ("I", "c1", "c2", "c3")
 #: The constant Z/2 contributed by the fundamental group of SO(3); a
 #: standard input, not recomputed here.
 H1_SO3 = AbelianGroup((2,))
+
+#: The six relabelings of c1, c2, c3 as lookup tuples, the identity fixed.
+RELABELINGS = tuple((0, *perm) for perm in permutations((1, 2, 3)))
 
 
 def canonical_tuple(t: Sequence[int]) -> tuple[int, ...]:
@@ -93,14 +97,18 @@ def boundary_matrix(n: int) -> list[dict[int, int]]:
     """Sparse rows {column: nonzero coefficient} of the alternating sum of the
     induced face maps, from the free abelian group on the level-n components
     (columns, enumerate_components(n)) to the level-(n-1) ones (rows); each
-    column is computed on the component's label, itself a canonical tuple."""
+    column is computed on the component's label, itself a canonical tuple.
+    Faces land through an orbit table: every relabeling of each level-(n-1)
+    label maps to its row, and a face outside every orbit generates a
+    cyclic group, so it lands on the trivial row 0."""
     if exact_int(n) < 1:
         raise ValueError("boundary needs level >= 1")
-    index = {label: row for row, label in enumerate(enumerate_components(n - 1))}
-    rows: list[dict[int, int]] = [{} for _ in index]
+    labels = enumerate_components(n - 1)
+    index = {tuple(map(g.__getitem__, t)): row for row, t in enumerate(labels) for g in RELABELINGS}
+    rows: list[dict[int, int]] = [{} for _ in labels]
     for col, label in enumerate(enumerate_components(n)):
         for i, face in enumerate(faces(label)):
-            row = rows[index[classify_component(face)]]
+            row = rows[index.get(face, 0)]
             row[col] = row.get(col, 0) + (-1) ** i
     return [{j: a for j, a in row.items() if a} for row in rows]
 

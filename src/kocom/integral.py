@@ -2,9 +2,11 @@
 
 A matrix is a list of sparse rows, one {column: nonzero int} dict per row.
 The Smith reduction diagonalizes by exact row and column elimination around
-a least nonzero pivot (a unit ends the search), drops each finished pivot's
-row, and puts the diagonal in divisibility order by gcd/lcm exchanges.  A
-chain complex checks d_{p-1} d_p = 0 on its rows, with no product matrix.
+a pivot: the first unit of the last row holding one, else the least nonzero
+entry.  It drops each finished pivot's row and puts the diagonal in
+divisibility order by gcd/lcm exchanges.  A chain complex checks
+d_{p-1} d_p = 0 on its rows, with no product matrix, and reduces each
+boundary at most once.
 """
 
 from __future__ import annotations
@@ -32,21 +34,22 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]]) -> list[int]:
 
     Unimodular row/column operations only: adding an integer multiple of one
     row/column to another, and dropping a pivot's row once the rest of its
-    row and column vanish.
+    row and column vanish.  The pivot is the first unit of the last row with
+    one, else the least |entry|; a unit pivot leaves no remainder, so its
+    step drops a row.
     """
     # Rows that become zero are dropped at once, so every row has a least
     # nonzero entry; a column that is zero is simply absent.
     work = [nonzero for row in rows if (nonzero := {j: a for j, a in row.items() if exact_int(a)})]
     diag: list[int] = []
     while work:
-        pivot = None
-        for i, row in enumerate(work):
-            size, j = min((abs(x), j) for j, x in row.items())
-            if pivot is None or size < pivot[0]:
-                pivot = size, i, j
-                if size == 1:
-                    break
-        _, pi, pj = pivot
+        # From the last row up: a component boundary's one dense row is row 0.
+        for pi in reversed(range(len(work))):
+            pj = next((j for j, x in work[pi].items() if x == 1 or x == -1), None)
+            if pj is not None:
+                break
+        else:
+            _, pi, pj = min((abs(x), i, j) for i, row in enumerate(work) for j, x in row.items())
         prow = work[pi]
         d = prow[pj]
         kept = []
@@ -168,6 +171,8 @@ class IntChainComplex:
                         total[j] = total.get(j, 0) + a * b
                 if any(total.values()):
                     raise NotAComplexError(f"d_{p-1} d_{p} != 0")
+        # Smith diagonals of d_0..d_{top+1}, each reduced once, when first needed.
+        self._diagonals = {0: [], len(self.ranks): []}
 
     def homology(self, p: int) -> AbelianGroup:
         """H_p = ker d_p / im d_{p+1}, by Smith normal form: the free rank is
@@ -175,7 +180,9 @@ class IntChainComplex:
         invariant factors of d_{p+1} that exceed 1."""
         if not 0 <= exact_int(p) < len(self.ranks):
             return AbelianGroup()
-        outgoing = smith_normal_form(self.boundaries.get(p, []))
-        incoming = smith_normal_form(self.boundaries.get(p + 1, []))
+        for q in (p, p + 1):
+            if q not in self._diagonals:
+                self._diagonals[q] = smith_normal_form(self.boundaries[q])
+        outgoing, incoming = self._diagonals[p], self._diagonals[p + 1]
         free = self.ranks[p] - len(outgoing) - len(incoming)
         return AbelianGroup(tuple(d for d in incoming if d > 1), free)

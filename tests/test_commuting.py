@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from kocom import commuting, suites
+from kocom import commuting, integral, suites
 from kocom.commuting import (
     ELEMENT_NAMES,
     boundary_matrix,
@@ -172,6 +172,19 @@ def test_boundary_matrix_lists_each_labels_faces_once(monkeypatch):
         calls.clear()
         boundary_matrix(n)
         assert calls == enumerate_components(n), n
+
+
+def test_boundary_matrix_matches_the_classify_rule():
+    """The orbit table lands each face on the row that classify_component
+    names, rebuilt here by that rule through level 7."""
+    for n in range(1, 8):
+        index = {label: row for row, label in enumerate(enumerate_components(n - 1))}
+        rows = [{} for _ in index]
+        for col, label in enumerate(enumerate_components(n)):
+            for i, face in enumerate(faces(label)):
+                row = rows[index[classify_component(face)]]
+                row[col] = row.get(col, 0) + (-1) ** i
+        assert boundary_matrix(n) == [{j: a for j, a in row.items() if a} for row in rows], n
 
 
 def test_simplicial_identities_exhaustive():
@@ -353,6 +366,23 @@ Z2 = AbelianGroup((2,))
 COMPONENT_HOMOLOGY = (
     AbelianGroup(free_rank=1), AbelianGroup(), Z2, Z2, Z2, Z2.direct_sum(Z2), Z2.direct_sum(Z2),
 )
+
+
+def test_homology_reduces_each_boundary_once(monkeypatch):
+    reduced = []
+
+    def counted(rows):
+        reduced.append(rows)
+        return smith_normal_form(rows)
+
+    monkeypatch.setattr(integral, "smith_normal_form", counted)
+    complex6 = component_complex(6)
+    groups = [complex6.homology(p) for p in range(7)]
+    assert [complex6.homology(p) for p in range(7)] == groups
+    assert groups[:6] == list(COMPONENT_HOMOLOGY[:6])
+    # d_1..d_6 once each, in the order H_0..H_5 first need them
+    assert len(reduced) == 6
+    assert all(rows is complex6.boundaries[p] for p, rows in enumerate(reduced, 1))
 
 
 def test_component_homology_through_degree_six():

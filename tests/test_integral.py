@@ -106,6 +106,29 @@ def test_snf_against_sympy_oracle():
             assert b % a == 0
 
 
+def test_snf_pivot_order_leaves_the_diagonal():
+    """Sparse matrices with a dense first row, like a component boundary's
+    trivial row: the diagonal agrees with sympy and with the same rows
+    reversed and shuffled.  The unit-free ones start on the least-entry
+    fallback."""
+    rng = random.Random(2718)
+    cases = [[[2, 4, -2, 6], [0, 3, 0, -3], [2, 0, 2, 0]]]
+    for units in (True,) * 24 + (False,) * 8:
+        rows, cols = rng.randrange(2, 8), rng.randrange(2, 9)
+        nonzero = (1, -1, 2, -2, 3, -3) if units else (2, -2, 3, -3)
+        sparse = (0,) * 6 + nonzero
+        mat = [[rng.choice(nonzero) for _ in range(cols)]]
+        mat += [[rng.choice(sparse) for _ in range(cols)] for _ in range(rows - 1)]
+        cases.append(mat)
+    for mat in cases:
+        ours = smith_normal_form(to_rows(mat))
+        assert ours == oracle_diagonal(mat), mat
+        assert smith_normal_form(to_rows(mat[::-1])) == ours, mat
+        shuffled = mat[:]
+        rng.shuffle(shuffled)
+        assert smith_normal_form(to_rows(shuffled)) == ours, mat
+
+
 def test_abelian_group_canonicalization():
     assert AbelianGroup.from_orders([2, 3]).invariant_factors == (6,)
     assert AbelianGroup.from_orders([2, 2]).invariant_factors == (2, 2)

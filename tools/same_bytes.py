@@ -12,6 +12,8 @@ under PYTHONHASHSEED=0, PYTHONHASHSEED=1 and `python -S`:
   rp:320;
 - `ko_presentation(S).to_text()` for the sphere, genus 1..40 and rp 1..80,
   one process per tree;
+- the sorted rows of `boundary_matrix(n)` for n = 1..7 and H_0..H_7 of
+  `component_complex(7)`, one process per tree;
 - the stdout of each script in `demos/` (the working tree's scripts, run
   on either tree's package).
 
@@ -52,6 +54,17 @@ for surface in surfaces:
     print(ko_presentation(surface).to_text(), end="")
 """
 
+COMPONENT_COMPLEX = """\
+from kocom.commuting import boundary_matrix, component_complex
+for n in range(1, 8):
+    print(f"== d_{n}")
+    for row in boundary_matrix(n):
+        print(sorted(row.items()))
+complex7 = component_complex(7)
+for p in range(8):
+    print(f"H_{p} = {complex7.homology(p)}")
+"""
+
 #: (name, interpreter flags, environment) of each mode.
 MODES = [
     ("PYTHONHASHSEED=0", [], {"PYTHONHASHSEED": "0"}),
@@ -64,6 +77,7 @@ def cases() -> list:
     """(name, argv after the interpreter flags, writes --out) of each case."""
     out = [(f"verify {' '.join(args)}", ["-m", "kocom.cli", "verify", *args], True) for args in REPORTS]
     out.append(("ko_presentation texts", ["-c", PRESENTATIONS], False))
+    out.append(("component complex", ["-c", COMPONENT_COMPLEX], False))
     out += [(f"demo {demo.name}", [str(demo)], False) for demo in sorted((ROOT / "demos").glob("*.py"))]
     return out
 
