@@ -22,6 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
+from .integral import exact_int
 from .o2 import (
     IDENTITY,
     O2Path,
@@ -49,6 +50,14 @@ class CommCocycle(namedtuple("CommCocycle", "alpha12 alpha13 alpha23")):
     """Transition O2Paths over the three arcs, each parameterized on [0, 1]."""
 
     __slots__ = ()
+
+    def __new__(cls, alpha12: O2Path, alpha13: O2Path, alpha23: O2Path) -> "CommCocycle":
+        for name, arc in zip(cls._fields, (alpha12, alpha13, alpha23)):
+            if not isinstance(arc, O2Path):
+                raise TypeError(f"{name} must be an O2Path, got {arc!r}")
+            if (domain := (arc.segments[0].t0, arc.segments[-1].t1)) != (0, 1):
+                raise ValueError(f"{name} runs over [{domain[0]}, {domain[1]}], not [0, 1]")
+        return super().__new__(cls, alpha12, alpha13, alpha23)
 
 
 class CocycleFailure(namedtuple("CocycleFailure", "point product alpha13")):
@@ -95,7 +104,7 @@ def so2_cocycle(m: int) -> CommCocycle:
     """A rotation-valued cocycle clutching the oriented plane bundle of
     Euler number m: all winding lives on the upper arc."""
     return CommCocycle(
-        alpha12=affine_path(2 * m, 0),
+        alpha12=affine_path(2 * exact_int(m), 0),
         alpha13=constant_path(IDENTITY),
         alpha23=constant_path(IDENTITY),
     )

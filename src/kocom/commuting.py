@@ -126,7 +126,7 @@ def component_complex(top: int) -> IntChainComplex:
 def component_homology(p: int) -> AbelianGroup:
     """H_p, from component_complex(p + 1), the least top holding d_{p+1};
     0 for every p < 0, as for any degree outside the complex."""
-    return component_complex(max(p + 1, 0)).homology(p)
+    return component_complex(max(exact_int(p) + 1, 0)).homology(p)
 
 
 def h2_bcom_so3() -> AbelianGroup:

@@ -85,9 +85,10 @@ def _divisor_chain(values: Iterable[int]) -> list[int]:
     diag(a, b) unchanged up to unimodular equivalence."""
     chain: list[int] = []
     for d in values:
-        for i, c in enumerate(chain):
-            g = gcd(c, d)
-            chain[i], d = g, c * d // g
+        if chain and d % chain[-1]:  # else every entry divides d, and d is appended as is
+            for i, c in enumerate(chain):
+                g = gcd(c, d)
+                chain[i], d = g, c * d // g
         chain.append(d)
     return chain
 

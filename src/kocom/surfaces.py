@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import cached_property
+from math import prod
 
 from .bcom_o2 import (
     TCBundleData,
@@ -210,9 +211,11 @@ class FiniteAbelianGroup:
 
     def __init__(self, alg: SurfaceRing):
         self.algebra = alg
+        r = int(any(x == y for x, y in alg.pairs))
+        self._factors = AbelianGroup.from_orders([2] * (len(alg.names) + 1 - 2 * r) + [4] * r)
         # An int, not just __len__: len() must fit a C ssize_t, so it
         # overflows once b1 >= 62.
-        self.order = 2 ** (len(alg.names) + 1)
+        self.order = prod(self._factors.invariant_factors)
 
     @cached_property
     def elements(self) -> list:
@@ -223,8 +226,7 @@ class FiniteAbelianGroup:
         return self.order
 
     def invariant_factors(self) -> AbelianGroup:
-        r = int(any(x == y for x, y in self.algebra.pairs))
-        return AbelianGroup.from_orders([2] * (len(self.algebra.names) + 1 - 2 * r) + [4] * r)
+        return self._factors
 
 
 def units_group(alg: SurfaceRing) -> FiniteAbelianGroup:

@@ -44,8 +44,9 @@ SELECTED_SURFACE_REPORT_SHA256 = {
 }
 
 #: SHA-256 of the `kocom verify char-classes --degree-cap N --out R` report.
-#: Cap 6 is pinned inside the `verify all` report, and cap 64 (0.55 s) is
-#: compared across hash seeds and `python -S` in CI.
+#: Cap 6 is pinned inside the `verify all` report, and cap 64 (0.55 s) is a
+#: `tools/same_bytes.py` case, which CI runs to compare it across hash seeds
+#: and `python -S`.
 CHAR_CLASSES_REPORT_SHA256 = {
     4: "c7bf17e1f87591be7f03740c2deba01137de7a26d8880ec7c8cc3aaea116f1d0",
     13: "ef6de7f08edb6279607563c9133de1cc2102041eaae2323dc6becef92da4c650",

@@ -177,6 +177,22 @@ def test_clutching_requires_validity():
                 clutch(broken)
 
 
+def test_cocycle_arcs_are_o2_paths_on_the_unit_interval():
+    """validate reads t = 1 at each path's end, so an arc on [0, 1/2] would
+    validate and clutch to degree 0 while bundle_class refuses its loop."""
+    half = affine_path(2, 0).reparameterized(2, 0)
+    with pytest.raises(ValueError, match=r"^alpha12 runs over \[0, 1/2\], not \[0, 1\]$"):
+        CommCocycle(
+            half,
+            affine_path(2, 0, reflect=True).reparameterized(2, 0),
+            constant_path(reflected_rotation(0)),
+        )
+    with pytest.raises(ValueError, match=r"^alpha23 runs over \[1, 2\]"):
+        CommCocycle(affine_path(0, 0), affine_path(0, 0), affine_path(2, 0).reparameterized(1, -1))
+    with pytest.raises(TypeError, match="^alpha13 must be an O2Path"):
+        CommCocycle(constant_path(IDENTITY), IDENTITY, constant_path(IDENTITY))
+
+
 def test_degree_formula_exact():
     for k in range(-6, 7):
         base = standard_cocycle(k)

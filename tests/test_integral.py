@@ -3,18 +3,21 @@ integer complexes."""
 
 import enum
 import random
+import re
+from math import gcd
 
 import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from kocom.bcom_o2 import bcom_o2_algebra
-from kocom.cocycles import power_cocycle, standard_cocycle
+from kocom.cocycles import oriented_invariant, power_cocycle, so2_cocycle, standard_cocycle
 from kocom.commuting import boundary_matrix, component_homology, enumerate_components
 from kocom.integral import (
     AbelianGroup,
     IntChainComplex,
     NotAComplexError,
+    _divisor_chain,
     exact_int,
     smith_normal_form,
 )
@@ -127,6 +130,25 @@ def test_snf_pivot_order_leaves_the_diagonal():
         shuffled = mat[:]
         rng.shuffle(shuffled)
         assert smith_normal_form(to_rows(shuffled)) == ours, mat
+
+
+def quadratic_divisor_chain(values):
+    """The divisor chain with every value exchanged against the whole chain."""
+    chain = []
+    for d in values:
+        for i, c in enumerate(chain):
+            g = gcd(c, d)
+            chain[i], d = g, c * d // g
+        chain.append(d)
+    return chain
+
+
+def test_divisor_chain_matches_the_full_exchange():
+    rng = random.Random(0)
+    orders = [2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 24, 36]
+    for _ in range(20_000):
+        values = [rng.choice(orders) for _ in range(rng.randrange(9))]
+        assert _divisor_chain(values) == quadratic_divisor_chain(values), values
 
 
 def test_abelian_group_canonicalization():
@@ -301,12 +323,14 @@ def test_matrix_entries_and_keys_are_exact_ints(bad):
         IntChainComplex([1, 2], {bad: [{0: 1}]})
 
 
-@pytest.mark.parametrize("value", [True, 2.0])
+@pytest.mark.parametrize("value", [True, 2.0, 1.5])
 @pytest.mark.parametrize(
     "call",
     [
         lambda v: bcom_o2_algebra(6).gen("w1") ** v,
         lambda v: power_cocycle(standard_cocycle(2), v),
+        lambda v: so2_cocycle(v),
+        lambda v: oriented_invariant(v),
         lambda v: AbelianGroup.from_orders([v, 4]),
         lambda v: enumerate_components(v),
         lambda v: boundary_matrix(v),
@@ -317,12 +341,14 @@ def test_matrix_entries_and_keys_are_exact_ints(bad):
         lambda v: bcom_o2_algebra(6).basis_through(v),
     ],
     ids=[
-        "f2-pow", "power-cocycle", "from-orders", "components", "boundary", "homology", "bcom",
-        "basis", "dimension", "basis-through",
+        "f2-pow", "power-cocycle", "so2-cocycle", "oriented", "from-orders", "components",
+        "boundary", "homology", "bcom", "basis", "dimension", "basis-through",
     ],
 )
 def test_integer_entry_points_refuse_inexact_ints(call, value):
-    """Each entry point raises TypeError for a bool or a float, never
-    reading True as 1 or 2.0 as 2."""
-    with pytest.raises(TypeError):
+    """Each entry point raises a TypeError that names the value passed, for a
+    bool or a float: it never reads True as 1 or 2.0 as 2, and never reports
+    a value derived from it, such as the 3.0 of component_homology(2.0)."""
+    with pytest.raises(TypeError, match=f"got {re.escape(repr(value))}$"):
         call(value)
+

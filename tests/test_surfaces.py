@@ -136,6 +136,20 @@ def test_unit_count():
         assert len(units_group(surface_algebra(surface)).elements) == 2 ** (surface.b1 + 1)
 
 
+def test_units_count_reads_the_invariant_factors(monkeypatch):
+    """surface-ko.units-count compares 2^(b1 + 1) with the product of the
+    group's invariant factors, so a factor rule that drops a Z/2 fails it."""
+
+    class OneFactorShort(AbelianGroup):
+        @classmethod
+        def from_orders(cls, orders, free_rank=0):
+            return AbelianGroup.from_orders(list(orders)[1:], free_rank)
+
+    monkeypatch.setattr(surfaces, "AbelianGroup", OneFactorShort)
+    failed = {c.check_id for c in suites.surface_suite(orientable(2)).checks if not c.passed}
+    assert failed == {"surface-ko.units.genus:2", "surface-ko.units-count.genus:2"}
+
+
 def test_unit_group_structures():
     for g in range(1, 5):
         group = units_group(surface_algebra(orientable(g)))
