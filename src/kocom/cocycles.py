@@ -133,12 +133,10 @@ def validate(c: CommCocycle) -> ValidationReport:
 
 def power_cocycle(c: CommCocycle, n: int) -> CommCocycle:
     """Pointwise n-th power of every transition path (n may be negative;
-    n = 0 gives the all-identity cocycle)."""
-    return CommCocycle(
-        alpha12=c.alpha12.pointwise_pow(n),
-        alpha13=c.alpha13.pointwise_pow(n),
-        alpha23=c.alpha23.pointwise_pow(n),
-    )
+    n = 0 gives the all-identity cocycle).  A power keeps each arc's domain
+    [0, 1], so the record is built without CommCocycle's arc checks."""
+    arcs = (c.alpha12, c.alpha13, c.alpha23)
+    return tuple.__new__(CommCocycle, [arc.pointwise_pow(n) for arc in arcs])
 
 
 def _require_valid(c: CommCocycle) -> None:

@@ -19,7 +19,7 @@ the second homology of the commuting classifying space of SO(3).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import permutations
+from itertools import cycle, permutations
 
 from .integral import AbelianGroup, IntChainComplex, exact_int
 
@@ -80,6 +80,11 @@ def faces(t: Sequence[int]) -> list[tuple[int, ...]]:
     (XORs) entries i and i+1 for 0 < i < n, d_n drops the last entry."""
     t = tuple(t)
     canonical_tuple(t)
+    return _faces(t)
+
+
+def _faces(t: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """faces(t) for a tuple t whose entries are already checked."""
     inner = [t[: i - 1] + (t[i - 1] ^ t[i],) + t[i + 1 :] for i in range(1, len(t))]
     return [t[1:], *inner, t[:-1]] if t else [()]
 
@@ -97,7 +102,8 @@ def boundary_matrix(n: int) -> list[dict[int, int]]:
     """Sparse rows {column: nonzero coefficient} of the alternating sum of the
     induced face maps, from the free abelian group on the level-n components
     (columns, enumerate_components(n)) to the level-(n-1) ones (rows); each
-    column is computed on the component's label, itself a canonical tuple.
+    column is computed on the component's label, itself a canonical tuple,
+    read as enumerate_components built it, with no second entry check.
     Faces land through an orbit table: every relabeling of each level-(n-1)
     label maps to its row, and a face outside every orbit generates a
     cyclic group, so it lands on the trivial row 0."""
@@ -107,9 +113,9 @@ def boundary_matrix(n: int) -> list[dict[int, int]]:
     index = {tuple(map(g.__getitem__, t)): row for row, t in enumerate(labels) for g in RELABELINGS}
     rows: list[dict[int, int]] = [{} for _ in labels]
     for col, label in enumerate(enumerate_components(n)):
-        for i, face in enumerate(faces(label)):
+        for face, sign in zip(_faces(label), cycle((1, -1))):
             row = rows[index.get(face, 0)]
-            row[col] = row.get(col, 0) + (-1) ** i
+            row[col] = row.get(col, 0) + sign
     return [{j: a for j, a in row.items() if a} for row in rows]
 
 

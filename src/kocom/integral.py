@@ -3,10 +3,11 @@
 A matrix is a list of sparse rows, one {column: nonzero int} dict per row.
 The Smith reduction diagonalizes by exact row and column elimination around
 a pivot: the first unit of the last row holding one, else the least nonzero
-entry.  It drops each finished pivot's row and puts the diagonal in
-divisibility order by gcd/lcm exchanges.  A chain complex checks
-d_{p-1} d_p = 0 on its rows, with no product matrix, and reduces each
-boundary at most once.
+entry.  A unit pivot clears its column and drops its row in one sweep of
+the rows; any other pivot's row is dropped once its row and column are
+clear.  The diagonal goes in divisibility order by gcd/lcm exchanges.  A
+chain complex checks d_{p-1} d_p = 0 on its rows, with no product matrix,
+and reduces each boundary at most once.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ class NotAComplexError(ValueError):
 
 def exact_int(x: object, rule: str = "expected an int") -> int:
     """x if it is an int and not a bool, else TypeError: kocom's one exact-integer rule."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"{rule}, got {x!r}")
     return x
@@ -35,8 +38,8 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]]) -> list[int]:
     Unimodular row/column operations only: adding an integer multiple of one
     row/column to another, and dropping a pivot's row once the rest of its
     row and column vanish.  The pivot is the first unit of the last row with
-    one, else the least |entry|; a unit pivot leaves no remainder, so its
-    step drops a row.
+    one, else the least |entry|; a unit pivot leaves no remainder, so one
+    sweep of the rows clears its column and drops its row, and appends 1.
     """
     # Rows that become zero are dropped at once, so every row has a least
     # nonzero entry; a column that is zero is simply absent.
@@ -52,6 +55,7 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]]) -> list[int]:
             _, pi, pj = min((abs(x), i, j) for i, row in enumerate(work) for j, x in row.items())
         prow = work[pi]
         d = prow[pj]
+        unit = d == 1 or d == -1
         kept = []
         for row in work:
             if pj in row and row is not prow:
@@ -62,8 +66,13 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]]) -> list[int]:
                         row[j] = entry
                 if not row:
                     continue
+            elif unit and row is prow:
+                continue  # this sweep clears a unit's column, so its row is done
             kept.append(row)
         work = kept
+        if unit:
+            diag.append(1)
+            continue
         if any(pj in row for row in work if row is not prow):
             continue  # each remainder is below |d|; the least is the next pivot
         rest = {j: x % d for j, x in prow.items() if x % d}

@@ -1,6 +1,7 @@
 """Component classification of commuting tuples, face maps, the boundary
 tables, and the homology of the component complex."""
 
+import copy
 import itertools
 from fractions import Fraction
 
@@ -156,22 +157,23 @@ def test_faces_match_the_three_branch_reference():
             assert faces(list(t)) == faces(t)
 
 
-def test_boundary_matrix_lists_each_labels_faces_once(monkeypatch):
-    calls = []
+def test_boundary_matrix_reads_labels_as_built(monkeypatch):
+    """boundary_matrix lists the faces of the labels enumerate_components
+    built without re-checking them: it gives the same rows with every entry
+    check and both public face functions made to raise, while faces itself
+    still checks its argument."""
+    expected = {n: boundary_matrix(n) for n in range(1, 7)}
 
-    def counted(t):
-        calls.append(t)
-        return faces(t)
+    def forbidden(*args):
+        raise AssertionError("boundary_matrix must not re-check its labels")
 
-    def forbidden(i, t):
-        raise AssertionError("boundary_matrix must not call face_map")
-
-    monkeypatch.setattr(commuting, "faces", counted)
-    monkeypatch.setattr(commuting, "face_map", forbidden)
+    for name in ("canonical_tuple", "faces", "face_map"):
+        monkeypatch.setattr(commuting, name, forbidden)
     for n in range(1, 7):
-        calls.clear()
-        boundary_matrix(n)
-        assert calls == enumerate_components(n), n
+        assert boundary_matrix(n) == expected[n], n
+    monkeypatch.undo()
+    with pytest.raises(TypeError):
+        faces((1.0, 2))
 
 
 def test_boundary_matrix_matches_the_classify_rule():
@@ -383,6 +385,16 @@ def test_homology_reduces_each_boundary_once(monkeypatch):
     # d_1..d_6 once each, in the order H_0..H_5 first need them
     assert len(reduced) == 6
     assert all(rows is complex6.boundaries[p] for p, rows in enumerate(reduced, 1))
+
+
+def test_homology_leaves_the_boundaries_unchanged():
+    # smith_normal_form reduces copies: the rows a complex holds are the
+    # boundaries it was built with, after every degree has been read.
+    complex6 = component_complex(6)
+    before = copy.deepcopy(complex6.boundaries)
+    groups = [complex6.homology(p) for p in range(7)]
+    assert groups[:6] == list(COMPONENT_HOMOLOGY[:6])
+    assert complex6.boundaries == before
 
 
 def test_component_homology_through_degree_six():

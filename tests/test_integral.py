@@ -123,8 +123,27 @@ def test_snf_pivot_order_leaves_the_diagonal():
         mat = [[rng.choice(nonzero) for _ in range(cols)]]
         mat += [[rng.choice(sparse) for _ in range(cols)] for _ in range(rows - 1)]
         cases.append(mat)
+    # The last row's unit pivot has other units and non-units in its column:
+    # its one sweep drops several rows (multiples of the pivot row), and the
+    # rows left over are unit-free, so a non-unit pivot comes next.
+    cases.append([[0, 0, 2, 4], [2, 4, 0, 0], [-1, -2, 0, 0], [3, 6, 4, 2], [1, 2, 0, 0]])
+    cases.append([[2, 0, 4, 6], [1, 0, 0, 2], [-3, 2, 0, -6], [1, 0, 0, 2], [-1, 0, 0, -2]])
+    for _ in range(12):
+        cols = rng.randrange(3, 7)
+        pivot = [rng.choice((1, -1))] + [rng.choice((0, 2, -2, 3)) for _ in range(cols - 1)]
+        mat = []
+        for _ in range(rng.randrange(2, 6)):
+            a = rng.choice((1, -1, 2, -2, 3))
+            if rng.random() < 0.5:
+                extra = [0] * cols  # a multiple of the pivot row, cleared at once
+            else:
+                extra = [0] + [rng.choice((0, 0, 2, -2, 3, -4)) for _ in range(cols - 1)]
+            mat.append([a * x + y for x, y in zip(pivot, extra)])
+        cases.append(mat + [pivot])
     for mat in cases:
-        ours = smith_normal_form(to_rows(mat))
+        rows = to_rows(mat)
+        ours = smith_normal_form(rows)
+        assert rows == to_rows(mat), mat  # the kernel reduces copies
         assert ours == oracle_diagonal(mat), mat
         assert smith_normal_form(to_rows(mat[::-1])) == ours, mat
         shuffled = mat[:]
@@ -321,6 +340,17 @@ def test_matrix_entries_and_keys_are_exact_ints(bad):
         IntChainComplex([1, 2], {1: [{bad: 1}]})
     with pytest.raises(TypeError):
         IntChainComplex([1, 2], {bad: [{0: 1}]})
+    # An int subclass that is not a bool passes, and reduces as its value.
+    class Small(enum.IntEnum):
+        ONE = 1
+        TWO = 2
+
+    plain = [{0: 2, 1: 4}, {0: 1, 1: 3}]
+    subclassed = [{0: Small.TWO, 1: 4}, {0: Small.ONE, 1: 3}]
+    assert smith_normal_form(subclassed) == smith_normal_form(plain) == [1, 2]
+    complex_ = IntChainComplex([2, 2], {1: subclassed})
+    assert complex_.homology(0) == IntChainComplex([2, 2], {1: plain}).homology(0)
+    assert str(complex_.homology(0)) == "Z/2"
 
 
 @pytest.mark.parametrize("value", [True, 2.0, 1.5])
