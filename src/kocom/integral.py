@@ -3,11 +3,11 @@
 A matrix is a list of sparse rows, one {column: nonzero int} dict per row.
 The Smith reduction diagonalizes by exact row and column elimination around
 a pivot: the first unit of the last row holding one, else the least nonzero
-entry.  A unit pivot clears its column and drops its row in one sweep of
-the rows; any other pivot's row is dropped once its row and column are
-clear.  The diagonal goes in divisibility order by gcd/lcm exchanges.  A
-chain complex checks d_{p-1} d_p = 0 on its rows, with no product matrix,
-and reduces each boundary at most once.
+entry.  Every pivot takes one sweep of the rows; its row goes back as it
+was if a remainder is left in its column, or mod the pivot if that leaves
+one, else the pivot joins the diagonal, in divisibility order by gcd/lcm
+exchanges.  A chain complex checks d_{p-1} d_p = 0 on its rows, with no
+product matrix, and reduces each boundary at most once.
 """
 
 from __future__ import annotations
@@ -37,9 +37,11 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]]) -> list[int]:
 
     Unimodular row/column operations only: adding an integer multiple of one
     row/column to another, and dropping a pivot's row once the rest of its
-    row and column vanish.  The pivot is the first unit of the last row with
-    one, else the least |entry|; a unit pivot leaves no remainder, so one
-    sweep of the rows clears its column and drops its row, and appends 1.
+    row and column vanish.  The pivot d is the first unit of the last row
+    with one, else the least |entry|; one sweep takes multiples of its row
+    off every other row.  Its row goes back as it was if d's column kept a
+    remainder, or mod d (d kept) if that leaves one; else |d| joins the
+    diagonal.
     """
     # Rows that become zero are dropped at once, so every row has a least
     # nonzero entry; a column that is zero is simply absent.
@@ -55,10 +57,12 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]]) -> list[int]:
             _, pi, pj = min((abs(x), i, j) for i, row in enumerate(work) for j, x in row.items())
         prow = work[pi]
         d = prow[pj]
-        unit = d == 1 or d == -1
-        kept = []
+        kept, clear = [], True
         for row in work:
-            if pj in row and row is not prow:
+            if row is prow:
+                at = len(kept)  # the pivot row goes back here if it stays
+                continue
+            if pj in row:
                 q = row[pj] // d
                 for j, b in prow.items():
                     entry = row.pop(j, 0) - q * b
@@ -66,24 +70,18 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]]) -> list[int]:
                         row[j] = entry
                 if not row:
                     continue
-            elif unit and row is prow:
-                continue  # this sweep clears a unit's column, so its row is done
+                clear &= pj not in row
             kept.append(row)
         work = kept
-        if unit:
-            diag.append(1)
-            continue
-        if any(pj in row for row in work if row is not prow):
-            continue  # each remainder is below |d|; the least is the next pivot
-        rest = {j: x % d for j, x in prow.items() if x % d}
-        if rest:
+        if not clear:
+            work.insert(at, prow)  # each remainder is below |d|; the least is the next pivot
+        elif d != 1 and d != -1 and (rest := {j: x % d for j, x in prow.items() if x % d}):
             # Column pj is zero off the pivot, so column operations reduce
             # the pivot row mod d without touching any other row.
             rest[pj] = d
-            work = [rest if row is prow else row for row in work]
-            continue
-        diag.append(abs(d))
-        work = [row for row in work if row is not prow]
+            work.insert(at, rest)
+        else:
+            diag.append(abs(d))
     # Unit pivots divide everything, so only the rest need the exchanges.
     return [1] * diag.count(1) + _divisor_chain(d for d in diag if d > 1)
 

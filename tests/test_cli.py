@@ -28,7 +28,7 @@ from kocom.surfaces import nonorientable, orientable
 #: SHA-256 of the `kocom verify all --out R` report with default options.
 ALL_REPORT_SHA256 = "fc891e36521c163c7671c51a8cbf19c174c816041d43bc751128f9f22d955f02"
 
-#: SHA-256 of the cocycle report over the widest window the CLI accepts.
+#: SHA-256 of the cocycle report over -20..20 in k and n.
 WIDE_COCYCLE_REPORT_SHA256 = (
     "6e2da11311c41d595157e0bfc32d63eb70eeb4e0498019a94a6226ae62be8043"
 )
@@ -176,7 +176,7 @@ def test_empty_cocycle_range_raises():
     assert run_suite("cocycles", {"k_range": (1, 1), "n_range": (0, 0)}).all_passed
 
 
-def test_cocycle_report_at_the_range_bound_is_pinned(tmp_path):
+def test_wide_cocycle_report_is_pinned(tmp_path):
     out = tmp_path / "cocycles.json"
     argv = ["verify", "cocycles", "--k-range=-20..20", "--n-range=-20..20"]
     assert main(argv + ["--out", str(out)]) == 0
@@ -253,13 +253,13 @@ def test_surface_size_bound_exit_code_2(capsys):
 
 
 def test_range_and_degree_cap_bounds_exit_code_2(capsys):
-    assert MAX_RANGE_VALUES == 41 and MAX_DEGREE_CAP == 64
-    assert parse_range("-20..20") == (-20, 20)
-    for option in ("--k-range=-20..21", "--n-range=-1000000..1000000"):
+    assert MAX_RANGE_VALUES == 81 and MAX_DEGREE_CAP == 64
+    assert parse_range("-40..40") == (-40, 40)
+    for option in ("--k-range=-40..41", "--n-range=-1000000..1000000"):
         with pytest.raises(SystemExit) as info:
             main(["verify", "cocycles", option])
         assert info.value.code == 2
-    assert "limit 41" in capsys.readouterr().err
+    assert "limit 81" in capsys.readouterr().err
     assert [build_parser().parse_args(["verify", "all", "--degree-cap", cap]).degree_cap
             for cap in ("4", "32", "64")] == [4, 32, 64]
     for cap in ("3", "65", "1_0", "+8", " 8", "\u0668"):
@@ -354,7 +354,7 @@ def test_run_suite_rejects_option_types_before_any_suite(monkeypatch, options):
 @pytest.mark.parametrize(
     "name, options",
     [
-        ("cocycles", {"k_range": (-30, 30)}),
+        ("cocycles", {"k_range": (-40, 41)}),
         ("cocycles", {"n_range": (2, 0)}),
         ("surface-ko", {"surface": nonorientable(321)}),
         ("char-classes", {"degree_cap": 65}),
@@ -376,7 +376,7 @@ def test_run_suite_rejects_option_values_before_any_suite(monkeypatch, name, opt
 
 def test_check_option_takes_values_at_the_bounds():
     for key, value in (
-        ("k_range", (-20, 20)),
+        ("k_range", (-40, 40)),
         ("n_range", (3, 3)),
         ("degree_cap", 4),
         ("degree_cap", 64),

@@ -140,6 +140,13 @@ def test_snf_pivot_order_leaves_the_diagonal():
                 extra = [0] + [rng.choice((0, 0, 2, -2, 3, -4)) for _ in range(cols - 1)]
             mat.append([a * x + y for x, y in zip(pivot, extra)])
         cases.append(mat + [pivot])
+    # One of each outcome of a non-unit pivot step: its column keeps a
+    # remainder, so the pivot row goes back unchanged; its row keeps a
+    # remainder mod d, so the reduced row goes back; both clear, so |d|
+    # joins the diagonal.
+    for mat, diagonal in (([[2, 2], [3, 0]], [1, 6]), ([[2, 3]], [1]), ([[2, 4]], [2])):
+        assert smith_normal_form(to_rows(mat)) == diagonal, mat
+        cases.append(mat)
     for mat in cases:
         rows = to_rows(mat)
         ours = smith_normal_form(rows)
