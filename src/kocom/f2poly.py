@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 
 from .integral import exact_int
 
@@ -217,13 +217,14 @@ class F2Algebra:
         layout: tuple,
         generator_images: Sequence[frozenset],
         images: dict,
-        monomials: Iterable[Monomial],
+        monomials: Collection[Monomial],
     ) -> frozenset:
         """Image of a sum of source monomials under the ring map into this
         algebra that sends source generator i to generator_images[i].
         `layout` is the source's (field width, exponent mask, units),
         `images` holds the map's image of each source monomial formed so
-        far, the unit at 0 at least, and gains those formed here."""
+        far, the unit at 0 at least, and gains those formed here.  One
+        monomial's image is its stored frozenset itself."""
         width, mask, units = layout
         last = len(generator_images) - 1
         acc: set = set()
@@ -241,6 +242,8 @@ class F2Algebra:
                     image = images.get(m)
                 for m, i in reversed(stripped):
                     image = images[m] = self._product(image, generator_images[i])
+            if len(monomials) == 1:
+                return image
             acc ^= image
         return frozenset(acc)
 

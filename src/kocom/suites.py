@@ -50,8 +50,8 @@ MAX_RANGE_VALUES = 81
 MAX_SURFACE_B1 = 320
 
 #: Largest degree_cap; the characteristic algebra grows with the cap, and
-#: at this bound `kocom verify char-classes` takes about 0.5 s from the
-#: shell (0.51-0.57 s over 5 runs, median 0.54 s, 0.44 s of it in the
+#: at this bound `kocom verify char-classes` takes about 0.3 s from the
+#: shell (0.28-0.32 s over 7 runs, median 0.30 s, 0.21 s of it in the
 #: suite, on a shared 2-CPU VM with Python 3.11).
 MAX_DEGREE_CAP = 64
 
@@ -285,23 +285,25 @@ def _so3_checks():
     )
 
 
-def generator_products(f, basis: list) -> list:
-    """f(g*x) == f(g)*f(x) for each generator g and basis class x with
-    deg g + deg x <= cap.  For a ring map f on F2[gens]/(monomial
-    relations) these give f(x*y) == f(x)*f(y) on all pairs, by induction on
-    deg y for y = g*y' in the basis: no left side divides a divisor of a
-    normal monomial, so y' is normal, and f(x*y) = f(x*g)*f(y') =
-    f(x)*f(g)*f(y') = f(x)*f(y).  Pairs above the cap vanish on both sides,
-    as f keeps degree (the pullback) or never lowers it (the square)."""
+def generator_pairs(basis: list) -> list:
+    """(g, g*x, i) for each generator g, then each x = basis[i] with deg g + deg x <= cap."""
     alg = basis[0].algebra
-    return [
-        f(g * x) == fg * f(x)
-        for name, dg in alg.generators
-        for g in (alg.gen(name),)
-        for fg in (f(g),)
-        for x in basis
-        if dg + x.homogeneous_degree() <= alg.cap
-    ]
+    degrees = [x.homogeneous_degree() for x in basis]
+    gens = [(alg.gen(name), dg) for name, dg in alg.generators]
+    return [(g, g * x, i) for g, dg in gens for i, x in enumerate(basis) if dg + degrees[i] <= alg.cap]
+
+
+def generator_products(f, images: list, pairs: list) -> list:
+    """f(g*x) == f(g)*f(x) for each (g, g*x, i) of generator_pairs, with
+    f(x) = images[i]; the suite forms the images and the pairs once.  For a
+    ring map f on F2[gens]/(monomial relations) these give f(x*y) ==
+    f(x)*f(y) on all pairs, by induction on deg y for y = g*y' in the
+    basis: no left side divides a divisor of a normal monomial, so y' is
+    normal, and f(x*y) = f(x*g)*f(y') = f(x)*f(g)*f(y') = f(x)*f(y).  Pairs
+    above the cap vanish on both sides, as f keeps degree (the pullback) or
+    never lowers it (the square)."""
+    fgs = {g: f(g) for g in dict.fromkeys(g for g, _, _ in pairs)}
+    return [f(gx) == fgs[g] * images[i] for g, gx, i in pairs]
 
 
 def char_class_suite(cap: int) -> VerificationReport:
@@ -334,6 +336,9 @@ def _char_class_checks(cap: int):
     )
     basis = alg.basis_through(cap)
     phis = [phi(x) for x in basis]
+    squares = [total_steenrod_square(x) for x in basis]
+    restricted = [kmap(x) for x in basis]
+    pairs = generator_pairs(basis)
     yield tally(
         "char.involution",
         "the inversion pullback is an involution on the full basis "
@@ -344,13 +349,13 @@ def _char_class_checks(cap: int):
         "char.ring-map",
         "the inversion pullback is multiplicative on generator-basis "
         "pairs through the degree cap, hence on all pairs",
-        generator_products(phi, basis),
+        generator_products(phi, phis, pairs),
     )
     yield tally(
         "char.kstar-compat",
         "restriction to a pair of line bundles absorbs the inversion "
         "pullback (inversion is the identity on the line pair)",
-        [kmap(px) == kmap(x) for x, px in zip(basis, phis)],
+        [kmap(px) == kx for px, kx in zip(phis, restricted)],
     )
     a2 = bcom_o2.a2_class(alg)
     yield check(
@@ -395,13 +400,13 @@ def _char_class_checks(cap: int):
         "char.sq-cartan",
         "the total square is multiplicative (Cartan formula) on "
         "generator-basis pairs through the degree cap, hence on all pairs",
-        generator_products(total_steenrod_square, basis),
+        generator_products(total_steenrod_square, squares, pairs),
     )
     yield tally(
         "char.sq-naturality",
         "the total square commutes with restriction to the line pair on "
         "the basis through the degree cap",
-        [kmap(total_steenrod_square(x)) == total_steenrod_square(kmap(x)) for x in basis],
+        [kmap(sx) == total_steenrod_square(kx) for sx, kx in zip(squares, restricted)],
     )
     for case in (bcom_o2.RANK2_RANK2, bcom_o2.RANK2_LINE):
         try:

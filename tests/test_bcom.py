@@ -27,7 +27,7 @@ from kocom.bcom_o2 import (
     trivial_data,
 )
 from kocom.f2poly import RelationViolationError, RingMap, total_steenrod_square
-from kocom.suites import generator_products
+from kocom.suites import generator_pairs, generator_products
 
 
 def test_pullback_generator_images():
@@ -110,18 +110,42 @@ def all_pairs(f, basis):
 def test_generator_pairs_decide_multiplicativity_as_all_pairs_do(cap):
     alg = bcom_o2_algebra(cap)
     basis = alg.basis_through(cap)
+    pairs = generator_pairs(basis)
     for f in (inversion_pullback(alg), total_steenrod_square):
-        assert all(generator_products(f, basis))
+        assert all(generator_products(f, [f(x) for x in basis], pairs))
         assert all(all_pairs(f, basis))
     # A pullback whose stored image of one top-degree monomial is wrong
     # (phi(x) + x, never phi(x)) is still linear, but not multiplicative;
-    # the top degree is where the generator pairs meet the cap.
+    # the top degree is where the generator pairs meet the cap.  The images
+    # are formed after the plant, so they carry the wrong one.
     for x in (alg.basis(cap)[0], alg.basis(cap)[-1]):
         planted = inversion_pullback(alg)
         (mono,) = x.monomials
         planted.images[mono] = (planted(x) + x).monomials
-        assert not all(generator_products(planted, basis))
+        assert not all(generator_products(planted, [planted(y) for y in basis], pairs))
         assert not all(all_pairs(planted, basis))
+
+
+@pytest.mark.parametrize("cap", range(4, 17))
+def test_generator_products_read_the_images_and_pairs_they_are_given(cap):
+    alg = bcom_o2_algebra(cap)
+    basis = alg.basis_through(cap)
+    pairs = generator_pairs(basis)
+    # The (g, x) pairs of a per-map enumeration, in its order, each g*x fresh.
+    assert [(g, basis[i]) for g, _, i in pairs] == [
+        (alg.gen(name), x)
+        for name, dg in alg.generators
+        for x in basis
+        if dg + x.homogeneous_degree() <= cap
+    ]
+    assert all(gx == g * basis[i] for g, gx, i in pairs)
+    # Wrong images make a check fail: the basis itself for phi's, and
+    # phi's images for the square's.
+    phi = inversion_pullback(alg)
+    phis = [phi(x) for x in basis]
+    assert all(generator_products(phi, phis, pairs))
+    assert not all(generator_products(phi, basis, pairs))
+    assert not all(generator_products(total_steenrod_square, phis, pairs))
 
 
 def test_square_naturality_under_line_pair_restriction():
@@ -223,11 +247,12 @@ def test_generator_products_maps_each_generator_once():
         calls.append(x)
         return phi(x)
 
-    checks = generator_products(counted, basis)
+    images = [phi(x) for x in basis]
+    checks = generator_products(counted, images, generator_pairs(basis))
     pairs = sum(dg + x.homogeneous_degree() <= 12 for _, dg in alg.generators for x in basis)
     assert len(checks) == pairs and all(checks)
-    # f(g) once per generator, then f(g * x) and f(x) per pair
-    assert len(alg.generators) == 4 and len(calls) == 2 * pairs + 4
+    # f(g) once per generator, then f(g * x) per pair; f(x) is images[i]
+    assert len(alg.generators) == 4 and len(calls) == pairs + 4
 
 
 @settings(max_examples=20, deadline=None)

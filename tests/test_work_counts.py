@@ -68,9 +68,9 @@ PINS = {
             "commuting.classify_component": 28, "commuting.component_complex": 2,
             "commuting.component_homology": 1, "commuting.enumerate_components": 15,
             "commuting.h2_bcom_so3": 1,
-            "f2poly.algebra": 5, "f2poly.basis": 1, "f2poly.cls": 56, "f2poly.degree": 200,
-            "f2poly.elementary_symmetric": 2, "f2poly.mul": 230, "f2poly.reduce": 977,
-            "f2poly.ringmap": 265, "f2poly.ringmap_init": 7, "f2poly.square": 161,
+            "f2poly.algebra": 5, "f2poly.basis": 1, "f2poly.cls": 52, "f2poly.degree": 25,
+            "f2poly.elementary_symmetric": 2, "f2poly.mul": 178, "f2poly.reduce": 921,
+            "f2poly.ringmap": 188, "f2poly.ringmap_init": 7, "f2poly.square": 109,
             "integral.complex_check": 2, "integral.direct_sum": 1, "integral.from_orders": 21,
             "integral.homology": 2, "integral.smith_normal_form": 5,
             "o2.affine_path": 135, "o2.commutes": 1104, "o2.constant_path": 55,
@@ -94,9 +94,9 @@ PINS = {
             "bcom_o2.inversion_pullback": 2, "bcom_o2.line_pair_algebra": 1,
             "bcom_o2.line_pair_restriction": 1, "bcom_o2.so2_restriction": 1,
             "bcom_o2.splitting_oracle": 2,
-            "f2poly.algebra": 5, "f2poly.basis": 1, "f2poly.cls": 56, "f2poly.degree": 4360,
-            "f2poly.elementary_symmetric": 2, "f2poly.mul": 7718, "f2poly.reduce": 66403,
-            "f2poly.ringmap": 7129, "f2poly.ringmap_init": 7, "f2poly.square": 4945,
+            "f2poly.algebra": 5, "f2poly.basis": 1, "f2poly.cls": 52, "f2poly.degree": 545,
+            "f2poly.elementary_symmetric": 2, "f2poly.mul": 5794, "f2poly.reduce": 64475,
+            "f2poly.ringmap": 4660, "f2poly.ringmap_init": 7, "f2poly.square": 3021,
             "report.check": 15, "suites.char_class_suite": 1,
         },
         "counts": {"f2poly.basis.size": 3},
