@@ -4,7 +4,7 @@
 
 Suites: cocycles, so3-homology, char-classes, surface-ko, all.  Options,
 checked by suites.check_option: --k-range/--n-range as lo..hi of at most
-81 values (MAX_RANGE_VALUES, 0.14 s), --surface sphere | genus:<g> |
+81 values (MAX_RANGE_VALUES, 0.10 s), --surface sphere | genus:<g> |
 rp:<n> with b1 at most 320 (MAX_SURFACE_B1, 0.04 s), --degree-cap 4..64 in
 ASCII digits (MAX_DEGREE_CAP, 0.30 s), --out for the report; each time is
 at the bound.  Exit code 0 when every check passes, 1 when any fails or

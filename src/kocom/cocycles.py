@@ -25,12 +25,14 @@ from itertools import combinations
 from .integral import exact_int
 from .o2 import (
     IDENTITY,
+    O2Element,
     O2Path,
     affine_path,
     angle_sweep,
     commutes,
     constant_path,
     loop_degree,
+    product,
     reflected_rotation,
 )
 
@@ -115,19 +117,21 @@ def validate(c: CommCocycle) -> ValidationReport:
     triple points.  Distinct arcs meet only there, so those are the only
     points where two transition values are simultaneously defined.
     Failures are returned as data, not raised.  The triple points are the
-    arc endpoints t = 0 and 1: the six values are the paths' starts and ends."""
+    arc endpoints t = 0 and 1: the six values are the paths' starts and ends,
+    as (angle, reflect) pairs; O2Elements are built only for failure records."""
     cocycle_failures = []
     commutation_failures = []
     paths = (c.alpha12, c.alpha13, c.alpha23)  # in ARCS order
-    starts, ends = [x.start for x in paths], [x.end for x in paths]
+    starts = [(s.slope * s.t0 + s.offset, s.reflect) for s in (x.segments[0] for x in paths)]
+    ends = [(s.slope * s.t1 + s.offset, s.reflect) for s in (x.segments[-1] for x in paths)]
     for p, values in ((0, starts), (1, ends)):
         a12, a13, a23 = values
-        product = a12 * a23
-        if product != a13:
-            cocycle_failures.append(CocycleFailure(p, product, a13))
+        angle, reflect = product(a12, a23)
+        if reflect != a13[1] or (angle - a13[0]) % 2:
+            cocycle_failures.append(CocycleFailure(p, O2Element(angle, reflect), O2Element(*a13)))
         for (a, x), (b, y) in combinations(zip(ARCS, values), 2):
             if not commutes(x, y):
-                commutation_failures.append(CommutationFailure(p, a, b, x, y))
+                commutation_failures.append(CommutationFailure(p, a, b, O2Element(*x), O2Element(*y)))
     return ValidationReport(tuple(cocycle_failures), tuple(commutation_failures))
 
 
@@ -174,15 +178,14 @@ def clutching_degree(c: CommCocycle) -> int:
     """bundle_class(clutching_function(c)), read off the paths' angle sweeps
     without building the loop.  With sweep(p) the sum of slope * (t1 - t0),
     the upper half sweeps sweep(alpha12) + sweep(alpha23), or their
-    difference when alpha12 is reflected (R_a A R_b = R_{a-b} A), and the
-    lower half runs alpha13 backwards, so the degree is
-    (sweep(alpha12) +- sweep(alpha23) - sweep(alpha13)) / 2.  Raises
-    InvalidCocycleError as clutching_function does."""
+    difference when alpha12 is reflected (R_a A R_b = R_{a-b} A: the product
+    table, linear in the angle), and the lower half runs alpha13 backwards,
+    so the degree is (sweep(alpha12) +- sweep(alpha23) - sweep(alpha13)) / 2.
+    Raises InvalidCocycleError as clutching_function does."""
     _require_valid(c)
     d12, d13, d23 = (angle_sweep(p) for p in (c.alpha12, c.alpha13, c.alpha23))
-    if c.alpha12.segments[0].reflect:
-        d23 = -d23
-    return int(Fraction(d12 + d23 - d13, 2))
+    upper = product((d12, c.alpha12.segments[0].reflect), (d23, c.alpha23.segments[0].reflect))[0]
+    return int(Fraction(upper - d13, 2))
 
 
 class TCInvariant(namedtuple("TCInvariant", "deg_plus deg_minus")):

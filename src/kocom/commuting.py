@@ -135,8 +135,9 @@ def component_homology(p: int) -> AbelianGroup:
     return component_complex(max(exact_int(p) + 1, 0)).homology(p)
 
 
-def h2_bcom_so3() -> AbelianGroup:
+def h2_bcom_so3(complex_: IntChainComplex | None = None) -> AbelianGroup:
     """Second integral homology of the commuting classifying space of SO(3):
-    the degree-2 homology of the component complex plus the constant
+    the degree-2 homology of the component complex (complex_, a component
+    complex of top 3 or more, when one is given) plus the constant
     H_1(SO(3)) = Z/2 summand.  Expected value: Z/2 + Z/2."""
-    return component_homology(2).direct_sum(H1_SO3)
+    return (component_homology(2) if complex_ is None else complex_.homology(2)).direct_sum(H1_SO3)

@@ -42,15 +42,21 @@ def _frac(x: Rational) -> Rational:
     return exact_int(x)
 
 
-class O2Element(namedtuple("O2Element", "angle reflect")):
-    """R_angle if reflect is False, otherwise R_angle * A with A = diag(1, -1).
-
-    Multiplication table (all exact, angles mod 2*pi):
+def product(a: tuple, b: tuple) -> tuple:
+    """(angle, reflect) of a * b, for O2Elements or plain (angle, reflect)
+    pairs; the angle is not reduced mod 2.  Multiplication table (all exact,
+    angles mod 2*pi):
         R_a * R_b     = R_{a+b}
         R_a * (R_b A) = R_{a+b} A
         (R_a A) * R_b = R_{a-b} A
         (R_a A)(R_b A) = R_{a-b}
     """
+    (x, ra), (y, rb) = a, b
+    return (x - y, not rb) if ra else (x + y, rb)
+
+
+class O2Element(namedtuple("O2Element", "angle reflect")):
+    """R_angle if reflect is False, else R_angle * A, A = diag(1, -1); see product."""
 
     __slots__ = ()
 
@@ -61,9 +67,7 @@ class O2Element(namedtuple("O2Element", "angle reflect")):
         return super().__new__(cls, _frac(angle) % 2, reflect)
 
     def __mul__(self, other: "O2Element") -> "O2Element":
-        if not self.reflect:
-            return O2Element(self.angle + other.angle, other.reflect)
-        return O2Element(self.angle - other.angle, not other.reflect)
+        return O2Element(*product(self, other))
 
     def inverse(self) -> "O2Element":
         if self.reflect:
@@ -84,16 +88,16 @@ def reflected_rotation(value: Rational) -> O2Element:
     return O2Element(value, reflect=True)
 
 
-def commutes(a: O2Element, b: O2Element) -> bool:
-    """Exact commutation test, read off the multiplication table: rotations
-    always commute with each other, a rotation R_r commutes with a reflected
-    element iff r is an integer (R_r is I or R_pi, the center), and R_a*A
-    commutes with R_b*A iff a - b is an integer."""
-    if a.reflect and b.reflect:
-        return (a.angle - b.angle).denominator == 1
-    if a.reflect or b.reflect:
-        rot = b if a.reflect else a
-        return rot.angle.denominator == 1
+def commutes(a: tuple, b: tuple) -> bool:
+    """Exact commutation test of O2Elements or (angle, reflect) pairs, read off
+    the multiplication table: rotations always commute with each other, R_r
+    commutes with a reflected element iff r is an integer (R_r is I or R_pi,
+    the center), and R_a*A commutes with R_b*A iff a - b is an integer."""
+    (x, ra), (y, rb) = a, b
+    if ra and rb:
+        return (x - y).denominator == 1
+    if ra or rb:
+        return (y if ra else x).denominator == 1
     return True
 
 
@@ -119,9 +123,6 @@ class PathSegment(namedtuple("PathSegment", "t0 t1 slope offset reflect")):
         if not self.t0 <= t <= self.t1:
             raise ValueError(f"parameter {t} outside [{self.t0}, {self.t1}]")
         return O2Element(self.slope * t + self.offset, self.reflect)
-
-    def angle_change(self) -> Rational:
-        return _frac(self.slope * (self.t1 - self.t0))
 
 
 class O2Path:
@@ -182,11 +183,10 @@ class O2Path:
         while i < len(left):  # the two lists run out together, at the common end
             a, b = left[i], right[j]
             t1 = min(a.t1, b.t1)
-            if not a.reflect:
-                slope, offset = a.slope + b.slope, a.offset + b.offset
-            else:
-                slope, offset = a.slope - b.slope, a.offset - b.offset
-            segs.append(PathSegment(t0, t1, slope, offset, a.reflect != b.reflect))
+            # the table is linear in the angle, so it takes slopes and offsets apiece
+            slope, reflect = product((a.slope, a.reflect), (b.slope, b.reflect))
+            offset = product((a.offset, a.reflect), (b.offset, b.reflect))[0]
+            segs.append(PathSegment(t0, t1, slope, offset, reflect))
             i += a.t1 == t1
             j += b.t1 == t1
             t0 = t1
@@ -197,15 +197,12 @@ class O2Path:
         exact_int(n)
         segs = []
         for seg in self.segments:
-            if seg.reflect:
-                if n % 2:
-                    segs.append(seg)
-                else:
-                    segs.append(PathSegment(seg.t0, seg.t1, 0, 0))
-            else:
-                segs.append(
-                    PathSegment(seg.t0, seg.t1, seg.slope * n, seg.offset * n)
-                )
+            t0, t1, slope, offset, reflect = seg
+            if reflect and n % 2:
+                segs.append(seg)
+            else:  # t0 < t1 holds already; slope and offset made canonical as in __new__
+                slope, offset = (0, 0) if reflect else (_frac(slope * n), _frac(offset * n) % 2)
+                segs.append(tuple.__new__(PathSegment, (t0, t1, slope, offset, False)))
         return _RawPath(_merge_segments(segs))
 
     def right_mul_constant(self, a: O2Element) -> "O2Path":
@@ -299,5 +296,5 @@ def loop_degree(loop: O2Path) -> Fraction:
 def angle_sweep(path: O2Path) -> Rational:
     """sum(slope * (t1 - t0)) over the segments: the total change of the
     angle coordinate along the path, in units of pi."""
-    return _frac(sum(seg.angle_change() for seg in path.segments))
+    return _frac(sum(seg.slope * (seg.t1 - seg.t0) for seg in path.segments))
 

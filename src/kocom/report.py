@@ -81,9 +81,23 @@ class VerificationReport(namedtuple("VerificationReport", "suite checks")):
         }
 
     def to_json(self) -> str:
-        import json
+        """json.dumps(self.to_dict(), indent=2) + "\\n", byte for byte, for str
+        fields (as `check` makes them), in one pass with json's C string
+        escaper: with indent set, json.dumps takes its pure-Python encoder."""
+        from json.encoder import encode_basestring_ascii as q
 
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        items = ",\n".join(
+            f'    {{\n      "id": {q(c.check_id)},\n      "citation": {q(c.citation)},\n'
+            f'      "status": "{c.status}",\n      "expected": {q(c.expected)},\n'
+            f'      "actual": {q(c.actual)}\n    }}'
+            for c in self.sorted_checks()
+        )
+        checks = f"[\n{items}\n  ]" if items else "[]"
+        s = self.summary
+        return (
+            f'{{\n  "suite": {q(self.suite)},\n  "checks": {checks},\n  "summary": {{\n'
+            f'    "total": {s["total"]},\n    "passed": {s["passed"]},\n    "failed": {s["failed"]}\n  }}\n}}\n'
+        )
 
     def text_lines(self) -> list:
         lines = []

@@ -38,8 +38,8 @@ DEFAULT_OPTIONS = {"k_range": (-5, 5), "n_range": (-5, 5), "degree_cap": 6, "sur
 
 #: Most values k_range and n_range may each span (-40..40).  The cocycle
 #: suite checks every (k, n) pair; at this bound `kocom verify cocycles`
-#: reports 0.13-0.25 s elapsed, 0.24 s from the shell (7 runs, medians
-#: 0.135 and 0.235 s, on a shared 2-CPU VM with Python 3.11).
+#: reports 0.09-0.19 s elapsed, 0.18 s from the shell (7 runs, medians
+#: 0.097 and 0.183 s, on a shared 2-CPU VM with Python 3.11).
 MAX_RANGE_VALUES = 81
 
 #: Largest first Betti number of the selected surface (genus 160, rp:320).
@@ -259,7 +259,7 @@ def _so3_checks():
         "Z/2",
         complex_.homology(2),
     )
-    h2 = commuting.h2_bcom_so3()
+    h2 = commuting.h2_bcom_so3(complex_)
     yield check(
         "so3.homology.h2",
         "second integral homology of the commuting classifying space of "

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kocom import suites
 from kocom.cli import (
@@ -21,7 +22,7 @@ from kocom.cli import (
     parse_range,
     parse_surface,
 )
-from kocom.report import VerificationReport, check
+from kocom.report import Check, VerificationReport, check
 from kocom.suites import DEFAULT_OPTIONS, check_option, run_suite
 from kocom.surfaces import nonorientable, orientable
 
@@ -295,6 +296,35 @@ def test_empty_report_does_not_pass():
     assert report.summary == {"total": 0, "passed": 0, "failed": 0}
     report = VerificationReport("empty", (check("demo.one", "a passing check", 1, 1),))
     assert report.all_passed
+
+
+# Any code point: quotes, backslashes, control characters, non-ASCII, astral
+# and lone surrogates, each also drawn on its own so that they come up often.
+report_text = st.text(
+    st.one_of(
+        st.characters(codec=None, exclude_categories=()),
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u2028\ufeff'),
+        st.integers(0xD800, 0xDFFF).map(chr),
+        st.integers(0x10000, 0x10FFFF).map(chr),
+    )
+)
+
+
+@st.composite
+def report_checks(draw):
+    """A Check of arbitrary text that passes or fails."""
+    check_id, citation, expected = draw(report_text), draw(report_text), draw(report_text)
+    actual = expected if draw(st.booleans()) else draw(report_text)
+    return Check(check_id, citation, expected, actual)
+
+
+@settings(max_examples=60)
+@given(report_text, st.lists(report_checks(), max_size=4))
+@example("", [])
+@example("demo", [Check("b", "c", "1", "2"), Check("a", "c", "1", "1")])
+def test_to_json_is_json_dumps_with_indent_2(suite, checks):
+    report = VerificationReport(suite, checks)
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def test_unwritable_out_exits_2_before_the_suite(tmp_path, capsys, monkeypatch):

@@ -1,14 +1,19 @@
 """Cocycle validity, pointwise powers, clutching loops, and the two-degree
 invariant, with the degree formula checked exactly."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kocom import suites
 from kocom.cocycles import (
+    ARCS,
+    CocycleFailure,
     CommCocycle,
+    CommutationFailure,
     InvalidCocycleError,
     TCInvariant,
     broken_cocycle_condition,
@@ -23,6 +28,7 @@ from kocom.cocycles import (
     tc_invariant,
     tc_sum,
     validate,
+    ValidationReport,
 )
 from kocom.o2 import (
     IDENTITY,
@@ -31,6 +37,7 @@ from kocom.o2 import (
     O2Path,
     PathSegment,
     affine_path,
+    commutes,
     constant_path,
     loop_degree,
     reflected_rotation,
@@ -125,6 +132,69 @@ def test_validate_matches_matrix_oracle(alpha12, alpha13, alpha23):
         (f.point, quarter_turn_matrix(f.product)) for f in report.cocycle_failures
     ] == cocycle
     assert [(f.point, f.arc_a, f.arc_b) for f in report.commutation_failures] == commutation
+
+
+def element_validate(c: CommCocycle) -> ValidationReport:
+    """validate's rule on O2Elements: the paths' start and end values, their
+    products by O2Element.__mul__, and commutes on the elements."""
+    cocycle, commutation = [], []
+    paths = (c.alpha12, c.alpha13, c.alpha23)
+    for p, values in ((0, [x.start for x in paths]), (1, [x.end for x in paths])):
+        a12, a13, a23 = values
+        if a12 * a23 != a13:
+            cocycle.append(CocycleFailure(p, a12 * a23, a13))
+        for (a, x), (b, y) in combinations(zip(ARCS, values), 2):
+            if not commutes(x, y):
+                commutation.append(CommutationFailure(p, a, b, x, y))
+    return ValidationReport(tuple(cocycle), tuple(commutation))
+
+
+def seeded_path(rng: random.Random, reflect: bool, integral_ends: bool) -> O2Path:
+    """A continuous path of one to three segments through rational angles, cut
+    at twelfths; its end angles are integers when integral_ends is set."""
+    cuts = sorted(rng.sample(range(1, 12), rng.randint(0, 2)))
+    times = [0, *(Fraction(i, 12) for i in cuts), 1]
+    angles = [Fraction(rng.randint(-24, 24), rng.randint(1, 6)) for _ in times]
+    if integral_ends:
+        angles[0], angles[-1] = rng.randint(-3, 3), rng.randint(-3, 3)
+    segments = []
+    for t0, t1, a0, a1 in zip(times, times[1:], angles, angles[1:]):
+        slope = Fraction(a1 - a0) / (t1 - t0)
+        segments.append(PathSegment(t0, t1, slope, a0 - slope * t0, reflect))
+    return O2Path(segments)
+
+
+def seeded_cocycles(seed: int) -> list:
+    """Cocycles with alpha13 = alpha12 * alpha23 times a full-turn loop (valid
+    when the end angles are integers, else most likely not commutative), the
+    same with a foreign alpha13, and cocycles of three unrelated paths, with
+    mixed reflections throughout."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(12):
+        integral = rng.random() < 0.5
+        alpha12 = seeded_path(rng, rng.random() < 0.5, integral)
+        alpha23 = seeded_path(rng, rng.random() < 0.5, integral)
+        turns = affine_path(2 * rng.randint(-2, 2), 0)
+        alpha13 = O2Path(alpha12.pointwise_mul(alpha23).pointwise_mul(turns).segments)
+        out.append(CommCocycle(alpha12, alpha13, alpha23))
+        out.append(CommCocycle(alpha12, seeded_path(rng, rng.random() < 0.5, False), alpha23))
+        out.append(CommCocycle(*(seeded_path(rng, rng.random() < 0.5, False) for _ in range(3))))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_validate_matches_element_oracle(seed):
+    cocycles = seeded_cocycles(seed) + [broken_commutation_cocycle(), broken_cocycle_condition()]
+    kinds = set()
+    for c in cocycles:
+        for power in (c, power_cocycle(c, seed - 2)):
+            report = validate(power)
+            # repr also tells an int angle from an equal Fraction
+            assert repr(report) == repr(element_validate(power))
+            kinds.add((bool(report.cocycle_failures), bool(report.commutation_failures)))
+    # valid cocycles, and failures of each kind alone and together
+    assert kinds == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def test_power_cocycle_zero_gives_identity():

@@ -337,9 +337,9 @@ def test_so3_suite_reads_one_complex(monkeypatch):
     counting("enumerate_components")
     counting("component_complex")
     assert suites.so3_suite().all_passed
-    # component_complex(3) enumerates 7 times, for the suite and again in
-    # h2_bcom_so3; the exotic-representatives check enumerates level 3 once
-    assert calls == {"enumerate_components": 15, "component_complex": 2}
+    # component_complex(3) enumerates 7 times, once for the suite, which hands
+    # it to h2_bcom_so3; the exotic-representatives check enumerates level 3 once
+    assert calls == {"enumerate_components": 8, "component_complex": 1}
 
 
 def test_boundaries_compose_to_zero():

@@ -358,6 +358,8 @@ def test_derived_paths_pass_the_public_constructor(p, q, n, a):
     for name, path in derived.items():
         checked = O2Path(path.segments)
         assert checked == path and checked.segments == path.segments, name
+        # every segment is in the normal form PathSegment.__new__ gives it
+        assert [PathSegment(*seg) for seg in path.segments] == list(path.segments), name
     assert derived["mul"].segments == refined_product(p, q)
     assert derived["right_mul"].segments == right_product(p, a)
     for t in ends(p) | ends(q) | {Fraction(1, 7)}:
@@ -390,7 +392,7 @@ def test_path_results_are_canonical_exact_rationals(p, q, n, scale, shift):
     )
     for path in derived:
         for seg in path.segments:
-            fields = (seg.t0, seg.t1, seg.slope, seg.offset, seg.angle_change())
+            fields = (seg.t0, seg.t1, seg.slope, seg.offset)
             assert all(map(canonical, fields)), seg
         ts = ends(path) | {Fraction(seg.t0 + seg.t1, 2) for seg in path.segments}
         values = [path.start, path.end] + [path.value(t) for t in ts]

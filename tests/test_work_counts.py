@@ -64,15 +64,14 @@ PINS = {
             "cocycles.oriented_invariant": 9, "cocycles.power_cocycle": 144,
             "cocycles.so2_cocycle": 9, "cocycles.standard_cocycle": 34,
             "cocycles.tc_invariant": 20, "cocycles.tc_sum": 86, "cocycles.validate": 184,
-            "commuting.boundary_matrix": 6, "commuting.canonical_tuple": 42,
-            "commuting.classify_component": 28, "commuting.component_complex": 2,
-            "commuting.component_homology": 1, "commuting.enumerate_components": 15,
-            "commuting.h2_bcom_so3": 1,
+            "commuting.boundary_matrix": 3, "commuting.canonical_tuple": 42,
+            "commuting.classify_component": 28, "commuting.component_complex": 1,
+            "commuting.enumerate_components": 8, "commuting.h2_bcom_so3": 1,
             "f2poly.algebra": 5, "f2poly.basis": 1, "f2poly.cls": 52, "f2poly.degree": 25,
             "f2poly.elementary_symmetric": 2, "f2poly.mul": 178, "f2poly.reduce": 921,
             "f2poly.ringmap": 188, "f2poly.ringmap_init": 7, "f2poly.square": 109,
-            "integral.complex_check": 2, "integral.direct_sum": 1, "integral.from_orders": 21,
-            "integral.homology": 2, "integral.smith_normal_form": 5,
+            "integral.complex_check": 1, "integral.direct_sum": 1, "integral.from_orders": 21,
+            "integral.homology": 2, "integral.smith_normal_form": 3,
             "o2.affine_path": 135, "o2.commutes": 1104, "o2.constant_path": 55,
             "o2.path": 135, "o2.pointwise_pow": 432,
             "report.check": 299,
@@ -83,8 +82,8 @@ PINS = {
             "surfaces.verify_kocom_products": 7,
         },
         "counts": {
-            "checks.total": 299, "commuting.components": 54, "f2poly.basis.size": 3,
-            "integral.smith_normal_form.entries": 16, "o2.path.segments": 135,
+            "checks.total": 299, "commuting.components": 31, "f2poly.basis.size": 3,
+            "integral.smith_normal_form.entries": 10, "o2.path.segments": 135,
             "surfaces.relations": 73, "surfaces.units.elements": 806,
         },
     },

@@ -7,7 +7,8 @@ and one fixed grid of cases runs in fresh processes against both trees,
 under PYTHONHASHSEED=0, PYTHONHASHSEED=1 and `python -S`:
 
 - the `--out` reports of `verify all`, `so3-homology`, `cocycles` over
-  -20..20, `char-classes` at caps 4, 6, 13, 32 and 64, and `surface-ko`
+  -20..20 and over -40..40 (the MAX_RANGE_VALUES bound), `char-classes`
+  at caps 4, 6, 13, 32 and 64, and `surface-ko`
   with no selector and for the sphere, genus:40, rp:80, genus:160 and
   rp:320;
 - the `surface-ko` report (`run_suite(...).to_json()`) and
@@ -45,6 +46,7 @@ REPORTS = [
     ["all"],
     ["so3-homology"],
     ["cocycles", "--k-range=-20..20", "--n-range=-20..20"],
+    ["cocycles", "--k-range=-40..40", "--n-range=-40..40"],
     *(["char-classes", "--degree-cap", str(cap)] for cap in (4, 6, 13, 32, 64)),
     ["surface-ko"],
     *(["surface-ko", "--surface", label] for label in ("sphere", "genus:40", "rp:80", "genus:160", "rp:320")),
