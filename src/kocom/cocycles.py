@@ -181,11 +181,14 @@ def clutching_degree(c: CommCocycle) -> int:
     difference when alpha12 is reflected (R_a A R_b = R_{a-b} A: the product
     table, linear in the angle), and the lower half runs alpha13 backwards,
     so the degree is (sweep(alpha12) +- sweep(alpha23) - sweep(alpha13)) / 2.
-    Raises InvalidCocycleError as clutching_function does."""
+    Raises InvalidCocycleError as clutching_function does, and on a sweep outside 2Z."""
     _require_valid(c)
     d12, d13, d23 = (angle_sweep(p) for p in (c.alpha12, c.alpha13, c.alpha23))
     upper = product((d12, c.alpha12.segments[0].reflect), (d23, c.alpha23.segments[0].reflect))[0]
-    return int(Fraction(upper - d13, 2))
+    degree, rest = divmod(upper - d13, 2)
+    if rest:
+        raise InvalidCocycleError(f"the clutching loop sweeps {upper - d13}, not an even integer")
+    return degree
 
 
 class TCInvariant(namedtuple("TCInvariant", "deg_plus deg_minus")):

@@ -10,7 +10,6 @@ nothing time-dependent enters the payload.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 
 from . import bcom_o2, commuting, surfaces
 from .cocycles import (
@@ -72,10 +71,10 @@ LISTED_FACE_TABLE = {
 }
 
 
-def degree_formula(k: int, n: int) -> Fraction:
+def degree_formula(k: int, n: int) -> int:
     """Expected clutching degree of the k-th cocycle's n-th power: nk/2 for
-    even n and (n-1)k/2 for odd n."""
-    return Fraction(n * k, 2) if n % 2 == 0 else Fraction((n - 1) * k, 2)
+    even n and (n-1)k/2 for odd n, each an exact int."""
+    return n * k // 2 if n % 2 == 0 else (n - 1) * k // 2
 
 
 def tally(check_id: str, citation: str, results: list) -> Check:

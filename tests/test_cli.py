@@ -1,6 +1,7 @@
 """The command-line verifier: argument handling, exit codes, report
 determinism, and the structured output format."""
 
+import argparse
 import enum
 import hashlib
 import json
@@ -14,17 +15,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kocom import suites
-from kocom.cli import (
-    MAX_DEGREE_CAP,
-    MAX_RANGE_VALUES,
-    build_parser,
-    main,
-    parse_range,
-    parse_surface,
-)
+from kocom.cli import MAX_DEGREE_CAP, MAX_RANGE_VALUES, main, parse_args
 from kocom.report import Check, VerificationReport, check
-from kocom.suites import DEFAULT_OPTIONS, check_option, run_suite
-from kocom.surfaces import nonorientable, orientable
+from kocom.suites import DEFAULT_OPTIONS, SUITES, check_option, run_suite
+from kocom.surfaces import Surface, nonorientable, orientable
 
 #: SHA-256 of the `kocom verify all --out R` report with default options.
 ALL_REPORT_SHA256 = "fc891e36521c163c7671c51a8cbf19c174c816041d43bc751128f9f22d955f02"
@@ -55,25 +49,156 @@ CHAR_CLASSES_REPORT_SHA256 = {
 }
 
 
-def test_parse_range():
+def parse_range(text: str) -> tuple:
+    return parse_args(["verify", "cocycles", "--k-range", text])["k_range"]
+
+
+def parse_surface(selector: str) -> Surface:
+    return parse_args(["verify", "surface-ko", "--surface", selector])["surface"]
+
+
+def test_parse_range(capsys):
     assert parse_range("-5..5") == (-5, 5)
     assert parse_range("0..3") == (0, 3)
-    with pytest.raises(Exception):
+    with pytest.raises(SystemExit):
         parse_range("5..-5")
-    with pytest.raises(Exception):
+    with pytest.raises(SystemExit):
         parse_range("oops")
     # Only ASCII digits: int() alone would also take these.
     for text in ("\u0663..5", "-\u0663..\u0663", "1_0..12", "+1..2", " 1..2"):
-        with pytest.raises(Exception):
+        with pytest.raises(SystemExit):
             parse_range(text)
 
 
 def test_parser_accepts_negative_range_tokens():
-    parser = build_parser()
-    args = parser.parse_args(["verify", "cocycles", "--k-range", "-2..2"])
-    assert args.k_range == (-2, 2)
-    args = parser.parse_args(["verify", "cocycles", "--k-range=-3..1"])
-    assert args.k_range == (-3, 1)
+    args = parse_args(["verify", "cocycles", "--k-range", "-2..2"])
+    assert args["k_range"] == (-2, 2)
+    args = parse_args(["verify", "cocycles", "--k-range=-3..1"])
+    assert args["k_range"] == (-3, 1)
+
+
+# -- the argparse front end kocom used before cli.parse_args, kept as an oracle
+
+
+def oracle_parser() -> argparse.ArgumentParser:
+    def checked(key, parse):
+        def convert(text):
+            try:
+                return check_option(key, parse(text))
+            except (TypeError, ValueError) as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return convert
+
+    def read_range(text):
+        match = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", text)
+        if not match:
+            raise ValueError(f"expected lo..hi, got {text!r}")
+        return int(match[1]), int(match[2])
+
+    def read_degree_cap(text):
+        return int(text) if re.fullmatch(r"[0-9]+", text) else text
+
+    parser = argparse.ArgumentParser(prog="kocom")
+    verify = parser.add_subparsers(dest="command", required=True).add_parser("verify")
+    # Let bare range tokens like -5..5 through the option scanner.
+    verify._negative_number_matcher = re.compile(r"^-\d")
+    verify.add_argument("suite", choices=SUITES)
+    for key, parse in (
+        ("k_range", read_range),
+        ("n_range", read_range),
+        ("surface", Surface.parse),
+        ("degree_cap", read_degree_cap),
+    ):
+        verify.add_argument("--" + key.replace("_", "-"), type=checked(key, parse), default=DEFAULT_OPTIONS[key])
+    verify.add_argument("--out", default=None)
+    return parser
+
+
+#: Argument lists on which cli.parse_args and the oracle agree: the same
+#: options, or exit 2 from both (exit 0 for help).
+ARGV_CORPUS = [
+    # the = and space forms, and negative ranges
+    ["verify", "all"],
+    ["verify", "cocycles", "--k-range", "-5..5"],
+    ["verify", "cocycles", "--k-range=-3..1", "--n-range", "-40..40"],
+    ["verify", "cocycles", "--n-range=0..0", "--k-range", "-1..-1"],
+    ["verify", "char-classes", "--degree-cap", "4"],
+    ["verify", "char-classes", "--degree-cap=64"],
+    ["verify", "surface-ko", "--surface", "sphere"],
+    ["verify", "surface-ko", "--surface=genus:160", "--out", "r.json"],
+    ["verify", "surface-ko", "--surface", "rp:320", "--out=r.json"],
+    ["verify", "all", "--out="],
+    # unique prefixes
+    ["verify", "all", "--k", "-2..2"],
+    ["verify", "all", "--k=-2..2", "--n", "1..3"],
+    ["verify", "char-classes", "--deg", "8"],
+    ["verify", "char-classes", "--deg=5"],
+    ["verify", "so3-homology", "--o", "r.json"],
+    ["verify", "surface-ko", "--s", "genus:4", "--ou=x"],
+    # options before the suite, and repeated options
+    ["verify", "--k-range", "-1..1", "cocycles"],
+    ["verify", "--surface", "rp:3", "surface-ko", "--out", "r.json"],
+    ["verify", "all", "--k-range", "1..2", "--k-range", "-2..-1"],
+    ["verify", "all", "--out", "a", "--o", "b"],
+    ["verify", "all", "--degree-cap", "4", "--deg=5", "--surface", "rp:1", "--surface", "genus:1"],
+    # unknown flags, missing values, extra tokens, no suite, no command
+    ["verify", "all", "--bogus", "1"],
+    ["verify", "all", "--bogus"],
+    ["verify", "all", "-x"],
+    ["verify", "all", "-"],
+    ["verify", "all", "--k-range"],
+    ["verify", "all", "--out"],
+    ["verify", "surface-ko", "--surface"],
+    ["verify", "all", "--k-range", "-x..1"],
+    ["verify", "all", "--k-range="],
+    ["verify", "all", "extra"],
+    ["verify", "all", "cocycles"],
+    ["verify"],
+    ["verify", "--k-range", "1..2"],
+    [],
+    ["verify", "nonsense-suite"],
+    ["verify", "ALL"],
+    ["check", "all"],
+    ["all"],
+    ["--k-range", "1..2", "verify", "all"],
+    # help
+    ["--help"],
+    ["-h"],
+    ["verify", "-h"],
+    ["verify", "all", "--help"],
+    ["verify", "all", "--he"],
+    # every value the tests and CI expect to exit 2
+    *(["verify", "cocycles", "--k-range", text] for text in (
+        "bad", "oops", "5..-5", "1..0", "-40..41", "-1000000..1000000",
+        "\u0663..5", "-\u0663..\u0663", "1_0..12", "+1..2", " 1..2",
+    )),
+    *(["verify", "cocycles", "--n-range", text] for text in ("1..0", "-40..41")),
+    *(["verify", "char-classes", "--degree-cap", cap] for cap in (
+        "2", "3", "65", "1_0", "+8", " 8", "\u0668",
+    )),
+    *(["verify", "surface-ko", "--surface", selector] for selector in (
+        "genus:1_0", "rp: 3", "genus:+2", "genus:\u0663", "genus:161", "rp:321", "genus:0", "rp:0",
+    )),
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=lambda argv: ascii(" ".join(argv)))
+def test_parse_args_matches_the_argparse_oracle(argv, capsys):
+    def outcome(parse):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    expected = outcome(lambda argv: vars(oracle_parser().parse_args(argv)))
+    if isinstance(expected, dict):
+        del expected["command"]
+    capsys.readouterr()
+    assert outcome(parse_args) == expected
+    if expected == 2:
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: kocom verify SUITE") and error.startswith("kocom: error: ")
 
 
 def test_invalid_arguments_exit_code_2(capsys):
@@ -131,24 +256,29 @@ def test_reports_are_byte_identical(tmp_path):
 
 
 def test_cli_import_loads_no_heavy_stdlib_modules(tmp_path):
-    """`import kocom.cli` leaves dataclasses, inspect, json,
-    importlib.resources and typing unloaded, and `--out` then loads json on
-    its own.  It runs in a `python -S` subprocess because pytest has loaded
-    all five."""
+    """`import kocom.cli` leaves argparse, gettext, locale, dataclasses,
+    inspect, json, importlib.resources and typing unloaded, and `verify all
+    --out` then loads json alone of them.  It runs in a `python -S`
+    subprocess because pytest has loaded all eight."""
     out = tmp_path / "all.json"
     script = (
         "import sys\n"
         "import kocom.cli\n"
-        "heavy = ('dataclasses', 'inspect', 'json', 'importlib.resources', 'typing')\n"
-        "print(sorted(name for name in heavy if name in sys.modules))\n"
-        f"sys.exit(kocom.cli.main(['verify', 'all', '--out', {str(out)!r}]))\n"
+        "heavy = ('argparse', 'gettext', 'locale', 'dataclasses', 'inspect', 'json',\n"
+        "         'importlib.resources', 'typing')\n"
+        "loaded = lambda: sorted(name for name in heavy if name in sys.modules)\n"
+        "print(loaded())\n"
+        f"code = kocom.cli.main(['verify', 'all', '--out', {str(out)!r}])\n"
+        "print(loaded())\n"
+        "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     result = subprocess.run(
         [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[0] == "[]"
+    lines = result.stdout.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "['json']"
     assert json.loads(out.read_text())["summary"]["failed"] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ALL_REPORT_SHA256
 
@@ -261,7 +391,7 @@ def test_range_and_degree_cap_bounds_exit_code_2(capsys):
             main(["verify", "cocycles", option])
         assert info.value.code == 2
     assert "limit 81" in capsys.readouterr().err
-    assert [build_parser().parse_args(["verify", "all", "--degree-cap", cap]).degree_cap
+    assert [parse_args(["verify", "all", "--degree-cap", cap])["degree_cap"]
             for cap in ("4", "32", "64")] == [4, 32, 64]
     for cap in ("3", "65", "1_0", "+8", " 8", "\u0668"):
         with pytest.raises(SystemExit) as info:
@@ -342,7 +472,7 @@ def test_unwritable_out_exits_2_before_the_suite(tmp_path, capsys, monkeypatch):
 
 
 def test_parser_defaults_are_the_suite_defaults():
-    args = vars(build_parser().parse_args(["verify", "all"]))
+    args = parse_args(["verify", "all"])
     assert {name: args[name] for name in DEFAULT_OPTIONS} == DEFAULT_OPTIONS
     # A partial options mapping falls back to the same defaults.
     assert run_suite("char-classes", {"degree_cap": 4}).to_json() == run_suite(

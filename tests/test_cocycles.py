@@ -273,6 +273,28 @@ def test_degree_formula_exact():
             assert clutching_degree(power) == bundle_class(loop), (k, n)
 
 
+def test_degrees_are_exact_ints():
+    """clutching_degree and degree_formula halve exactly, with no Fraction on
+    the way, and render as the Fractions they once returned did."""
+    for k in range(-6, 7):
+        base = standard_cocycle(k)
+        for n in range(-6, 7):
+            power = power_cocycle(base, n)
+            degree, formula = clutching_degree(power), suites.degree_formula(k, n)
+            assert type(degree) is int and type(formula) is int, (k, n)
+            assert degree == loop_degree(clutching_function(power)) == formula, (k, n)
+            assert str(formula) == str(Fraction(n * k if n % 2 == 0 else (n - 1) * k, 2))
+
+
+@pytest.mark.parametrize("sweep", [1, Fraction(1, 2)], ids=["odd", "half"])
+def test_clutching_degree_refuses_a_sweep_it_cannot_halve(monkeypatch, sweep):
+    # int(Fraction(sweep, 2)) used to truncate such a sweep to a degree
+    c = standard_cocycle(1)
+    monkeypatch.setattr("kocom.cocycles.angle_sweep", lambda path: -sweep if path is c.alpha13 else 0)
+    with pytest.raises(InvalidCocycleError, match=f"sweeps {sweep}, not an even integer"):
+        clutching_degree(c)
+
+
 def test_degrees_stay_exact_beyond_float_precision():
     # 10**30 + 1 has no exact float: a float division anywhere on the way
     # to a degree would lose the trailing 1.
