@@ -34,8 +34,11 @@ significant factor removed (one unit off the top nonzero exponent field,
 in the source's layout) times that factor's generator image, so a class
 maps to the sum of stored images and no monomial's image is formed twice.
 The total Steenrod square is such a map: by the Cartan formula it is the
-ring endomorphism determined by the squares of the generators, which are
-checked against the relations when they are set.
+ring endomorphism determined by the squares of the generators.  Generator
+images define a ring map exactly when each relation maps to 0, so one
+routine, relation_images, gives each relation's image: RingMap refuses
+images that break a relation (the squares are checked when they are set),
+and the char-classes suite tallies the same images.
 """
 
 from __future__ import annotations
@@ -325,14 +328,29 @@ def total_steenrod_square(x: F2Class) -> F2Class:
     return F2Class(alg, alg._evaluate(*alg._square, x.monomials))
 
 
+def relation_images(source: F2Algebra, target: F2Algebra, generator_images: Sequence[frozenset]) -> dict:
+    """{relation: image} for each forbidden source monomial through the
+    source cap, under the map into `target` that sends source generator i
+    to the monomial set generator_images[i].  A map that never lowers
+    degree, into a target capped no higher, is a well-defined ring map
+    exactly when every image is empty: RingMap refuses any other, and the
+    char-classes suite tallies these images."""
+    images = {0: target.one().monomials}
+    return {
+        relation: target._evaluate(source._layout, generator_images, images, (relation,))
+        for relation in source._relations
+        if relation >> source._dshift <= source.cap
+    }
+
+
 class RingMap:
     """An algebra map determined by generator images.  It keeps the image
     of each source generator and, in `images`, of each source monomial once
     it is formed; a new monomial's image is one stored image times one
-    generator image.  Construction raises RelationViolationError unless each
-    forbidden source monomial through the source cap maps to 0, target.cap <=
-    source.cap, and no image term is below its generator's degree; the last
-    two send every monomial above the source cap to 0."""
+    generator image.  Construction raises RelationViolationError unless
+    relation_images sends every relation to 0, target.cap <= source.cap,
+    and no image term is below its generator's degree; the last two send
+    every monomial above the source cap to 0."""
 
     def __init__(self, source: F2Algebra, target: F2Algebra, images: Mapping[str, F2Class]):
         self.source = source
@@ -350,8 +368,8 @@ class RingMap:
         shift, degrees = target._dshift, zip(self.generator_images, source._degrees)
         if target.cap > source.cap or any(m >> shift < d for image, d in degrees for m in image):
             raise RelationViolationError(f"the truncation above degree {source.cap} is not kept")
-        for relation in source._relations:
-            if relation >> source._dshift <= source.cap and self._evaluate((relation,)):
+        for relation, image in relation_images(source, target, self.generator_images).items():
+            if image:
                 raise RelationViolationError(f"relation {source.monomial_str(relation)} = 0 not preserved")
 
     def __call__(self, x: F2Class) -> F2Class:

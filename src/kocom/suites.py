@@ -24,7 +24,7 @@ from .cocycles import (
     tc_sum,
     validate,
 )
-from .f2poly import total_steenrod_square
+from .f2poly import relation_images, total_steenrod_square
 from .integral import AbelianGroup, exact_int, smith_normal_form
 from .report import Check, VerificationReport, check
 
@@ -49,10 +49,11 @@ MAX_RANGE_VALUES = 81
 MAX_SURFACE_B1 = 320
 
 #: Largest degree_cap; the characteristic algebra grows with the cap, and
-#: at this bound `kocom verify char-classes` takes about 0.3 s from the
-#: shell (0.28-0.32 s over 7 runs, median 0.30 s, 0.21 s of it in the
-#: suite, on a shared 2-CPU VM with Python 3.11).
-MAX_DEGREE_CAP = 64
+#: at this bound (15,665 basis classes) `python -S -m kocom.cli verify
+#: char-classes` takes 0.25 s from the shell, about 0.23 s of it in the
+#: suite (medians of 7 runs, from source and from .pyc alike, on a shared
+#: 2-CPU VM with Python 3.11).
+MAX_DEGREE_CAP = 176
 
 I, C1, C2, C3 = range(4)
 
@@ -284,27 +285,6 @@ def _so3_checks():
     )
 
 
-def generator_pairs(basis: list) -> list:
-    """(g, g*x, i) for each generator g, then each x = basis[i] with deg g + deg x <= cap."""
-    alg = basis[0].algebra
-    degrees = [x.homogeneous_degree() for x in basis]
-    gens = [(alg.gen(name), dg) for name, dg in alg.generators]
-    return [(g, g * x, i) for g, dg in gens for i, x in enumerate(basis) if dg + degrees[i] <= alg.cap]
-
-
-def generator_products(f, images: list, pairs: list) -> list:
-    """f(g*x) == f(g)*f(x) for each (g, g*x, i) of generator_pairs, with
-    f(x) = images[i]; the suite forms the images and the pairs once.  For a
-    ring map f on F2[gens]/(monomial relations) these give f(x*y) ==
-    f(x)*f(y) on all pairs, by induction on deg y for y = g*y' in the
-    basis: no left side divides a divisor of a normal monomial, so y' is
-    normal, and f(x*y) = f(x*g)*f(y') = f(x)*f(g)*f(y') = f(x)*f(y).  Pairs
-    above the cap vanish on both sides, as f keeps degree (the pullback) or
-    never lowers it (the square)."""
-    fgs = {g: f(g) for g in dict.fromkeys(g for g, _, _ in pairs)}
-    return [f(gx) == fgs[g] * images[i] for g, gx, i in pairs]
-
-
 def char_class_suite(cap: int) -> VerificationReport:
     return VerificationReport("char-classes", _char_class_checks(cap))
 
@@ -313,6 +293,9 @@ def _char_class_checks(cap: int):
     alg = bcom_o2.bcom_o2_algebra(cap)
     phi = bcom_o2.inversion_pullback(alg)
     kmap = bcom_o2.line_pair_restriction(alg)
+    gens = [alg.gen(name) for name, _ in alg.generators]
+    w1, w2, r, s = gens
+    squares = [total_steenrod_square(g) for g in gens]
     yield check(
         "char.dim.degree2",
         "the degree-2 part of the commutative-structure algebra has rank 3",
@@ -322,22 +305,11 @@ def _char_class_checks(cap: int):
     yield check(
         "char.phi-images",
         "the inversion pullback fixes w1, r, s and shifts w2 by r",
-        ", ".join(
-            str(img)
-            for img in (
-                alg.gen("w1"),
-                alg.gen("w2") + alg.gen("r"),
-                alg.gen("r"),
-                alg.gen("s"),
-            )
-        ),
-        ", ".join(str(phi(alg.gen(g))) for g in ("w1", "w2", "r", "s")),
+        ", ".join(str(img) for img in (w1, w2 + r, r, s)),
+        ", ".join(str(phi(g)) for g in gens),
     )
     basis = alg.basis_through(cap)
     phis = [phi(x) for x in basis]
-    squares = [total_steenrod_square(x) for x in basis]
-    restricted = [kmap(x) for x in basis]
-    pairs = generator_pairs(basis)
     yield tally(
         "char.involution",
         "the inversion pullback is an involution on the full basis "
@@ -346,21 +318,21 @@ def _char_class_checks(cap: int):
     )
     yield tally(
         "char.ring-map",
-        "the inversion pullback is multiplicative on generator-basis "
-        "pairs through the degree cap, hence on all pairs",
-        generator_products(phi, phis, pairs),
+        "the inversion pullback is a ring map: its generator images send "
+        "each relation w1*r, r^2, r*s, s^2 through the degree cap to 0",
+        [not image for image in relation_images(alg, alg, phi.generator_images).values()],
     )
     yield tally(
         "char.kstar-compat",
         "restriction to a pair of line bundles absorbs the inversion "
         "pullback (inversion is the identity on the line pair)",
-        [kmap(px) == kx for px, kx in zip(phis, restricted)],
+        [kmap(px) == kmap(x) for x, px in zip(basis, phis)],
     )
     a2 = bcom_o2.a2_class(alg)
     yield check(
         "char.a2-is-r",
         "the obstruction class w2 + (inverted w2) equals r",
-        str(alg.gen("r")),
+        str(r),
         str(a2),
     )
     yield check(
@@ -386,26 +358,28 @@ def _char_class_checks(cap: int):
     yield check(
         "char.sq-r",
         "the total Steenrod square fixes r",
-        str(alg.gen("r")),
-        str(total_steenrod_square(alg.gen("r"))),
+        str(r),
+        str(squares[2]),
     )
     yield check(
         "char.sq-s",
         "the total Steenrod square of s is s + w2*r + w1^2*s",
         str(alg.cls({"s": 1}, {"w2": 1, "r": 1}, {"w1": 2, "s": 1})),
-        str(total_steenrod_square(alg.gen("s"))),
+        str(squares[3]),
     )
     yield tally(
         "char.sq-cartan",
-        "the total square is multiplicative (Cartan formula) on "
-        "generator-basis pairs through the degree cap, hence on all pairs",
-        generator_products(total_steenrod_square, squares, pairs),
+        "the total square is multiplicative (Cartan formula): the squares "
+        "of the generators send each relation w1*r, r^2, r*s, s^2 through "
+        "the degree cap to 0",
+        [not image for image in relation_images(alg, alg, [sq.monomials for sq in squares]).values()],
     )
     yield tally(
         "char.sq-naturality",
         "the total square commutes with restriction to the line pair on "
-        "the basis through the degree cap",
-        [kmap(sx) == total_steenrod_square(kx) for sx, kx in zip(squares, restricted)],
+        "the four generators, hence everywhere, as two ring maps that agree "
+        "on the generators are equal",
+        [kmap(sq) == total_steenrod_square(kmap(g)) for g, sq in zip(gens, squares)],
     )
     for case in (bcom_o2.RANK2_RANK2, bcom_o2.RANK2_LINE):
         try:

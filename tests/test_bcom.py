@@ -2,11 +2,13 @@
 class, the splitting-principle tensor identities, and the bundle-data
 calculus."""
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kocom import bcom_o2
 from kocom.bcom_o2 import (
     RANK2_LINE,
     RANK2_RANK2,
@@ -26,8 +28,8 @@ from kocom.bcom_o2 import (
     tensor_rank2,
     trivial_data,
 )
-from kocom.f2poly import RelationViolationError, RingMap, total_steenrod_square
-from kocom.suites import generator_pairs, generator_products
+from kocom.f2poly import RelationViolationError, RingMap, relation_images, total_steenrod_square
+from kocom.suites import char_class_suite
 
 
 def test_pullback_generator_images():
@@ -106,46 +108,43 @@ def all_pairs(f, basis):
     ]
 
 
-@pytest.mark.parametrize("cap", range(4, 13))
-def test_generator_pairs_decide_multiplicativity_as_all_pairs_do(cap):
-    alg = bcom_o2_algebra(cap)
-    basis = alg.basis_through(cap)
-    pairs = generator_pairs(basis)
-    for f in (inversion_pullback(alg), total_steenrod_square):
-        assert all(generator_products(f, [f(x) for x in basis], pairs))
-        assert all(all_pairs(f, basis))
-    # A pullback whose stored image of one top-degree monomial is wrong
-    # (phi(x) + x, never phi(x)) is still linear, but not multiplicative;
-    # the top degree is where the generator pairs meet the cap.  The images
-    # are formed after the plant, so they carry the wrong one.
-    for x in (alg.basis(cap)[0], alg.basis(cap)[-1]):
-        planted = inversion_pullback(alg)
-        (mono,) = x.monomials
-        planted.images[mono] = (planted(x) + x).monomials
-        assert not all(generator_products(planted, [planted(y) for y in basis], pairs))
-        assert not all(all_pairs(planted, basis))
-
-
 @pytest.mark.parametrize("cap", range(4, 17))
-def test_generator_products_read_the_images_and_pairs_they_are_given(cap):
+def test_relations_and_generators_decide_as_all_pairs_and_the_basis_do(cap, monkeypatch):
+    # The suite's closed verdicts against the enumerations they replace: a
+    # map set by generator images sends every relation to 0 iff it is
+    # multiplicative on all basis pairs, and the square commutes with the
+    # line-pair restriction on the generators iff it does on the basis.
     alg = bcom_o2_algebra(cap)
     basis = alg.basis_through(cap)
-    pairs = generator_pairs(basis)
-    # The (g, x) pairs of a per-map enumeration, in its order, each g*x fresh.
-    assert [(g, basis[i]) for g, _, i in pairs] == [
-        (alg.gen(name), x)
-        for name, dg in alg.generators
-        for x in basis
-        if dg + x.homogeneous_degree() <= cap
-    ]
-    assert all(gx == g * basis[i] for g, gx, i in pairs)
-    # Wrong images make a check fail: the basis itself for phi's, and
-    # phi's images for the square's.
-    phi = inversion_pullback(alg)
-    phis = [phi(x) for x in basis]
-    assert all(generator_products(phi, phis, pairs))
-    assert not all(generator_products(phi, basis, pairs))
-    assert not all(generator_products(total_steenrod_square, phis, pairs))
+    names = [name for name, _ in alg.generators]
+    w1, w2, r, s = gens = [alg.gen(name) for name in names]
+    phi = {"w1": w1, "w2": w2 + r, "r": r, "s": s}
+    squares = {name: total_steenrod_square(g) for name, g in zip(names, gens)}
+    # r + w1^2 breaks w1*r = 0, so RingMap refuses both planted maps, and
+    # product_of_powers evaluates them for the all-pairs verdict.
+    broken = [{**phi, "r": r + w1 * w1}, {**squares, "r": r + w1 * w1}]
+    for images, holds in zip([phi, squares, *broken], [True, True, False, False]):
+        relations = relation_images(alg, alg, [images[name].monomials for name in names])
+        f = functools.cache(functools.partial(product_of_powers, images=images, target=alg))
+        assert len(relations) == min(cap - 2, 4)
+        assert (not any(relations.values())) == all(all_pairs(f, basis)) == holds
+    for images in broken:
+        with pytest.raises(RelationViolationError, match="w1\\*r = 0"):
+            RingMap(alg, alg, images)
+
+    k = line_pair_restriction(alg)
+
+    def natural(classes):
+        return all(k(total_steenrod_square(x)) == total_steenrod_square(k(x)) for x in classes)
+
+    assert natural(gens) and natural(basis)
+    # Sq(w2) = w2 + w2^2 defines a ring map, but restriction carries it to
+    # uv + u^2v^2, not to the line pair's Sq(uv)
+    alg.set_total_squares({**squares, "w2": w2 + w2 * w2})
+    assert not natural(gens) and not natural(basis)
+    monkeypatch.setattr(bcom_o2, "bcom_o2_algebra", lambda cap: alg)
+    passed = {c.check_id: c.passed for c in char_class_suite(cap).checks}
+    assert [passed[f"char.{name}"] for name in ("ring-map", "sq-cartan", "sq-naturality")] == [True, True, False]
 
 
 def test_square_naturality_under_line_pair_restriction():
@@ -236,23 +235,6 @@ def test_restrictions_match_product_of_powers_through_cap_12():
         assert target is not bcom
         for x in basis:
             assert f(x) == product_of_powers(x, images, target), x
-
-
-def test_generator_products_maps_each_generator_once():
-    alg = bcom_o2_algebra(12)
-    basis = alg.basis_through(12)
-    phi, calls = inversion_pullback(alg), []
-
-    def counted(x):
-        calls.append(x)
-        return phi(x)
-
-    images = [phi(x) for x in basis]
-    checks = generator_products(counted, images, generator_pairs(basis))
-    pairs = sum(dg + x.homogeneous_degree() <= 12 for _, dg in alg.generators for x in basis)
-    assert len(checks) == pairs and all(checks)
-    # f(g) once per generator, then f(g * x) per pair; f(x) is images[i]
-    assert len(alg.generators) == 4 and len(calls) == pairs + 4
 
 
 @settings(max_examples=20, deadline=None)
