@@ -108,26 +108,41 @@ def all_pairs(f, basis):
     ]
 
 
-@pytest.mark.parametrize("cap", range(4, 17))
-def test_relations_and_generators_decide_as_all_pairs_and_the_basis_do(cap, monkeypatch):
-    # The suite's closed verdicts against the enumerations they replace: a
-    # map set by generator images sends every relation to 0 iff it is
-    # multiplicative on all basis pairs, and the square commutes with the
-    # line-pair restriction on the generators iff it does on the basis.
-    alg = bcom_o2_algebra(cap)
-    basis = alg.basis_through(cap)
+def generator_images(alg):
+    """The generators, and the generator images of φ, of Sq and of two
+    planted maps that set r to r + w1^2 and so break w1*r = 0."""
     names = [name for name, _ in alg.generators]
     w1, w2, r, s = gens = [alg.gen(name) for name in names]
     phi = {"w1": w1, "w2": w2 + r, "r": r, "s": s}
     squares = {name: total_steenrod_square(g) for name, g in zip(names, gens)}
-    # r + w1^2 breaks w1*r = 0, so RingMap refuses both planted maps, and
-    # product_of_powers evaluates them for the all-pairs verdict.
     broken = [{**phi, "r": r + w1 * w1}, {**squares, "r": r + w1 * w1}]
+    return names, gens, phi, squares, broken
+
+
+@pytest.mark.parametrize("cap", range(4, 17))
+def test_generator_pairs_decide_multiplicativity_as_all_pairs_do(cap):
+    # The suite's closed verdict against the enumeration it replaces: a map
+    # set by generator images sends every relation to 0 iff it is
+    # multiplicative on all basis pairs.  RingMap refuses the planted maps,
+    # so product_of_powers evaluates them for the all-pairs verdict.
+    alg = bcom_o2_algebra(cap)
+    basis = alg.basis_through(cap)
+    names, _, phi, squares, broken = generator_images(alg)
     for images, holds in zip([phi, squares, *broken], [True, True, False, False]):
         relations = relation_images(alg, alg, [images[name].monomials for name in names])
         f = functools.cache(functools.partial(product_of_powers, images=images, target=alg))
         assert len(relations) == min(cap - 2, 4)
         assert (not any(relations.values())) == all(all_pairs(f, basis)) == holds
+
+
+@pytest.mark.parametrize("cap", range(4, 17))
+def test_generator_products_read_the_images_and_pairs_they_are_given(cap, monkeypatch):
+    # RingMap reads the relation images of the generator images it is given,
+    # and the square commutes with the line-pair restriction on the
+    # generators iff it does on the basis.
+    alg = bcom_o2_algebra(cap)
+    basis = alg.basis_through(cap)
+    _, gens, _, squares, broken = generator_images(alg)
     for images in broken:
         with pytest.raises(RelationViolationError, match="w1\\*r = 0"):
             RingMap(alg, alg, images)
@@ -140,6 +155,7 @@ def test_relations_and_generators_decide_as_all_pairs_and_the_basis_do(cap, monk
     assert natural(gens) and natural(basis)
     # Sq(w2) = w2 + w2^2 defines a ring map, but restriction carries it to
     # uv + u^2v^2, not to the line pair's Sq(uv)
+    w2 = alg.gen("w2")
     alg.set_total_squares({**squares, "w2": w2 + w2 * w2})
     assert not natural(gens) and not natural(basis)
     monkeypatch.setattr(bcom_o2, "bcom_o2_algebra", lambda cap: alg)
