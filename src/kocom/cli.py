@@ -5,8 +5,8 @@ written --flag VALUE or --flag=VALUE (a unique prefix of a flag will do;
 a repeated option keeps its last value), each checked by
 suites.check_option: --k-range/--n-range as lo..hi of at most 81 values
 (MAX_RANGE_VALUES, 0.10 s), --surface sphere | genus:<g> | rp:<n> with b1
-at most 320 (MAX_SURFACE_B1, 0.04 s), --degree-cap 4..176 in ASCII digits
-(MAX_DEGREE_CAP, 0.25 s), --out for the report, -h/--help for this text;
+at most 320 (MAX_SURFACE_B1, 0.04 s), --degree-cap 4..240 in ASCII digits
+(MAX_DEGREE_CAP, 0.28 s), --out for the report, -h/--help for this text;
 each time is at the bound.  Exit code 0 when every check passes, 1 when
 any fails or none ran, 2 on a bad argument (usage line and error on
 stderr) or an unwritable --out.

@@ -163,6 +163,27 @@ def test_generator_products_read_the_images_and_pairs_they_are_given(cap, monkey
     assert [passed[f"char.{name}"] for name in ("ring-map", "sq-cartan", "sq-naturality")] == [True, True, False]
 
 
+@pytest.mark.parametrize("cap", range(4, 17))
+def test_kstar_generators_decide_as_the_basis_does(cap, monkeypatch):
+    # k∘φ and k are ring maps, so they agree on the basis iff they agree on
+    # the generators.  φ′ sets w2 to w2 + w1^2: a valid involution that
+    # restriction carries to uv + u^2 + v^2, not to uv.
+    alg = bcom_o2_algebra(cap)
+    basis = alg.basis_through(cap)
+    k = line_pair_restriction(alg)
+    _, gens, phi, _, _ = generator_images(alg)
+    w1, w2 = gens[:2]
+    planted = RingMap(alg, alg, {**phi, "w2": w2 + w1 * w1})
+    for f, holds in ((RingMap(alg, alg, phi), True), (planted, False)):
+        assert all(k(f(g)) == k(g) for g in gens) == all(k(f(x)) == k(x) for x in basis) == holds
+    assert [k(planted(g)) == k(g) for g in gens] == [True, False, True, True]
+    monkeypatch.setattr(bcom_o2, "bcom_o2_algebra", lambda cap: alg)
+    monkeypatch.setattr(bcom_o2, "inversion_pullback", lambda alg: planted)
+    checks = {c.check_id: c for c in char_class_suite(cap).checks}
+    assert checks["char.involution"].passed and checks["char.involution"].actual == f"{len(basis)}/{len(basis)}"
+    assert not checks["char.kstar-compat"].passed and checks["char.kstar-compat"].actual == "3/4"
+
+
 def test_square_naturality_under_line_pair_restriction():
     alg = bcom_o2_algebra(6)
     k = line_pair_restriction(alg)

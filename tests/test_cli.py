@@ -21,7 +21,7 @@ from kocom.suites import DEFAULT_OPTIONS, SUITES, check_option, run_suite
 from kocom.surfaces import Surface, nonorientable, orientable
 
 #: SHA-256 of the `kocom verify all --out R` report with default options.
-ALL_REPORT_SHA256 = "70c0faa3cd1a0f47379596a48919ea41c26676c44ac0eccf74a6f062520f7205"
+ALL_REPORT_SHA256 = "8cedccb201e79f70d5b6af00b0f42daa24e5c0f3cb8a938401532171c1477f44"
 
 #: SHA-256 of the cocycle report over -20..20 in k and n.
 WIDE_COCYCLE_REPORT_SHA256 = (
@@ -39,13 +39,13 @@ SELECTED_SURFACE_REPORT_SHA256 = {
 }
 
 #: SHA-256 of the `kocom verify char-classes --degree-cap N --out R` report.
-#: Cap 6 is pinned inside the `verify all` report, and caps 64 and 176 (the
-#: MAX_DEGREE_CAP bound) are `tools/same_bytes.py` cases, which CI runs to
-#: compare them across hash seeds and `python -S`.
+#: Cap 6 is pinned inside the `verify all` report, and caps 64, 176 and 240
+#: (the MAX_DEGREE_CAP bound) are `tools/same_bytes.py` cases, which CI runs
+#: to compare them across hash seeds and `python -S`.
 CHAR_CLASSES_REPORT_SHA256 = {
-    4: "cfc30bdf257897c602ddf0f0c110b0ccf0f1268b9ed978ca61d5e21ded7d19dc",
-    13: "db8ca86777b7d13e93774d895f4f7b98790c7e2cd421da02c51e3c8688e866f1",
-    32: "2624a97cadc814af0600cf27c447296978eea5a73d65073c1db76ae165df619f",
+    4: "9e95ad71f6f27f2392eb770c0f9f9f303f99ab3a56bc37e33eb5524653680c62",
+    13: "ee7aa4c012516e7c52afcd209d5fce09fdf4e9ac36aaeef3704a91537afd8a7f",
+    32: "a9d01fa5a2b142c2f902feae1e82d221cb6d05def6be53761c925685f6b6ed95",
 }
 
 
@@ -127,6 +127,8 @@ ARGV_CORPUS = [
     ["verify", "char-classes", "--degree-cap=64"],
     ["verify", "char-classes", "--degree-cap", "65"],
     ["verify", "char-classes", "--degree-cap=176"],
+    ["verify", "char-classes", "--degree-cap", "177"],
+    ["verify", "char-classes", "--degree-cap=240"],
     ["verify", "surface-ko", "--surface", "sphere"],
     ["verify", "surface-ko", "--surface=genus:160", "--out", "r.json"],
     ["verify", "surface-ko", "--surface", "rp:320", "--out=r.json"],
@@ -177,7 +179,7 @@ ARGV_CORPUS = [
     )),
     *(["verify", "cocycles", "--n-range", text] for text in ("1..0", "-40..41")),
     *(["verify", "char-classes", "--degree-cap", cap] for cap in (
-        "2", "3", "177", "1_0", "+8", " 8", "\u0668",
+        "2", "3", "241", "1_0", "+8", " 8", "\u0668",
     )),
     *(["verify", "surface-ko", "--surface", selector] for selector in (
         "genus:1_0", "rp: 3", "genus:+2", "genus:\u0663", "genus:161", "rp:321", "genus:0", "rp:0",
@@ -386,7 +388,7 @@ def test_surface_size_bound_exit_code_2(capsys):
 
 
 def test_range_and_degree_cap_bounds_exit_code_2(capsys):
-    assert MAX_RANGE_VALUES == 81 and MAX_DEGREE_CAP == 176
+    assert MAX_RANGE_VALUES == 81 and MAX_DEGREE_CAP == 240
     assert parse_range("-40..40") == (-40, 40)
     for option in ("--k-range=-40..41", "--n-range=-1000000..1000000"):
         with pytest.raises(SystemExit) as info:
@@ -394,12 +396,12 @@ def test_range_and_degree_cap_bounds_exit_code_2(capsys):
         assert info.value.code == 2
     assert "limit 81" in capsys.readouterr().err
     assert [parse_args(["verify", "all", "--degree-cap", cap])["degree_cap"]
-            for cap in ("4", "64", "65", "176")] == [4, 64, 65, 176]
-    for cap in ("3", "177", "1_0", "+8", " 8", "\u0668"):
+            for cap in ("4", "64", "65", "176", "177", "240")] == [4, 64, 65, 176, 177, 240]
+    for cap in ("3", "241", "1_0", "+8", " 8", "\u0668"):
         with pytest.raises(SystemExit) as info:
             main(["verify", "char-classes", "--degree-cap", cap])
         assert info.value.code == 2
-        assert "between 4 and 176" in capsys.readouterr().err
+        assert "between 4 and 240" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["cocycles", "so3-homology", "char-classes"])
@@ -519,7 +521,7 @@ def test_run_suite_rejects_option_types_before_any_suite(monkeypatch, options):
         ("cocycles", {"k_range": (-40, 41)}),
         ("cocycles", {"n_range": (2, 0)}),
         ("surface-ko", {"surface": nonorientable(321)}),
-        ("char-classes", {"degree_cap": 177}),
+        ("char-classes", {"degree_cap": 241}),
         ("all", {"degree_cap": 3}),
     ],
     ids=["k_range-wide", "n_range-empty", "surface-b1", "degree_cap-high", "all-degree_cap-low"],
@@ -541,7 +543,7 @@ def test_check_option_takes_values_at_the_bounds():
         ("k_range", (-40, 40)),
         ("n_range", (3, 3)),
         ("degree_cap", 4),
-        ("degree_cap", 176),
+        ("degree_cap", 240),
         ("surface", nonorientable(320)),
         ("surface", orientable(160)),
         ("surface", None),

@@ -68,8 +68,8 @@ PINS = {
             "commuting.classify_component": 28, "commuting.component_complex": 1,
             "commuting.enumerate_components": 8, "commuting.h2_bcom_so3": 1,
             "f2poly.algebra": 5, "f2poly.basis": 1, "f2poly.cls": 39,
-            "f2poly.elementary_symmetric": 2, "f2poly.mul": 22, "f2poly.reduce": 312,
-            "f2poly.ringmap": 115, "f2poly.ringmap_init": 7, "f2poly.square": 9,
+            "f2poly.elementary_symmetric": 2, "f2poly.mul": 22, "f2poly.reduce": 265,
+            "f2poly.ringmap": 77, "f2poly.ringmap_init": 7, "f2poly.square": 9,
             "integral.complex_check": 1, "integral.direct_sum": 1, "integral.from_orders": 21,
             "integral.homology": 2, "integral.smith_normal_form": 3,
             "o2.affine_path": 135, "o2.commutes": 1104, "o2.constant_path": 55,
@@ -88,16 +88,16 @@ PINS = {
         },
     },
     "char-classes cap 32": {
-        # The ring-map, Cartan and naturality checks read relation images
-        # and generator values, not generator-basis pairs.
+        # The ring-map, Cartan, naturality and kstar checks read relation
+        # images and generator values; only the involution walks the basis.
         "calls": {
             "bcom_o2.a2_class": 1, "bcom_o2.algebra": 1, "bcom_o2.euler_algebra": 1,
             "bcom_o2.inversion_pullback": 2, "bcom_o2.line_pair_algebra": 1,
             "bcom_o2.line_pair_restriction": 1, "bcom_o2.so2_restriction": 1,
             "bcom_o2.splitting_oracle": 2,
             "f2poly.algebra": 5, "f2poly.basis": 1, "f2poly.cls": 39,
-            "f2poly.elementary_symmetric": 2, "f2poly.mul": 22, "f2poly.reduce": 4742,
-            "f2poly.ringmap": 2195, "f2poly.ringmap_init": 7, "f2poly.square": 9,
+            "f2poly.elementary_symmetric": 2, "f2poly.mul": 22, "f2poly.reduce": 1820,
+            "f2poly.ringmap": 1117, "f2poly.ringmap_init": 7, "f2poly.square": 9,
             "report.check": 15, "suites.char_class_suite": 1,
         },
         "counts": {"f2poly.basis.size": 3},

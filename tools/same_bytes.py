@@ -8,7 +8,7 @@ under PYTHONHASHSEED=0, PYTHONHASHSEED=1 and `python -S`:
 
 - the `--out` reports of `verify all`, `so3-homology`, `cocycles` over
   -20..20 and over -40..40 (the MAX_RANGE_VALUES bound), `char-classes`
-  at caps 4, 6, 13, 32, 64 and 176 (the MAX_DEGREE_CAP bound), and
+  at caps 4, 6, 13, 32, 64, 176 and 240 (the MAX_DEGREE_CAP bound), and
   `surface-ko` with no selector and for the sphere, genus:40, rp:80,
   genus:160 and rp:320;
 - the `surface-ko` report (`run_suite(...).to_json()`) and
@@ -47,7 +47,7 @@ REPORTS = [
     ["so3-homology"],
     ["cocycles", "--k-range=-20..20", "--n-range=-20..20"],
     ["cocycles", "--k-range=-40..40", "--n-range=-40..40"],
-    *(["char-classes", "--degree-cap", str(cap)] for cap in (4, 6, 13, 32, 64, 176)),
+    *(["char-classes", "--degree-cap", str(cap)] for cap in (4, 6, 13, 32, 64, 176, 240)),
     ["surface-ko"],
     *(["surface-ko", "--surface", label] for label in ("sphere", "genus:40", "rp:80", "genus:160", "rp:320")),
 ]
